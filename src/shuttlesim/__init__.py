@@ -1,111 +1,20 @@
 """Desk-scale simulator and control stack for a low-speed campus shuttle."""
 
-from shuttlesim.arbiter import (
-    DisplayState,
-    DisplayTracker,
-    Message,
-    Source,
-    SpeedCommand,
-    display_message,
-    select,
-)
 from shuttlesim.harness import (
     LogRow,
     RunMetrics,
     Simulation,
-    StopEvent,
     metrics_from_rows,
     read_log,
     record_trace,
     run_scenario,
     write_log,
 )
-from shuttlesim.lidar import LidarConfig, LidarFrame, scan
-from shuttlesim.obstacles import (
-    Corridor,
-    CorridorParams,
-    GridParams,
-    ObstacleReport,
-    OccupancyGrid,
-    build_grid,
-    corridor_from_steering,
-    modify_speed,
-    required_side_clearance,
-    speed_limit_for_distance,
-)
-from shuttlesim.plant import (
-    VehicleParams,
-    VehicleState,
-    brake_decel,
-    normalize_angle,
-    simulate_full_stop,
-    step_plant,
-)
-from shuttlesim.scenario import (
-    DriveSegment,
-    ManualStop,
-    ScenarioConfig,
-    ScenarioError,
-    SignStopParams,
-    StartPose,
-    load_scenario,
-)
-from shuttlesim.signs import (
-    FilterParams,
-    SignDetection,
-    SignDetector,
-    fov_filter,
-    intensity_filter,
-    plane_segment,
-    radius_outlier_removal,
-    sign_speed_command,
-    statistical_outlier_removal,
-)
-from shuttlesim.twist import (
-    ActuatorCommand,
-    ControllerGains,
-    ControllerState,
-    TwistCommand,
-    TwistController,
-    lowpass,
-    speed_step,
-    steer_from_twist,
-)
-from shuttlesim.waypoints import (
-    FollowerParams,
-    RecordedTrace,
-    Waypoint,
-    WaypointList,
-    compile_path,
-    cross_track_error,
-    follow_step,
-    from_local,
-    load_waypoints,
-    save_waypoints,
-    to_local,
-    waypoint_filename,
-)
-from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel, step_pedestrians
+from shuttlesim.scenario import ScenarioConfig, ScenarioError, load_scenario
+from shuttlesim.waypoints import compile_path, load_waypoints, save_waypoints
 
 __all__ = [
-    "ActuatorCommand", "BoxObstacle", "ControllerGains", "ControllerState",
-    "Corridor", "CorridorParams", "DisplayState", "DisplayTracker",
-    "DriveSegment", "FilterParams", "FollowerParams", "GridParams",
-    "LidarConfig", "LidarFrame", "LogRow", "ManualStop", "Message",
-    "ObstacleReport", "OccupancyGrid", "Pedestrian", "RecordedTrace",
-    "RunMetrics", "ScenarioConfig", "ScenarioError", "SignDetection",
-    "SignDetector", "SignSpec", "SignStopParams", "Simulation", "Source",
-    "SpeedCommand", "StartPose", "StopEvent", "TwistCommand",
-    "TwistController", "VehicleParams", "VehicleState", "Waypoint",
-    "WaypointList", "WorldModel", "brake_decel", "build_grid", "compile_path",
-    "corridor_from_steering", "cross_track_error", "display_message",
-    "follow_step", "fov_filter", "from_local", "intensity_filter",
-    "load_scenario", "load_waypoints", "lowpass", "metrics_from_rows",
-    "modify_speed", "normalize_angle", "plane_segment",
-    "radius_outlier_removal", "read_log", "record_trace",
-    "required_side_clearance", "run_scenario", "save_waypoints", "scan",
-    "select", "sign_speed_command", "simulate_full_stop", "speed_limit_for_distance",
-    "speed_step", "statistical_outlier_removal", "steer_from_twist",
-    "step_pedestrians", "step_plant", "to_local", "waypoint_filename",
-    "write_log",
+    "LogRow", "RunMetrics", "ScenarioConfig", "ScenarioError", "Simulation",
+    "compile_path", "load_scenario", "load_waypoints", "metrics_from_rows",
+    "read_log", "record_trace", "run_scenario", "save_waypoints", "write_log",
 ]

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
-from shuttlesim.harness import (
-    metrics_from_rows,
-    read_log,
-    record_trace,
-    run_scenario,
-    write_log,
-)
+from shuttlesim.harness import Simulation, metrics_from_rows, read_log, record_trace, write_log
 from shuttlesim.scenario import ScenarioError, load_scenario
 from shuttlesim.waypoints import (
     PathFormatError,
@@ -33,23 +28,16 @@ def _print_metrics(metrics, stream=sys.stdout):
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=args.seed)
-    from shuttlesim.harness import Simulation
-
-    sim = Simulation(scenario)
-    metrics, rows = sim.run()
+    sign_log = [] if args.sign_log else None
+    grid_dump = [] if args.grid_dump else None
+    metrics, rows = Simulation(scenario, sign_log, grid_dump).run()
     if args.log:
         write_log(rows, args.log)
     if args.sign_log:
-        Path(args.sign_log).write_text(
-            "t,d,n,a,b,c\n" + "\n".join(sim.sign_log_rows) + "\n"
-        )
+        Path(args.sign_log).write_text("t,d,n,a,b,c\n" + "\n".join(sign_log) + "\n")
     if args.grid_dump:
-        Path(args.grid_dump).write_text(
-            "t,x,y,min_z,max_z\n" + "\n".join(sim.grid_dump_rows) + "\n"
-        )
+        Path(args.grid_dump).write_text("t,x,y,min_z,max_z\n" + "\n".join(grid_dump) + "\n")
     if args.metrics:
         with open(args.metrics, "w") as fh:
             _print_metrics(metrics, fh)

@@ -2,12 +2,15 @@
 
 Every tick produces one log row; metrics are always recomputed from rows so a
 log replay reproduces them exactly. Runs with the same seed are byte-identical.
+The sign-detection and occupied-cell side logs are formatted only for a run
+given a sink to append them to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from shuttlesim.lidar import scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
 from shuttlesim.scenario import ScenarioConfig
-from shuttlesim.signs import SignDetector, sign_speed_command
+from shuttlesim.signs import STOP_SPEED, SignDetector, SignStopLogic
 from shuttlesim.twist import TwistCommand, TwistController
 from shuttlesim.waypoints import (
     RecordedTrace,
@@ -30,9 +33,7 @@ from shuttlesim.world import step_pedestrians
 
 LOG_HEADER = "t,x,y,heading,v,omega,throttle,brake,steer,cte,obstacle_d,sign_d,sign_n,display"
 
-STOP_SPEED = 0.05  # below this the cart counts as stopped
 RESUME_SPEED = 0.1  # a stop event ends when speed recovers past this
-MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
 
 
 @dataclass(frozen=True)
@@ -174,60 +175,16 @@ def metrics_from_rows(rows: list[LogRow], dt: float) -> RunMetrics:
     )
 
 
-class SignStopLogic:
-    """Latched stop behaviour for detected signs.
+class Simulation:
+    """One scenario run; create fresh per run for deterministic results.
 
-    On detection the deceleration v^2/(2d) is frozen from the speed and
-    distance at that moment. The stop is committed: it runs to standstill even
-    if the sign drops out of view on final approach (the sensor typically
-    passes the sign plane before the cart halts). After a dwell the sign
-    source goes quiet until the sign has been out of view long enough to
-    re-arm, so the cart can drive on past it.
+    ``sign_log`` and ``grid_dump`` are optional sinks: when given, each tick
+    appends its ``t,d,n,a,b,c`` sign-detection row and its
+    ``t,x,y,min_z,max_z`` occupied-cell rows to them.
     """
 
-    ARMED, BRAKING, DWELLING, RESUME = range(4)
-
-    def __init__(self, params, accel_limit=1.0):
-        self.params = params
-        self.accel_limit = accel_limit
-        self.phase = self.ARMED
-        self.decel = 0.0
-        self.stopped_at = None
-        self.missing_ticks = 0
-
-    def update(self, detection, v_meas: float, t: float) -> TwistCommand | None:
-        self.missing_ticks = 0 if detection is not None else self.missing_ticks + 1
-        hold = TwistCommand(0.0, 0.0, self.accel_limit, self.decel) if self.decel else None
-
-        if self.phase == self.ARMED:
-            if detection is not None and v_meas >= MIN_SIGN_TRIGGER_SPEED:
-                self.decel = max(v_meas**2 / (2.0 * detection.distance), 1e-9)
-                self.phase = self.BRAKING
-                hold = TwistCommand(0.0, 0.0, self.accel_limit, self.decel)
-        if self.phase == self.BRAKING:
-            if v_meas < STOP_SPEED:
-                self.phase = self.DWELLING
-                self.stopped_at = t
-            return hold
-        if self.phase == self.DWELLING:
-            if t - self.stopped_at >= self.params.dwell:
-                self.phase = self.RESUME
-                return None
-            return hold
-        if self.phase == self.RESUME:
-            # a sign right at the bumper keeps the cart held
-            if detection is not None and detection.distance < self.params.latch_distance:
-                return hold
-            if self.missing_ticks > self.params.clear_ticks:
-                self.phase = self.ARMED
-            return None
-        return None
-
-
-class Simulation:
-    """One scenario run; create fresh per run for deterministic results."""
-
-    def __init__(self, scenario: ScenarioConfig):
+    def __init__(self, scenario: ScenarioConfig, sign_log: list[str] | None = None,
+                 grid_dump: list[str] | None = None):
         if scenario.waypoint_file is None:
             raise ValueError("run requires a waypoints file in the scenario")
         self.scenario = scenario
@@ -241,27 +198,29 @@ class Simulation:
         self.detector = SignDetector(scenario.sign_filter, mount)
         self.sign_logic = SignStopLogic(scenario.sign_stop, scenario.follower.accel_limit)
         self.display = DisplayTracker()
-        self.stage_trace: list[str] = []  # per-tick pipeline order, for tests
-        self._frame_buffer: list[tuple[int, object]] = []
+        self.sign_log = sign_log
+        self.grid_dump = grid_dump
+        self._frames: deque[tuple[int, object]] = deque()  # (tick, sweep), oldest first
         self._last_frame = None
         self._grid = None
         self._detection = None
-        self.sign_log_rows: list[str] = []
-        self.grid_dump_rows: list[str] = []
 
     def _sense(self, tick: int):
         cfg = self.scenario
         if tick % cfg.lidar_period_ticks == 0:
             frame = scan(self.world, self.state, cfg.vehicle, cfg.lidar,
                          rng=self.rng, timestamp=tick * cfg.dt)
-            self._frame_buffer.append((tick, frame))
-        usable = [f for k, f in self._frame_buffer if k <= tick - cfg.perception_latency_ticks]
-        if usable and usable[-1] is not self._last_frame:
-            frame = usable[-1]
+            self._frames.append((tick, frame))
+        # perception sees the newest sweep at least the latency old; older
+        # ones are dropped only once a newer one is usable
+        ready = tick - cfg.perception_latency_ticks
+        while len(self._frames) > 1 and self._frames[1][0] <= ready:
+            self._frames.popleft()
+        if self._frames and self._frames[0][0] <= ready and self._frames[0][1] is not self._last_frame:
+            frame = self._frames[0][1]
             self._last_frame = frame
             self._grid = build_grid(frame, cfg.grid)
             self._detection = self.detector.detect(frame)
-        self._frame_buffer = self._frame_buffer[-8:]
 
     def run(self) -> tuple[RunMetrics, list[LogRow]]:
         cfg = self.scenario
@@ -271,16 +230,13 @@ class Simulation:
 
         for tick in range(n_ticks):
             t = tick * dt
-            self.stage_trace.append("waypoint")
             wp_cmd, self.wlist = follow_step(self.wlist, self.state, cfg.follower)
             commands = [SpeedCommand(wp_cmd, Source.WAYPOINT)]
 
-            self.stage_trace.append("sense")
             self._sense(tick)
 
             obstacle_d = None
             if self._grid is not None:
-                self.stage_trace.append("obstacle")
                 corridor = corridor_from_steering(self.state.steer_angle, cfg.vehicle, cfg.corridor)
                 obs_twist, report = modify_speed(wp_cmd, self._grid, corridor, cfg.vehicle.max_decel)
                 if report.present:
@@ -289,14 +245,12 @@ class Simulation:
 
             sign_d = None
             sign_n = 0
-            self.stage_trace.append("sign")
             if self._detection is not None:
                 sign_d = self._detection.distance
                 sign_n = self._detection.point_count
-                a, b, c, _ = self._detection.plane
-                self.sign_log_rows.append(
-                    f"{t!r},{sign_d!r},{sign_n},{a!r},{b!r},{c!r}"
-                )
+                if self.sign_log is not None:
+                    a, b, c, _ = self._detection.plane
+                    self.sign_log.append(f"{t!r},{sign_d!r},{sign_n},{a!r},{b!r},{c!r}")
             sign_cmd = self.sign_logic.update(self._detection, self.state.speed, t)
             if sign_cmd is not None:
                 commands.append(SpeedCommand(sign_cmd, Source.SIGN))
@@ -310,17 +264,14 @@ class Simulation:
                         )
                     )
 
-            self.stage_trace.append("select")
             selected = select(commands)
-
-            self.stage_trace.append("control")
             act = self.controller.step(selected.twist, self.state.speed, self.state.accel, dt)
 
             display = self.display.update(self.state.speed, t)
             cte = cross_track_error(self.wlist, self.state)
-            if self._grid is not None and self.grid_dump_rows is not None:
-                for cx, cy, zmin, zmax in (self._grid.occupied_cell_stats() if self._grid.occupied.any() else []):
-                    self.grid_dump_rows.append(f"{t!r},{cx!r},{cy!r},{zmin!r},{zmax!r}")
+            if self.grid_dump is not None and self._grid is not None:
+                for cx, cy, zmin, zmax in self._grid.occupied_cell_stats():
+                    self.grid_dump.append(f"{t!r},{cx!r},{cy!r},{zmin!r},{zmax!r}")
 
             rows.append(
                 LogRow(
@@ -332,7 +283,6 @@ class Simulation:
                 )
             )
 
-            self.stage_trace.append("plant")
             self.state = step_plant(
                 self.state, cfg.vehicle, act.throttle, act.brake,
                 act.steer / cfg.vehicle.steering_ratio, dt,

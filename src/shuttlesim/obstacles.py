@@ -54,11 +54,11 @@ class OccupancyGrid:
 
     def occupied_cell_stats(self) -> list[tuple[float, float, float, float]]:
         """(x, y, min_z, max_z) per occupied cell, for grid dumps."""
-        idx = np.argwhere(self.occupied)
-        centers = (idx + 0.5) * self.cell_size - self.extent
         return [
-            (float(cx), float(cy), float(self.min_z[i, j]), float(self.max_z[i, j]))
-            for (i, j), (cx, cy) in zip(idx, centers)
+            (float(cx), float(cy), float(lo), float(hi))
+            for (cx, cy), lo, hi in zip(
+                self.occupied_cell_centers(), self.min_z[self.occupied], self.max_z[self.occupied]
+            )
         ]
 
 
@@ -138,11 +138,16 @@ def corridor_coordinates(corridor: Corridor, points: np.ndarray) -> tuple[np.nda
     return s, lateral
 
 
-def contains(corridor: Corridor, points: np.ndarray) -> np.ndarray:
-    """Boolean mask of points inside the corridor footprint."""
+def _membership(corridor: Corridor, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inside-the-footprint mask and arc length from the rear axle for (N, 2) points."""
     s, lateral = corridor_coordinates(corridor, points)
     s_max = corridor.front_overhang + corridor.length
-    return (s >= 0.0) & (s <= s_max) & (lateral <= corridor.half_width)
+    return (s >= 0.0) & (s <= s_max) & (lateral <= corridor.half_width), s
+
+
+def contains(corridor: Corridor, points: np.ndarray) -> np.ndarray:
+    """Boolean mask of points inside the corridor footprint."""
+    return _membership(corridor, points)[0]
 
 
 @dataclass(frozen=True)
@@ -157,9 +162,7 @@ def closest_in_corridor(grid: OccupancyGrid, corridor: Corridor) -> ObstacleRepo
     centers = grid.occupied_cell_centers()
     if len(centers) == 0:
         return ObstacleReport(present=False)
-    s, lateral = corridor_coordinates(corridor, centers)
-    s_max = corridor.front_overhang + corridor.length
-    inside = (s >= 0.0) & (s <= s_max) & (lateral <= corridor.half_width)
+    inside, s = _membership(corridor, centers)
     if not inside.any():
         return ObstacleReport(present=False)
     d = np.maximum(s[inside] - corridor.front_overhang, 0.0)

@@ -39,7 +39,7 @@ import yaml
 from shuttlesim.lidar import LidarConfig
 from shuttlesim.obstacles import CorridorParams, GridParams
 from shuttlesim.plant import VehicleParams
-from shuttlesim.signs import FilterParams
+from shuttlesim.signs import FilterParams, SignStopParams
 from shuttlesim.twist import ControllerGains
 from shuttlesim.waypoints import FollowerParams
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
@@ -69,13 +69,6 @@ class DriveSegment:
     def __post_init__(self):
         if self.duration <= 0:
             raise ScenarioError("drive segment duration must be positive")
-
-
-@dataclass(frozen=True)
-class SignStopParams:
-    latch_distance: float = 1.5  # hold the stop once the sign is this close, m
-    dwell: float = 2.0  # time held at standstill before resuming, s
-    clear_ticks: int = 50  # detection-free ticks before re-arming
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Five filter stages run in order: field-of-view crop, minimum-intensity
 threshold, radius outlier removal, statistical outlier removal, and RANSAC
 plane segmentation with a facing check on the plane normal. A detected sign
 yields a stop command whose deceleration limit is v^2 / (2 d) for the speed
-and distance at detection.
+and distance at detection; ``SignStopLogic`` latches that command and holds
+it until the cart has stopped and dwelt.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from scipy.spatial import cKDTree
 
 from shuttlesim.lidar import LidarFrame
 from shuttlesim.twist import TwistCommand
+
+STOP_SPEED = 0.05  # below this the cart counts as stopped
+MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
 
 
 @dataclass(frozen=True)
@@ -203,3 +207,57 @@ def sign_speed_command(
         raise ValueError("detection distance must be positive")
     decel = v_at_detection**2 / (2.0 * detection.distance)
     return TwistCommand(0.0, 0.0, accel_limit, max(decel, 1e-9))
+
+
+@dataclass(frozen=True)
+class SignStopParams:
+    latch_distance: float = 1.5  # hold the stop once the sign is this close, m
+    dwell: float = 2.0  # time held at standstill before resuming, s
+    clear_ticks: int = 50  # detection-free ticks before re-arming
+
+
+class SignStopLogic:
+    """Latched stop behaviour for detected signs.
+
+    On detection the stop command of ``sign_speed_command`` is frozen from the
+    speed and distance at that moment. The stop is committed: it runs to
+    standstill even if the sign drops out of view on final approach (the
+    sensor typically passes the sign plane before the cart halts). After a
+    dwell the sign source goes quiet until the sign has been out of view long
+    enough to re-arm, so the cart can drive on past it.
+    """
+
+    ARMED, BRAKING, DWELLING, RESUME = range(4)
+
+    def __init__(self, params: SignStopParams = SignStopParams(), accel_limit: float = 1.0):
+        self.params = params
+        self.accel_limit = accel_limit
+        self.phase = self.ARMED
+        self.hold: TwistCommand | None = None  # the latched stop command
+        self.stopped_at = None
+        self.missing_ticks = 0
+
+    def update(self, detection: SignDetection | None, v_meas: float, t: float) -> TwistCommand | None:
+        self.missing_ticks = 0 if detection is not None else self.missing_ticks + 1
+
+        if self.phase == self.ARMED:
+            if detection is not None and v_meas >= MIN_SIGN_TRIGGER_SPEED:
+                self.hold = sign_speed_command(detection, v_meas, self.accel_limit)
+                self.phase = self.BRAKING
+        if self.phase == self.BRAKING:
+            if v_meas < STOP_SPEED:
+                self.phase = self.DWELLING
+                self.stopped_at = t
+            return self.hold
+        if self.phase == self.DWELLING:
+            if t - self.stopped_at >= self.params.dwell:
+                self.phase = self.RESUME
+                return None
+            return self.hold
+        if self.phase == self.RESUME:
+            # a sign right at the bumper keeps the cart held
+            if detection is not None and detection.distance < self.params.latch_distance:
+                return self.hold
+            if self.missing_ticks > self.params.clear_ticks:
+                self.phase = self.ARMED
+        return None

@@ -143,6 +143,3 @@ class TwistController:
         throttle, brake, self.state = speed_step(cmd, v_meas, a_meas, self.state, dt, self.gains)
         delta = steer_from_twist(cmd.angular_w, v_meas, self.params, self.gains.v_floor)
         return ActuatorCommand(throttle=throttle, brake=brake, steer=delta * self.params.steering_ratio)
-
-    def reset(self):
-        self.state = ControllerState()

@@ -6,8 +6,13 @@ import pytest
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.signs import (
+    MIN_SIGN_TRIGGER_SPEED,
+    STOP_SPEED,
     FilterParams,
+    SignDetection,
     SignDetector,
+    SignStopLogic,
+    SignStopParams,
     fov_filter,
     intensity_filter,
     plane_segment,
@@ -258,3 +263,67 @@ def test_sign_speed_command_law():
     bad = SignDetection(plane=(1, 0, 0, 0), inlier_points=np.zeros((1, 3)), distance=0.0, point_count=40)
     with pytest.raises(ValueError):
         sign_speed_command(bad, 3.0)
+
+
+def detection_at(distance):
+    return SignDetection(plane=(1, 0, 0, -distance), inlier_points=np.zeros((1, 3)),
+                         distance=distance, point_count=40)
+
+
+STOP_PARAMS = SignStopParams(latch_distance=1.5, dwell=2.0, clear_ticks=5)
+
+
+def braked_to_standstill(t_stop=4.0):
+    logic = SignStopLogic(STOP_PARAMS, accel_limit=0.8)
+    logic.update(detection_at(10.0), 3.0, 0.0)
+    logic.update(None, 0.0, t_stop)
+    return logic
+
+
+def test_sign_stop_latches_sign_speed_command():
+    logic = SignStopLogic(STOP_PARAMS, accel_limit=0.8)
+    cmd = logic.update(detection_at(10.0), 3.0, 0.0)
+    assert cmd == sign_speed_command(detection_at(10.0), 3.0, 0.8)
+    assert cmd.decel_limit == sign_speed_command(detection_at(10.0), 3.0).decel_limit
+
+
+def test_sign_stop_needs_trigger_speed():
+    logic = SignStopLogic(STOP_PARAMS)
+    assert logic.update(detection_at(10.0), MIN_SIGN_TRIGGER_SPEED - 0.01, 0.0) is None
+    assert logic.phase == SignStopLogic.ARMED
+    assert logic.update(detection_at(10.0), MIN_SIGN_TRIGGER_SPEED, 0.02) is not None
+
+
+def test_sign_stop_holds_without_detection():
+    logic = SignStopLogic(STOP_PARAMS)
+    latched = logic.update(detection_at(10.0), 3.0, 0.0)
+    # the sign leaves the view, or reappears closer: the frozen stop stays
+    assert logic.update(None, 2.0, 1.0) == latched
+    assert logic.update(detection_at(4.0), 1.5, 2.0) == latched
+    assert logic.update(None, STOP_SPEED, 3.0) == latched
+
+
+def test_sign_stop_dwell_then_release():
+    logic = braked_to_standstill(t_stop=4.0)
+    held = logic.hold
+    assert logic.phase == SignStopLogic.DWELLING
+    assert logic.update(None, 0.0, 4.0 + STOP_PARAMS.dwell - 0.02) == held
+    assert logic.update(None, 0.0, 4.0 + STOP_PARAMS.dwell) is None
+    # released, but a sign right at the bumper keeps the cart held
+    t = 4.0 + STOP_PARAMS.dwell + 0.02
+    assert logic.update(detection_at(STOP_PARAMS.latch_distance - 0.1), 0.0, t) == held
+    assert logic.update(detection_at(STOP_PARAMS.latch_distance + 0.5), 0.0, t + 0.02) is None
+
+
+def test_sign_stop_rearms_after_clear_ticks():
+    logic = braked_to_standstill(t_stop=4.0)
+    t = 4.0 + STOP_PARAMS.dwell
+    logic.update(None, 0.0, t)
+    # still in view past the latch distance: no new stop, and no re-arm
+    assert logic.update(detection_at(8.0), 1.0, t + 0.02) is None
+    for k in range(STOP_PARAMS.clear_ticks):
+        assert logic.update(None, 1.0, t + 0.04 + 0.02 * k) is None
+    assert logic.phase == SignStopLogic.RESUME
+    logic.update(None, 1.0, t + 1.0)
+    assert logic.phase == SignStopLogic.ARMED
+    assert logic.update(detection_at(8.0), 2.0, t + 1.02) == sign_speed_command(detection_at(8.0), 2.0, 0.8)
