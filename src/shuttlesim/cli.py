@@ -9,7 +9,16 @@ from pathlib import Path
 
 import yaml
 
-from shuttlesim.harness import Simulation, metrics_from_rows, read_log, record_trace, write_log
+from shuttlesim.harness import (
+    GRID_DUMP_HEADER,
+    SIGN_LOG_HEADER,
+    Simulation,
+    metrics_from_rows,
+    read_log,
+    record_trace,
+    write_csv,
+    write_log,
+)
 from shuttlesim.scenario import ScenarioError, load_scenario
 from shuttlesim.waypoints import (
     PathFormatError,
@@ -35,9 +44,9 @@ def cmd_run(args) -> int:
     if args.log:
         write_log(rows, args.log)
     if args.sign_log:
-        Path(args.sign_log).write_text("t,d,n,a,b,c\n" + "\n".join(sign_log) + "\n")
+        write_csv(args.sign_log, SIGN_LOG_HEADER, sign_log)
     if args.grid_dump:
-        Path(args.grid_dump).write_text("t,x,y,min_z,max_z\n" + "\n".join(grid_dump) + "\n")
+        write_csv(args.grid_dump, GRID_DUMP_HEADER, grid_dump)
     if args.metrics:
         with open(args.metrics, "w") as fh:
             _print_metrics(metrics, fh)
@@ -65,9 +74,7 @@ def cmd_compile_path(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    rows = read_log(args.log)
-    dt = rows[1].t - rows[0].t if len(rows) > 1 else 0.02
-    metrics = metrics_from_rows(rows, dt)
+    metrics = metrics_from_rows(read_log(args.log))
     if args.metrics:
         with open(args.metrics, "w") as fh:
             _print_metrics(metrics, fh)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,16 @@ from shuttlesim.waypoints import (
 )
 from shuttlesim.world import step_pedestrians
 
-LOG_HEADER = "t,x,y,heading,v,omega,throttle,brake,steer,cte,obstacle_d,sign_d,sign_n,display"
-
 RESUME_SPEED = 0.1  # a stop event ends when speed recovers past this
+
+SIGN_LOG_HEADER = "t,d,n,a,b,c"
+GRID_DUMP_HEADER = "t,x,y,min_z,max_z"
 
 
 @dataclass(frozen=True)
 class LogRow:
+    """One tick of the log; the CSV columns are these fields, in this order."""
+
     t: float
     x: float
     y: float
@@ -52,38 +55,41 @@ class LogRow:
     sign_d: float | None
     sign_n: int
     display: str
+    source: Source  # the arbitration winner, logged as its index in ``Source``
+    sign_stop_d: float | None  # detection distance the held sign stop latched on
 
     def format(self) -> str:
-        def num(value):
-            return repr(float(value))
-
-        def opt(value):
-            return "" if value is None else repr(float(value))
-
-        return ",".join(
-            [
-                num(self.t), num(self.x), num(self.y), num(self.heading),
-                num(self.v), num(self.omega), num(self.throttle), num(self.brake),
-                num(self.steer), num(self.cte), opt(self.obstacle_d),
-                opt(self.sign_d), str(int(self.sign_n)), self.display,
-            ]
-        )
+        return ",".join(fmt(getattr(self, name)) for name, fmt, _ in _COLUMNS)
 
     @classmethod
     def parse(cls, line: str) -> "LogRow":
         parts = line.split(",")
-        if len(parts) != 14:
-            raise ValueError(f"log row has {len(parts)} fields, expected 14")
-        return cls(
-            t=float(parts[0]), x=float(parts[1]), y=float(parts[2]),
-            heading=float(parts[3]), v=float(parts[4]), omega=float(parts[5]),
-            throttle=float(parts[6]), brake=float(parts[7]), steer=float(parts[8]),
-            cte=float(parts[9]),
-            obstacle_d=float(parts[10]) if parts[10] else None,
-            sign_d=float(parts[11]) if parts[11] else None,
-            sign_n=int(parts[12]),
-            display=parts[13],
-        )
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"log row has {len(parts)} fields, expected {len(_COLUMNS)}")
+        return cls(*(parse(part) for (_, _, parse), part in zip(_COLUMNS, parts)))
+
+
+_SOURCES = tuple(Source)
+
+
+def _parse_source(text: str) -> Source:
+    code = int(text)
+    if not 0 <= code < len(_SOURCES):
+        raise ValueError(f"source code {code} is not in 0..{len(_SOURCES) - 1}")
+    return _SOURCES[code]
+
+
+# (format, parse) by field annotation; every column but ``display`` is numeric
+_CODECS = {
+    "float": (lambda v: repr(float(v)), float),
+    "float | None": (lambda v: "" if v is None else repr(float(v)),
+                     lambda s: float(s) if s else None),
+    "int": (lambda v: str(int(v)), int),
+    "str": (str, str),
+    "Source": (lambda v: str(_SOURCES.index(v)), _parse_source),
+}
+_COLUMNS = tuple((f.name, *_CODECS[f.type]) for f in fields(LogRow))
+LOG_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -102,66 +108,47 @@ class RunMetrics:
     stop_events: tuple[StopEvent, ...]
     sign_detections: tuple[tuple[float, int], ...]  # (distance, point count) per tick
     speed_trace: tuple[float, ...]
-    accel_trace: tuple[float, ...]
 
     def summary_dict(self) -> dict:
         return {
             "ticks": self.ticks,
             "peak_cte": self.peak_cte,
             "mean_cte": self.mean_cte,
-            "stop_events": [
-                {
-                    "t": e.t,
-                    "source": e.source,
-                    "trigger_distance": e.trigger_distance,
-                    "duration": e.duration,
-                }
-                for e in self.stop_events
-            ],
+            "stop_events": [asdict(e) for e in self.stop_events],
             "sign_detection_ticks": len(self.sign_detections),
             "final_speed": self.speed_trace[-1] if self.speed_trace else 0.0,
         }
 
 
-def metrics_from_rows(rows: list[LogRow], dt: float) -> RunMetrics:
-    """Aggregate run metrics from log rows (and nothing else)."""
+def metrics_from_rows(rows: list[LogRow]) -> RunMetrics:
+    """Aggregate run metrics from log rows (and nothing else).
+
+    A stop is attributed to the source that won arbitration on its first
+    stopped row; its trigger distance is that row's ``obstacle_d`` for an
+    obstacle stop, its ``sign_stop_d`` for a sign stop, and None otherwise.
+    """
     if not rows:
         raise ValueError("no log rows")
     ctes = [r.cte for r in rows]
-    speeds = [r.v for r in rows]
-    accels = [0.0] + [(b - a) / dt for a, b in zip(speeds, speeds[1:])]
 
-    def attribute(idx: int) -> tuple[str, float | None]:
-        # look back a few seconds: detections often end just before standstill
-        t_stop = rows[idx].t
-        for row in reversed(rows[: idx + 1]):
-            if t_stop - row.t > 3.0:
-                break
-            if row.obstacle_d is not None and row.obstacle_d <= 5.5:
-                return "obstacle", row.obstacle_d
-        for row in reversed(rows[: idx + 1]):
-            if t_stop - row.t > 3.0:
-                break
-            if row.sign_d is not None:
-                return "sign", row.sign_d
-        return "waypoint", None
+    def stop_event(row: LogRow, t_end: float) -> StopEvent:
+        trigger = {Source.OBSTACLE: row.obstacle_d, Source.SIGN: row.sign_stop_d}.get(row.source)
+        return StopEvent(row.t, row.source.value, trigger, t_end - row.t)
 
     events = []
-    stopped_since = None
-    trigger = None
+    stop_row = None
     has_moved = False
-    for i, row in enumerate(rows):
+    for row in rows:
         if row.v >= RESUME_SPEED:
             has_moved = True
-        if stopped_since is None:
+        if stop_row is None:
             if has_moved and row.v < STOP_SPEED:
-                stopped_since = row.t
-                trigger = attribute(i)
+                stop_row = row
         elif row.v >= RESUME_SPEED:
-            events.append(StopEvent(stopped_since, trigger[0], trigger[1], row.t - stopped_since))
-            stopped_since = None
-    if stopped_since is not None:
-        events.append(StopEvent(stopped_since, trigger[0], trigger[1], rows[-1].t - stopped_since))
+            events.append(stop_event(stop_row, row.t))
+            stop_row = None
+    if stop_row is not None:
+        events.append(stop_event(stop_row, rows[-1].t))
 
     detections = tuple((r.sign_d, r.sign_n) for r in rows if r.sign_d is not None)
     return RunMetrics(
@@ -170,8 +157,7 @@ def metrics_from_rows(rows: list[LogRow], dt: float) -> RunMetrics:
         mean_cte=sum(ctes) / len(ctes),
         stop_events=tuple(events),
         sign_detections=detections,
-        speed_trace=tuple(speeds),
-        accel_trace=tuple(accels),
+        speed_trace=tuple(r.v for r in rows),
     )
 
 
@@ -179,8 +165,8 @@ class Simulation:
     """One scenario run; create fresh per run for deterministic results.
 
     ``sign_log`` and ``grid_dump`` are optional sinks: when given, each tick
-    appends its ``t,d,n,a,b,c`` sign-detection row and its
-    ``t,x,y,min_z,max_z`` occupied-cell rows to them.
+    appends its sign-detection row (``SIGN_LOG_HEADER``) and its
+    occupied-cell rows (``GRID_DUMP_HEADER``) to them.
     """
 
     def __init__(self, scenario: ScenarioConfig, sign_log: list[str] | None = None,
@@ -226,6 +212,8 @@ class Simulation:
         cfg = self.scenario
         dt = cfg.dt
         n_ticks = int(round(cfg.duration * cfg.tick_rate))
+        halt = TwistCommand(0.0, 0.0, cfg.follower.accel_limit, cfg.vehicle.max_decel)
+        manual_stop = SpeedCommand(halt, Source.MANUAL_STOP)
         rows: list[LogRow] = []
 
         for tick in range(n_ticks):
@@ -252,17 +240,13 @@ class Simulation:
                     a, b, c, _ = self._detection.plane
                     self.sign_log.append(f"{t!r},{sign_d!r},{sign_n},{a!r},{b!r},{c!r}")
             sign_cmd = self.sign_logic.update(self._detection, self.state.speed, t)
+            sign_stop_d = None
             if sign_cmd is not None:
                 commands.append(SpeedCommand(sign_cmd, Source.SIGN))
+                sign_stop_d = self.sign_logic.hold_distance
 
-            for window in cfg.manual_stops:
-                if window.t <= t <= window.t + window.duration:
-                    commands.append(
-                        SpeedCommand(
-                            TwistCommand(0.0, 0.0, cfg.follower.accel_limit, cfg.vehicle.max_decel),
-                            Source.MANUAL_STOP,
-                        )
-                    )
+            if any(w.t <= t <= w.t + w.duration for w in cfg.manual_stops):
+                commands.append(manual_stop)
 
             selected = select(commands)
             act = self.controller.step(selected.twist, self.state.speed, self.state.accel, dt)
@@ -279,7 +263,8 @@ class Simulation:
                     v=self.state.speed, omega=self.state.yaw_rate,
                     throttle=act.throttle, brake=act.brake, steer=act.steer,
                     cte=cte, obstacle_d=obstacle_d, sign_d=sign_d, sign_n=sign_n,
-                    display=display.message.value,
+                    display=display.message.value, source=selected.source,
+                    sign_stop_d=sign_stop_d,
                 )
             )
 
@@ -289,16 +274,19 @@ class Simulation:
             )
             self.world = step_pedestrians(self.world, dt)
 
-        parsed = [LogRow.parse(r.format()) for r in rows]
-        return metrics_from_rows(parsed, dt), rows
+        return metrics_from_rows(rows), rows
 
 
 def run_scenario(scenario: ScenarioConfig) -> tuple[RunMetrics, list[LogRow]]:
     return Simulation(scenario).run()
 
 
+def write_csv(path, header: str, lines) -> None:
+    Path(path).write_text(header + "\n" + "\n".join(lines) + "\n")
+
+
 def write_log(rows: list[LogRow], path) -> None:
-    Path(path).write_text(LOG_HEADER + "\n" + "\n".join(r.format() for r in rows) + "\n")
+    write_csv(path, LOG_HEADER, (r.format() for r in rows))
 
 
 def read_log(path) -> list[LogRow]:

@@ -234,6 +234,7 @@ class SignStopLogic:
         self.accel_limit = accel_limit
         self.phase = self.ARMED
         self.hold: TwistCommand | None = None  # the latched stop command
+        self.hold_distance: float | None = None  # detection distance it latched on
         self.stopped_at = None
         self.missing_ticks = 0
 
@@ -243,6 +244,7 @@ class SignStopLogic:
         if self.phase == self.ARMED:
             if detection is not None and v_meas >= MIN_SIGN_TRIGGER_SPEED:
                 self.hold = sign_speed_command(detection, v_meas, self.accel_limit)
+                self.hold_distance = detection.distance
                 self.phase = self.BRAKING
         if self.phase == self.BRAKING:
             if v_meas < STOP_SPEED:

@@ -91,8 +91,10 @@ def test_sign_and_grid_side_logs(tmp_path, straight_waypoints):
         "run", str(scenario), "--sign-log", str(sign_log), "--grid-dump", str(grid_dump),
     ])
     assert rc == 0
-    assert len(sign_log.read_text().splitlines()) > 1
-    assert len(grid_dump.read_text().splitlines()) > 1
+    sign_lines = sign_log.read_text().splitlines()
+    grid_lines = grid_dump.read_text().splitlines()
+    assert sign_lines[0] == "t,d,n,a,b,c" and len(sign_lines) > 1
+    assert grid_lines[0] == "t,x,y,min_z,max_z" and len(grid_lines) > 1
 
 
 def test_invalid_scenario_exits_nonzero(tmp_path, capsys):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from shuttlesim.arbiter import Message, Source
 from shuttlesim.harness import (
     LogRow,
     Simulation,
@@ -67,17 +70,57 @@ def test_log_roundtrip_reproduces_metrics(tmp_path, straight_waypoints):
     log = tmp_path / "run.log"
     write_log(rows, log)
     rows_back = read_log(log)
-    metrics_back = metrics_from_rows(rows_back, sc.dt)
+    metrics_back = metrics_from_rows(rows_back)
     assert metrics_back == metrics
 
 
-def test_log_row_format_roundtrip():
-    row = LogRow(
-        t=0.123456789, x=-3.5, y=2.0, heading=0.1, v=1.9999999999, omega=-0.25,
-        throttle=0.5, brake=0.0, steer=1.23456789, cte=0.001,
-        obstacle_d=None, sign_d=9.936215, sign_n=34, display="MOVING",
-    )
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+OPTIONAL = st.none() | FINITE
+EXTREMES = dict(t=-0.0, x=5e-324, y=-5e-324, heading=1e308, v=-1e308, omega=2.2250738585072014e-308,
+                throttle=0.1, brake=1 / 3, steer=-0.0, cte=1e-300)
+
+
+@given(st.builds(
+    LogRow,
+    **{name: FINITE for name in EXTREMES},
+    obstacle_d=OPTIONAL, sign_d=OPTIONAL, sign_n=st.integers(),
+    display=st.sampled_from([m.value for m in Message]),
+    source=st.sampled_from(Source), sign_stop_d=OPTIONAL,
+))
+@example(LogRow(**EXTREMES, obstacle_d=None, sign_d=None, sign_n=-7, display="STOPPED",
+                source=Source.MANUAL_STOP, sign_stop_d=None))
+@example(LogRow(**EXTREMES, obstacle_d=-0.0, sign_d=1e308, sign_n=2**70, display="MOVING",
+                source=Source.SIGN, sign_stop_d=5e-324))
+def test_log_row_format_roundtrip(row):
     assert LogRow.parse(row.format()) == row
+
+
+def test_log_row_rejects_unknown_source_code():
+    line = "0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,,,0,MOVING,4,"
+    with pytest.raises(ValueError, match="source code 4"):
+        LogRow.parse(line)
+
+
+def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoints):
+    # the benchmark reads every column but display as a float, which is why
+    # the source column holds a number, not the source's name
+    from bench.checks import parse_log
+    from shuttlesim.world import BoxObstacle
+
+    world = WorldModel(
+        obstacles=(BoxObstacle(center=(12.0, 0.0), size=(0.6, 0.6), height=1.5),),
+        signs=(SignSpec(center=(16.0, -2.0, 2.0), normal=(-1, 0, 0)),),
+    )
+    # perception fires only from tick 5, so the waypoint source wins until then
+    sc = straight_scenario(straight_waypoints, duration=2.5, world=world, perception_latency_ticks=5,
+                           manual_stops=(ManualStop(t=2.0, duration=0.5),))
+    _, rows = run_scenario(sc)
+    assert {r.source for r in rows} == set(Source)
+    log = tmp_path / "run.log"
+    write_log(rows, log)
+    columns = parse_log(log.read_text())
+    assert sorted(set(columns["source"])) == [0.0, 1.0, 2.0, 3.0]
+    assert read_log(log) == rows
 
 
 def test_pipeline_stage_order(straight_waypoints, monkeypatch):
@@ -164,6 +207,7 @@ def test_manual_stop_window(straight_waypoints):
     metrics, rows = run_scenario(sc)
     vmin = min(r.v for r in rows if 3.0 <= r.t <= 7.5)
     assert vmin < 0.05
+    assert [e.source for e in metrics.stop_events] == ["manual-stop"]
     assert rows[-1].v > 2.0  # resumes after the window
 
 
@@ -182,6 +226,22 @@ def test_sign_stop_and_resume(straight_waypoints):
     d0, n0 = metrics.sign_detections[0]
     assert d0 == pytest.approx(10.0, abs=0.3)
     assert n0 >= 10
+
+
+def test_sign_stop_trigger_is_latched_distance(straight_waypoints):
+    # the stop latches on the first sighting, 15 m out; the sign is last seen
+    # a couple of metres before the cart halts
+    lateral = -2.0
+    x_sign = 1.6 + math.sqrt(15.0**2 - lateral**2)
+    world = WorldModel(signs=(SignSpec(center=(x_sign, lateral, 2.0), normal=(-1, 0, 0)),))
+    sc = straight_scenario(straight_waypoints, duration=11.0, world=world)
+    metrics, rows = run_scenario(sc)
+    stop = next(e for e in metrics.stop_events if e.source == "sign")
+    i = next(i for i, r in enumerate(rows) if r.t == stop.t)
+    while i > 0 and rows[i - 1].sign_stop_d is not None:
+        i -= 1
+    assert stop.trigger_distance == rows[i].sign_stop_d == rows[i].sign_d
+    assert stop.trigger_distance > 10.0
 
 
 def test_display_column_tracks_motion(straight_waypoints):
