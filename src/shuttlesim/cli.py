@@ -19,9 +19,8 @@ from shuttlesim.harness import (
     write_csv,
     write_log,
 )
-from shuttlesim.scenario import ScenarioError, load_scenario
+from shuttlesim.scenario import load_scenario
 from shuttlesim.waypoints import (
-    PathFormatError,
     compile_path,
     load_trace,
     save_trace,
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, PathFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError and PathFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,11 +79,17 @@ def _parse_source(text: str) -> Source:
     return _SOURCES[code]
 
 
+def _parse_finite(text: str) -> float:
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"non-finite value {text!r}")
+
+
 # (format, parse) by field annotation; every column but ``display`` is numeric
 _CODECS = {
-    "float": (lambda v: repr(float(v)), float),
+    "float": (lambda v: repr(float(v)), _parse_finite),
     "float | None": (lambda v: "" if v is None else repr(float(v)),
-                     lambda s: float(s) if s else None),
+                     lambda s: _parse_finite(s) if s else None),
     "int": (lambda v: str(int(v)), int),
     "str": (str, str),
     "Source": (lambda v: str(_SOURCES.index(v)), _parse_source),
@@ -107,7 +113,7 @@ class RunMetrics:
     mean_cte: float
     stop_events: tuple[StopEvent, ...]
     sign_detections: tuple[tuple[float, int], ...]  # (distance, point count) per tick
-    speed_trace: tuple[float, ...]
+    final_speed: float
 
     def summary_dict(self) -> dict:
         return {
@@ -116,7 +122,7 @@ class RunMetrics:
             "mean_cte": self.mean_cte,
             "stop_events": [asdict(e) for e in self.stop_events],
             "sign_detection_ticks": len(self.sign_detections),
-            "final_speed": self.speed_trace[-1] if self.speed_trace else 0.0,
+            "final_speed": self.final_speed,
         }
 
 
@@ -157,7 +163,7 @@ def metrics_from_rows(rows: list[LogRow]) -> RunMetrics:
         mean_cte=sum(ctes) / len(ctes),
         stop_events=tuple(events),
         sign_detections=detections,
-        speed_trace=tuple(r.v for r in rows),
+        final_speed=rows[-1].v,
     )
 
 

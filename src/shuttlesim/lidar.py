@@ -35,6 +35,8 @@ class LidarConfig:
             raise ValueError("azimuth_step_deg out of range")
         if self.max_range <= self.min_range:
             raise ValueError("max_range must exceed min_range")
+        if self.range_jitter < 0:
+            raise ValueError("range_jitter must be >= 0")
 
 
 @dataclass(frozen=True)

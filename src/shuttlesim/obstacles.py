@@ -21,6 +21,7 @@ from shuttlesim.twist import TwistCommand
 PEDESTRIAN_SPEED = 1.4  # m/s, design walking speed for clearance analysis
 SLOWDOWN_STOP_DISTANCE = 5.0  # m, commanded speed is zero inside this range
 SLOWDOWN_SLOPE = 5.0  # v = d/SLOWDOWN_SLOPE - 1
+MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates several n x n arrays
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class GridParams:
     min_cell_points: float = 2  # a spread needs at least one point pair
 
     def __post_init__(self):
-        if self.cell_size <= 0 or self.extent <= self.cell_size:
-            raise ValueError("bad grid geometry")
+        if not 2 * self.extent / MAX_GRID_CELLS <= self.cell_size < self.extent:
+            raise ValueError(f"cell_size {self.cell_size} must be in [2 extent / {MAX_GRID_CELLS}, extent)")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class VehicleParams:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.max_steer >= math.pi / 2:
+            raise ValueError("max_steer must be below pi/2")
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,18 @@ Schema (all sections optional unless noted):
     manual_stops: [{t: 12.0, duration: 3.0}]
     drive_script:             # for `record`
       - {duration: 25.1, speed: 2.5, yaw_rate: 0.25, blend: 0.0}
+
+Values are converted to the annotated field types: numbers may be strings
+(YAML 1.1 reads ``3e0`` as one), floats must be finite, ints integral; an empty
+value keeps the default. Errors read ``file: key.path: message``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -42,7 +48,7 @@ from shuttlesim.plant import VehicleParams
 from shuttlesim.signs import FilterParams, SignStopParams
 from shuttlesim.twist import ControllerGains
 from shuttlesim.waypoints import FollowerParams
-from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
+from shuttlesim.world import WorldModel
 
 DEFAULT_ORIGIN = (30.615, -96.34)
 
@@ -107,120 +113,87 @@ class ScenarioConfig:
             raise ScenarioError("duration must be positive")
         if self.lidar_period_ticks < 1:
             raise ScenarioError("lidar_period_ticks must be >= 1")
+        for name in ("seed", "perception_latency_ticks"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"{name} must be >= 0")
 
     @property
     def dt(self) -> float:
         return 1.0 / self.tick_rate
 
 
-def _build(cls, data, where):
+def _error(where: str, message) -> ScenarioError:
+    return ScenarioError(f"{where}: {message}" if where else str(message))
+
+
+def _build(cls, data, where: str = ""):
+    """Build dataclass ``cls`` from a mapping; ``where`` is its key path for errors."""
     if not isinstance(data, dict):
-        raise ScenarioError(f"{where}: expected a mapping, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+        raise _error(where, f"expected a mapping, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+        raise _error(where, f"unknown {'keys' if where else 'top-level keys'} {sorted(map(str, unknown))}")
+    hints = get_type_hints(cls)
+    kwargs = {
+        name: _convert(hints[name], value, f"{where}.{name}" if where else name)
+        for name, value in data.items()
+        if value is not None
+    }
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise _error(where, exc) from exc
 
 
-def _pair(value, where):
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ScenarioError(f"{where}: expected [a, b]")
-    return (float(value[0]), float(value[1]))
-
-
-def _triple(value, where):
-    if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ScenarioError(f"{where}: expected [a, b, c]")
-    return (float(value[0]), float(value[1]), float(value[2]))
-
-
-def _build_world(data) -> WorldModel:
-    if data is None:
-        return WorldModel()
-    if not isinstance(data, dict):
-        raise ScenarioError("world: expected a mapping")
-    unknown = set(data) - {"obstacles", "pedestrians", "signs"}
-    if unknown:
-        raise ScenarioError(f"world: unknown keys {sorted(unknown)}")
-
-    obstacles = []
-    for i, item in enumerate(data.get("obstacles") or []):
-        where = f"world.obstacles[{i}]"
-        item = dict(item)
-        item["center"] = _pair(item.get("center"), f"{where}.center")
-        item["size"] = _pair(item.get("size"), f"{where}.size")
-        obstacles.append(_build(BoxObstacle, item, where))
-
-    pedestrians = []
-    for i, item in enumerate(data.get("pedestrians") or []):
-        where = f"world.pedestrians[{i}]"
-        item = dict(item)
-        item["position"] = _pair(item.get("position"), f"{where}.position")
-        if "velocity" in item:
-            item["velocity"] = _pair(item["velocity"], f"{where}.velocity")
-        pedestrians.append(_build(Pedestrian, item, where))
-
-    signs = []
-    for i, item in enumerate(data.get("signs") or []):
-        where = f"world.signs[{i}]"
-        item = dict(item)
-        item["center"] = _triple(item.get("center"), f"{where}.center")
-        item["normal"] = _triple(item.get("normal"), f"{where}.normal")
-        signs.append(_build(SignSpec, item, where))
-
-    return WorldModel(tuple(obstacles), tuple(pedestrians), tuple(signs))
+def _convert(tp, value, where: str):
+    if is_dataclass(tp):
+        return _build(tp, value, where)
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _error(where, f"expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise _error(where, f"expected {len(args)} values, got {len(value)}")
+        return tuple(_convert(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if type(None) in args:  # X | None
+        (tp,) = set(args) - {type(None)}
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise _error(where, f"expected {tp.__name__}, got {value!r}")
+    if tp is str:
+        return str(value)
+    if tp is int and isinstance(value, int):
+        return value
+    try:
+        number = float(value)  # YAML 1.1 reads 3e0 and 1e-3 as strings
+    except ValueError:
+        raise _error(where, f"expected {tp.__name__}, got {value!r}") from None
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _error(where, f"expected a finite number, got {value!r}")
+    if tp is int:
+        if not number.is_integer():
+            raise _error(where, f"expected int, got {value!r}")
+        return int(number)
+    return number
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a mapping")
-    known = {
-        "name", "seed", "duration", "tick_rate", "waypoints", "origin", "start",
-        "world", "vehicle", "gains", "follower", "grid", "corridor",
-        "sign_filter", "lidar", "lidar_period_ticks", "perception_latency_ticks",
-        "sign_stop", "manual_stops", "drive_script",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ScenarioError(f"unknown top-level keys {sorted(unknown)}")
-
-    waypoint_file = data.get("waypoints")
-    if waypoint_file is not None and base_dir is not None:
-        waypoint_file = str((base_dir / waypoint_file).resolve())
-
-    kwargs = dict(
-        name=str(data.get("name", "scenario")),
-        seed=int(data.get("seed", 0)),
-        duration=float(data.get("duration", 10.0)),
-        tick_rate=float(data.get("tick_rate", 50.0)),
-        waypoint_file=waypoint_file,
-        origin=_pair(data["origin"], "origin") if "origin" in data else DEFAULT_ORIGIN,
-        start=_build(StartPose, data.get("start") or {}, "start"),
-        world=_build_world(data.get("world")),
-        vehicle=_build(VehicleParams, data.get("vehicle") or {}, "vehicle"),
-        gains=_build(ControllerGains, data.get("gains") or {}, "gains"),
-        follower=_build(FollowerParams, data.get("follower") or {}, "follower"),
-        grid=_build(GridParams, data.get("grid") or {}, "grid"),
-        corridor=_build(CorridorParams, data.get("corridor") or {}, "corridor"),
-        sign_filter=_build(FilterParams, data.get("sign_filter") or {}, "sign_filter"),
-        lidar=_build(LidarConfig, data.get("lidar") or {}, "lidar"),
-        lidar_period_ticks=int(data.get("lidar_period_ticks", 5)),
-        perception_latency_ticks=int(data.get("perception_latency_ticks", 0)),
-        sign_stop=_build(SignStopParams, data.get("sign_stop") or {}, "sign_stop"),
-        manual_stops=tuple(
-            _build(ManualStop, item, f"manual_stops[{i}]")
-            for i, item in enumerate(data.get("manual_stops") or [])
-        ),
-        drive_script=tuple(
-            _build(DriveSegment, item, f"drive_script[{i}]")
-            for i, item in enumerate(data.get("drive_script") or [])
-        ),
-    )
-    return ScenarioConfig(**kwargs)
+    if isinstance(data, dict):
+        # a file gives ``waypoint_file`` as ``waypoints``, a path relative to the file
+        if "waypoint_file" in data:
+            raise ScenarioError("unknown top-level keys ['waypoint_file'] (the key is waypoints)")
+        data = dict(data)
+        path = data.pop("waypoints", None)
+        if path is not None:
+            path = _convert(str, path, "waypoints")
+            try:
+                data["waypoint_file"] = path if base_dir is None else str((base_dir / path).resolve())
+            except ValueError as exc:  # a NUL byte in the path
+                raise _error("waypoints", exc) from exc
+    return _build(ScenarioConfig, data)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -234,7 +207,8 @@ def load_scenario(path) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f" (line {mark.line + 1})" if mark is not None else ""
-        raise ScenarioError(f"{path}: invalid YAML{line}: {exc}") from exc
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ScenarioError(f"{path}: invalid YAML{line}: {problem}") from exc
     if data is None:
         raise ScenarioError(f"{path}: scenario file is empty")
     try:

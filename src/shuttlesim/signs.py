@@ -215,6 +215,14 @@ class SignStopParams:
     dwell: float = 2.0  # time held at standstill before resuming, s
     clear_ticks: int = 50  # detection-free ticks before re-arming
 
+    def __post_init__(self):
+        if self.latch_distance <= 0:
+            raise ValueError("latch_distance must be positive")
+        if self.dwell < 0:
+            raise ValueError("dwell must be >= 0")
+        if self.clear_ticks < 1:
+            raise ValueError("clear_ticks must be >= 1")
+
 
 class SignStopLogic:
     """Latched stop behaviour for detected signs.

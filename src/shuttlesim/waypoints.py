@@ -58,8 +58,8 @@ class Waypoint:
             raise ValueError(f"latitude out of range: {self.lat}")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude out of range: {self.lon}")
-        if self.speed < 0:
-            raise ValueError("waypoint speed must be non-negative")
+        if not (math.isfinite(self.speed) and self.speed >= 0):
+            raise ValueError(f"waypoint speed must be finite and non-negative, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,11 @@ class FollowerParams:
     accel_limit: float = 1.0
     decel_limit: float = 1.2
     heading_bias: float = 0.0  # constant compass correction, rad
+
+    def __post_init__(self):
+        for name in ("kp", "switch_radius", "accel_limit", "decel_limit"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def follow_step(

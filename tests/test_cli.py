@@ -1,5 +1,6 @@
 import math
 
+import pytest
 import yaml
 
 from shuttlesim.cli import main
@@ -120,3 +121,47 @@ def test_record_without_script_fails(tmp_path, straight_waypoints, capsys):
     rc = main(["record", str(scenario)])
     assert rc == 1
     assert "drive_script" in capsys.readouterr().err
+
+
+BAD_SCENARIOS = [
+    # (scenario text, the key path and message the error must show)
+    ("duration: [broken", "invalid YAML (line 2)"),
+    ("name: \x01", "invalid YAML: unacceptable character"),
+    ("world: {obstacles: [5]}", "world.obstacles[0]: expected a mapping"),
+    ("duration: .inf", "duration: expected a finite number"),
+    ("grid: {cell_size: 1e-3}", "grid: cell_size 0.001 must be in"),
+    ("seed: abc", "seed: expected int"),
+    ("seed: -1", "seed must be >= 0"),
+    ("manual_stops: {t: 1}", "manual_stops: expected a list"),
+    ("lidar_period_ticks: 1.5", "lidar_period_ticks: expected int"),
+    ("perception_latency_ticks: -3", "perception_latency_ticks must be >= 0"),
+    ("sign_stop: {latch_distance: 0}", "sign_stop: latch_distance must be positive"),
+    ("sign_stop: {dwell: -1}", "sign_stop: dwell must be >= 0"),
+    ("sign_stop: {clear_ticks: 0}", "sign_stop: clear_ticks must be >= 1"),
+    ("follower: {kp: 0}", "follower: kp must be positive"),
+    ("follower: {switch_radius: 0}", "follower: switch_radius must be positive"),
+    ("follower: {accel_limit: -1}", "follower: accel_limit must be positive"),
+    ("follower: {decel_limit: 0}", "follower: decel_limit must be positive"),
+    ("vehicle: {max_steer: 3.0}", "vehicle: max_steer must be below pi/2"),
+    ("lidar: {range_jitter: -0.01}", "lidar: range_jitter must be >= 0"),
+    ("world: {signs: [{center: [9, -2, 2], normal: [-1, 0, 0], width: .nan}]}",
+     "world.signs[0].width: expected a finite number"),
+    ("waypoints: [a.waypoints]", "waypoints: expected str"),
+]
+
+
+@pytest.mark.parametrize("text, key", BAD_SCENARIOS)
+def test_bad_scenario_one_line_error(tmp_path, capsys, text, key):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    assert main(["run", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and key in err
+    assert "Traceback" not in out + err
+
+
+def test_yaml_exponent_strings_load_as_numbers(tmp_path, straight_waypoints):
+    # YAML 1.1 reads 3e0 as a string
+    scenario = write_scenario(tmp_path, straight_waypoints, extra="gains: {kp_speed: 3e0}\n")
+    assert main(["run", str(scenario)]) == 0

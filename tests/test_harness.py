@@ -101,6 +101,24 @@ def test_log_row_rejects_unknown_source_code():
         LogRow.parse(line)
 
 
+@pytest.mark.parametrize("column, value", [("cte", "inf"), ("v", "nan"), ("sign_stop_d", "-inf")])
+def test_non_finite_log_value_rejected(tmp_path, straight_waypoints, capsys, column, value):
+    from shuttlesim.cli import main
+
+    _, rows = run_scenario(straight_scenario(straight_waypoints, duration=0.1))
+    log = tmp_path / "run.log"
+    write_log(rows, log)
+    lines = log.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(fields)
+    log.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"run\.log:3: non-finite value '{value}'"):
+        read_log(log)
+    assert main(["replay", str(log)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoints):
     # the benchmark reads every column but display as a float, which is why
     # the source column holds a number, not the source's name

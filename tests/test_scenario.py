@@ -1,6 +1,12 @@
-import pytest
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from shuttlesim.scenario import ScenarioError, load_scenario, scenario_from_dict
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from shuttlesim.scenario import ScenarioConfig, ScenarioError, load_scenario, scenario_from_dict
 from tests.conftest import SCENARIO_DIR
 
 
@@ -66,3 +72,53 @@ def test_empty_file_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "nope.yaml")
+
+
+def test_yaml_1_1_number_strings_convert():
+    # YAML 1.1 reads 3e0 and 1e-1 as strings
+    sc = scenario_from_dict({"gains": {"kp_speed": "3e0"}, "grid": {"cell_size": "1e-1"}, "seed": 4.0})
+    assert sc.gains.kp_speed == 3.0 and sc.grid.cell_size == 0.1 and sc.seed == 4
+    assert type(sc.seed) is int
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+           | st.sampled_from(["3e0", "1e-3", ".inf", "nan", "1e400", "-0", "x.waypoints", 10**400]))
+ANYTHING = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4) | st.integers(),
+                                                                inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def shaped(tp):
+    """Values of roughly the shape ``tp`` calls for, wrong in type or range at times."""
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        optional = {f.name: shaped(hints[f.name]) for f in fields(tp)}
+        return st.fixed_dictionaries({}, optional=optional) | ANYTHING
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            return st.lists(shaped(args[0]), max_size=3)
+        return st.lists(shaped(args[0]), min_size=len(args) - 1, max_size=len(args) + 1)
+    return st.floats(0.01, 100.0) | st.integers(0, 100) | SCALARS
+
+
+SCENARIO_DATA = shaped(ScenarioConfig).map(
+    lambda d: {("waypoints" if k == "waypoint_file" else k): v for k, v in d.items()}
+    if isinstance(d, dict) else d
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=SCENARIO_DATA, base_dir=st.sampled_from([None, Path(".")]))
+@example(data={"world": {"signs": [{"center": [1, 2, 2], "normal": [-1, 0, 0]}]},
+               "manual_stops": [{"t": 1, "duration": 2}], "waypoints": "a\0b"}, base_dir=Path("."))
+@example(data={"tick_rate": 10**400}, base_dir=None)
+def test_scenario_from_dict_fuzz(data, base_dir):
+    try:
+        config = scenario_from_dict(data, base_dir)
+    except ScenarioError:
+        return
+    assert isinstance(config, ScenarioConfig)

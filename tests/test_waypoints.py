@@ -271,3 +271,11 @@ def test_waypoint_validation():
         Waypoint(0.0, 181.0, 1.0)
     with pytest.raises(ValueError):
         Waypoint(0.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("speed", ["nan", "inf"])
+def test_waypoint_file_rejects_non_finite_speed(tmp_path, speed):
+    bad = tmp_path / "bad.waypoints"
+    bad.write_text(f"30.0,-96.0,3.0\n30.0001,-96.0,{speed}\n")
+    with pytest.raises(PathFormatError, match=r"bad\.waypoints:2: waypoint speed must be finite"):
+        load_waypoints(bad)
