@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from shuttlesim.harness import (
     write_csv,
     write_log,
 )
-from shuttlesim.scenario import load_scenario
+from shuttlesim.scenario import ScenarioError, load_scenario
 from shuttlesim.waypoints import (
     compile_path,
     load_trace,
@@ -33,13 +34,24 @@ def _print_metrics(metrics, stream=sys.stdout):
     yaml.safe_dump(metrics.summary_dict(), stream, sort_keys=False)
 
 
+@contextmanager
+def _naming(scenario_path):
+    """Prefix the file to errors of a scenario that loaded but cannot be used."""
+    try:
+        yield
+    except ScenarioError as exc:
+        raise ScenarioError(f"{scenario_path}: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     sign_log = [] if args.sign_log else None
     grid_dump = [] if args.grid_dump else None
-    metrics, rows = Simulation(scenario, sign_log, grid_dump).run()
+    with _naming(args.scenario):
+        sim = Simulation(scenario, sign_log, grid_dump)
+    metrics, rows = sim.run()
     if args.log:
         write_log(rows, args.log)
     if args.sign_log:
@@ -56,7 +68,8 @@ def cmd_run(args) -> int:
 
 def cmd_record(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = record_trace(scenario)
+    with _naming(args.scenario):
+        trace = record_trace(scenario)
     out = args.out or Path(args.scenario).with_suffix(".trace")
     save_trace(trace, out)
     print(f"recorded {len(trace)} samples -> {out}")

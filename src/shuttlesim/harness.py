@@ -19,7 +19,7 @@ from shuttlesim.arbiter import DisplayTracker, Source, SpeedCommand, select
 from shuttlesim.lidar import scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
-from shuttlesim.scenario import ScenarioConfig
+from shuttlesim.scenario import ScenarioConfig, ScenarioError
 from shuttlesim.signs import STOP_SPEED, SignDetector, SignStopLogic
 from shuttlesim.twist import TwistCommand, TwistController
 from shuttlesim.waypoints import (
@@ -178,7 +178,7 @@ class Simulation:
     def __init__(self, scenario: ScenarioConfig, sign_log: list[str] | None = None,
                  grid_dump: list[str] | None = None):
         if scenario.waypoint_file is None:
-            raise ValueError("run requires a waypoints file in the scenario")
+            raise ScenarioError("waypoints: run requires a waypoints file")
         self.scenario = scenario
         self.rng = np.random.default_rng(scenario.seed)
         self.wlist = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
@@ -312,7 +312,7 @@ def read_log(path) -> list[LogRow]:
 def record_trace(scenario: ScenarioConfig, spacing: float = 1.0) -> RecordedTrace:
     """Drive the scripted segments closed-loop and sample the path every metre."""
     if not scenario.drive_script:
-        raise ValueError("record requires a non-empty drive_script")
+        raise ScenarioError("drive_script: record requires a non-empty drive_script")
     cfg = scenario
     dt = cfg.dt
     controller = TwistController(cfg.vehicle, cfg.gains)
@@ -355,5 +355,5 @@ def record_trace(scenario: ScenarioConfig, spacing: float = 1.0) -> RecordedTrac
 
     arr = np.asarray(samples)
     if len(arr) < 2:
-        raise ValueError("drive script too short to record a path")
+        raise ScenarioError("drive_script: too short to record a path")
     return RecordedTrace(lat=arr[:, 0], lon=arr[:, 1], v=arr[:, 2], omega=arr[:, 3], t=arr[:, 4])

@@ -9,7 +9,7 @@ the turn radius recovered from the recorded v and omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,21 +62,56 @@ class Waypoint:
             raise ValueError(f"waypoint speed must be finite and non-negative, got {self.speed}")
 
 
+def _project(origin: tuple[float, float], lat_lon) -> np.ndarray:
+    """(N, 2) local positions of (lat, lon) pairs, one scalar :func:`to_local` each."""
+    return np.asarray([to_local(origin, la, lo) for la, lo in lat_lon], dtype=float).reshape(-1, 2)
+
+
+@dataclass(frozen=True, eq=False)
+class RouteGeometry:
+    """A route projected into the local frame once, with its arc lengths and segments."""
+
+    waypoints: tuple[Waypoint, ...]  # the tuple this geometry was built from
+    origin: tuple[float, float]
+    xy: np.ndarray  # (N, 2) waypoint positions, m east/north of origin
+    remaining: np.ndarray  # (N,) path length from each waypoint to the last, m
+    seg_start: np.ndarray  # (2, N-1) x and y rows of the segment start points
+    seg_vec: np.ndarray  # (2, N-1) x and y rows of the segment vectors
+    seg_len2: np.ndarray  # (N-1,) squared segment lengths
+
+    @classmethod
+    def build(cls, waypoints: tuple[Waypoint, ...], origin: tuple[float, float]) -> "RouteGeometry":
+        xy = _project(origin, ((w.lat, w.lon) for w in waypoints))
+        seg_start = np.ascontiguousarray(xy[:-1].T)
+        seg_vec = np.ascontiguousarray(np.diff(xy, axis=0).T)
+        dx, dy = seg_vec
+        remaining = np.zeros(len(xy))
+        remaining[:-1] = np.cumsum(np.hypot(dx, dy)[::-1])[::-1]
+        arrays = (xy, remaining, seg_start, seg_vec, dx * dx + dy * dy)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(waypoints, origin, *arrays)
+
+
 @dataclass(frozen=True)
 class WaypointList:
     waypoints: tuple[Waypoint, ...]
     target_index: int = 0
     origin: tuple[float, float] = (0.0, 0.0)
     finished: bool = False  # latched once the final waypoint has been reached
+    # built here unless carried over by ``replace`` from a list of the same route
+    geometry: RouteGeometry | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.waypoints and not 0 <= self.target_index < len(self.waypoints):
             raise ValueError("target_index out of range")
+        geo = self.geometry
+        if geo is None or geo.waypoints is not self.waypoints or geo.origin != self.origin:
+            object.__setattr__(self, "geometry", RouteGeometry.build(self.waypoints, self.origin))
 
     def local_xy(self) -> np.ndarray:
-        return np.asarray(
-            [to_local(self.origin, w.lat, w.lon) for w in self.waypoints], dtype=float
-        )
+        """Read-only (N, 2) waypoint positions in the local frame."""
+        return self.geometry.xy
 
 
 @dataclass(frozen=True)
@@ -131,7 +166,8 @@ def follow_step(
     if wlist.finished:
         return stop_cmd, wlist
 
-    xy = wlist.local_xy()
+    geo = wlist.geometry
+    xy = geo.xy
     idx = wlist.target_index
     last = len(wlist.waypoints) - 1
     while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
@@ -143,7 +179,7 @@ def follow_step(
         return stop_cmd, replace(wlist, target_index=idx, finished=True)
 
     # slow into the terminus so the cart does not sail past the list end
-    remaining = dist + float(np.sum(np.hypot(*np.diff(xy[idx:], axis=0).T)))
+    remaining = dist + float(geo.remaining[idx])
     margin = max(remaining - params.switch_radius, 0.0)
     taper = math.sqrt(2.0 * params.decel_limit * margin) + 0.15
     speed = min(wlist.waypoints[idx].speed, taper)
@@ -177,7 +213,7 @@ def compile_path(
         raise ValueError("trace needs at least two samples")
 
     origin = (float(trace.lat[0]), float(trace.lon[0]))
-    xy = np.asarray([to_local(origin, la, lo) for la, lo in zip(trace.lat, trace.lon)])
+    xy = _project(origin, zip(trace.lat, trace.lon))
     seg = np.hypot(*np.diff(xy, axis=0).T)
     s = np.concatenate(([0.0], np.cumsum(seg)))
     if s[-1] <= 0.0:
@@ -202,21 +238,19 @@ def compile_path(
 
 
 def cross_track_error(wlist: WaypointList, state: VehicleState) -> float:
-    """Unsigned perpendicular distance from the vehicle to the nearest path segment."""
+    """Unsigned perpendicular distance from the vehicle to the nearest path segment.
+
+    The search is global, not local to the target, because a path may cross itself.
+    """
     if len(wlist.waypoints) < 2:
         raise ValueError("cross-track error needs at least two waypoints")
-    xy = wlist.local_xy()
-    p = np.array([state.x, state.y])
-    a = xy[:-1]
-    b = xy[1:]
-    ab = b - a
-    ap = p - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom > 0, np.einsum("ij,ij->i", ap, ab) / denom, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.min(np.hypot(*(p - closest).T)))
+    geo = wlist.geometry
+    (ax, ay), (dx, dy) = geo.seg_start, geo.seg_vec
+    x, y = state.x, state.y
+    dot = (x - ax) * dx + (y - ay) * dy
+    t = np.divide(dot, geo.seg_len2, out=np.zeros_like(dot), where=geo.seg_len2 > 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    return float(np.min(np.hypot(x - (ax + t * dx), y - (ay + t * dy))))
 
 
 def waypoint_filename(route: str, speed: float) -> str:
@@ -266,9 +300,13 @@ def load_trace(path) -> RecordedTrace:
         if len(parts) != 5:
             raise PathFormatError(f"{path}:{lineno}: expected 't,lat,lon,v,omega', got {line!r}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise PathFormatError(f"{path}:{lineno}: {exc}") from exc
+        for text, value in zip(parts, row):
+            if not math.isfinite(value):
+                raise PathFormatError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
+        rows.append(row)
     if len(rows) < 2:
         raise PathFormatError(f"{path}: trace needs at least two samples")
     arr = np.asarray(rows)

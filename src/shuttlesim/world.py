@@ -44,7 +44,7 @@ class SignSpec:
     intensity: float = 200.0
 
     def __post_init__(self):
-        n = math.sqrt(sum(c * c for c in self.normal))
+        n = math.hypot(*self.normal)
         if n == 0:
             raise ValueError("sign normal must be non-zero")
         object.__setattr__(self, "normal", tuple(c / n for c in self.normal))

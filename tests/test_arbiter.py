@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shuttlesim.arbiter import (
     DisplayTracker,
@@ -61,6 +63,29 @@ def test_select_is_minimum_over_random_lists():
         ]
         out = select(cmds)
         assert out.twist.linear_v == min(c.twist.linear_v for c in cmds)
+
+
+COMMANDS = st.lists(
+    st.builds(
+        cmd,
+        v=st.floats(0.0, 1e6),
+        source=st.sampled_from(list(Source)),
+        w=st.floats(-1e6, 1e6),
+        decel=st.floats(1e-3, 1e3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(COMMANDS)
+def test_select_takes_minimum_speed_and_waypoint_omega(cmds):
+    out = select(cmds)
+    assert out.twist.linear_v == min(c.twist.linear_v for c in cmds)
+    assert out.source in {c.source for c in cmds if c.twist.linear_v == out.twist.linear_v}
+    waypoint = next((c for c in cmds if c.source is Source.WAYPOINT), None)
+    if waypoint is not None:
+        assert out.twist.angular_w == waypoint.twist.angular_w
 
 
 def test_select_empty_rejected():

@@ -120,7 +120,24 @@ def test_record_without_script_fails(tmp_path, straight_waypoints, capsys):
     scenario = write_scenario(tmp_path, straight_waypoints)
     rc = main(["record", str(scenario)])
     assert rc == 1
-    assert "drive_script" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {scenario}: drive_script: record requires a non-empty drive_script\n"
+
+
+def test_record_too_short_script_names_file(tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("drive_script: [{duration: 1.0, speed: 0.0}]\n")
+    assert main(["record", str(scenario)]) == 1
+    assert capsys.readouterr().err == f"error: {scenario}: drive_script: too short to record a path\n"
+
+
+def test_compile_path_rejects_non_finite_trace(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.00001,-96.0,nan,0.0\n")
+    assert main(["compile-path", str(trace), "--speed", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {trace}:3: non-finite value 'nan'\n"
+    assert not list(tmp_path.glob("*.waypoints"))
 
 
 BAD_SCENARIOS = [
@@ -147,6 +164,7 @@ BAD_SCENARIOS = [
     ("world: {signs: [{center: [9, -2, 2], normal: [-1, 0, 0], width: .nan}]}",
      "world.signs[0].width: expected a finite number"),
     ("waypoints: [a.waypoints]", "waypoints: expected str"),
+    ("duration: 1.0", "waypoints: run requires a waypoints file"),
 ]
 
 

@@ -122,3 +122,10 @@ def test_scenario_from_dict_fuzz(data, base_dir):
     except ScenarioError:
         return
     assert isinstance(config, ScenarioConfig)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_sign_normal_normalised_without_overflow(scale):
+    sign = {"center": [9.0, -2.0, 2.0], "normal": [-scale, 0.0, 0.0]}
+    sc = scenario_from_dict({"world": {"signs": [sign]}})
+    assert sc.world.signs[0].normal == (-1.0, 0.0, 0.0)

@@ -1,9 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shuttlesim.plant import VehicleState
+from shuttlesim import waypoints
+from shuttlesim.harness import Simulation
+from shuttlesim.plant import VehicleState, normalize_angle
+from shuttlesim.scenario import ScenarioConfig
+from shuttlesim.twist import TwistCommand
 from shuttlesim.waypoints import (
     EARTH_RADIUS,
     FollowerParams,
@@ -16,6 +21,7 @@ from shuttlesim.waypoints import (
     cross_track_error,
     follow_step,
     from_local,
+    load_trace,
     load_waypoints,
     save_waypoints,
     to_local,
@@ -214,8 +220,106 @@ def test_cross_track_offset_measured():
     assert cross_track_error(wlist, VehicleState(x=5.0, y=-0.12)) == pytest.approx(0.12, rel=1e-9)
 
 
+def reference_xy(wlist):
+    """The route projected on every call, one to_local per waypoint."""
+    return np.asarray([to_local(wlist.origin, w.lat, w.lon) for w in wlist.waypoints], dtype=float)
+
+
+def reference_remaining(xy, idx):
+    """Path length from waypoint idx to the last, summed on every call."""
+    return float(np.sum(np.hypot(*np.diff(xy[idx:], axis=0).T)))
+
+
+def reference_follow_step(wlist, state, params=FollowerParams()):
+    """follow_step with the route projected and the tail summed on every call.
+
+    Returns (command, target index, finished).
+    """
+    stop = TwistCommand(0.0, 0.0, params.accel_limit, params.decel_limit)
+    xy = reference_xy(wlist)
+    idx = wlist.target_index
+    last = len(xy) - 1
+    while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
+        idx += 1
+    dist = math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y)
+    if idx == last and dist < params.switch_radius:
+        return stop, idx, True
+    remaining = dist + reference_remaining(xy, idx)
+    taper = math.sqrt(2.0 * params.decel_limit * max(remaining - params.switch_radius, 0.0)) + 0.15
+    speed = min(wlist.waypoints[idx].speed, taper)
+    bearing = math.atan2(xy[idx, 1] - state.y, xy[idx, 0] - state.x)
+    omega = params.kp * normalize_angle(bearing - state.heading - params.heading_bias)
+    return TwistCommand(speed, omega, params.accel_limit, params.decel_limit), idx, False
+
+
+def random_route(rng, n):
+    """n random waypoints within 30 m of the origin; about a fifth repeat their predecessor."""
+    wps = []
+    for _ in range(n):
+        if wps and rng.random() < 0.2:
+            wps.append(wps[-1])
+            continue
+        lat, lon = from_local(ORIGIN, *(float(c) for c in rng.uniform(-30, 30, size=2)))
+        wps.append(Waypoint(lat, lon, float(rng.uniform(0.0, 4.0))))
+    return tuple(wps)
+
+
+def test_follow_step_matches_per_call_projection():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        wps = random_route(rng, int(rng.integers(2, 61)))
+        params = FollowerParams(switch_radius=float(rng.uniform(0.5, 6.0)))
+        wlist = WaypointList(wps, int(rng.integers(0, len(wps))), ORIGIN)
+        xy = reference_xy(wlist)
+        assert np.array_equal(wlist.local_xy(), xy)
+        for idx in range(len(wps)):
+            assert wlist.geometry.remaining[idx] == pytest.approx(reference_remaining(xy, idx), abs=1e-9)
+        for _ in range(5):  # a few ticks, so later ones run on a carried-over geometry
+            state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)),
+                                 heading=float(rng.uniform(-math.pi, math.pi)))
+            ref_cmd, ref_idx, ref_finished = reference_follow_step(wlist, state, params)
+            cmd, out = follow_step(wlist, state, params)
+            assert (out.target_index, out.finished) == (ref_idx, ref_finished)
+            # the taper's square root can stretch a last-bit difference in the
+            # remaining length near the switch radius
+            assert replace(cmd, linear_v=0.0) == replace(ref_cmd, linear_v=0.0)
+            assert cmd.linear_v == pytest.approx(ref_cmd.linear_v, abs=1e-6)
+            assert cross_track_error(out, state) == pytest.approx(brute_force_cte(out, state), abs=1e-9)
+            if out.finished:
+                break
+            assert out.geometry is wlist.geometry
+            wlist = out
+
+
+def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
+    calls = []
+
+    def counting_to_local(*args):
+        calls.append(args)
+        return to_local(*args)
+
+    monkeypatch.setattr(waypoints, "to_local", counting_to_local)
+    sim = Simulation(ScenarioConfig(duration=2.0, tick_rate=50.0, waypoint_file=straight_waypoints))
+    _, rows = sim.run()
+    assert len(rows) == 100
+    assert len(calls) == len(sim.wlist.waypoints)
+
+
+def test_geometry_is_read_only_and_follows_the_route():
+    wlist = straight_list(n=10)
+    with pytest.raises(ValueError):
+        wlist.local_xy()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        wlist.geometry.remaining[0] = 0.0
+    assert replace(wlist, target_index=4).geometry is wlist.geometry
+    shorter = replace(wlist, waypoints=wlist.waypoints[:5])
+    assert np.array_equal(shorter.local_xy(), reference_xy(shorter))
+    moved = replace(wlist, origin=(ORIGIN[0] + 1e-4, ORIGIN[1]))
+    assert np.array_equal(moved.local_xy(), reference_xy(moved))
+
+
 def brute_force_cte(wlist, state):
-    xy = wlist.local_xy()
+    xy = reference_xy(wlist)
     best = math.inf
     p = (state.x, state.y)
     for (ax, ay), (bx, by) in zip(xy[:-1], xy[1:]):
@@ -279,3 +383,13 @@ def test_waypoint_file_rejects_non_finite_speed(tmp_path, speed):
     bad.write_text(f"30.0,-96.0,3.0\n30.0001,-96.0,{speed}\n")
     with pytest.raises(PathFormatError, match=r"bad\.waypoints:2: waypoint speed must be finite"):
         load_waypoints(bad)
+
+
+@pytest.mark.parametrize("column, value", [(0, "inf"), (1, "nan"), (2, "inf"), (3, "-inf"), (4, "nan")])
+def test_trace_file_rejects_non_finite_values(tmp_path, column, value):
+    rows = [["0.0", "30.0", "-96.0", "1.0", "0.0"], ["1.0", "30.00001", "-96.0", "1.0", "0.0"]]
+    rows[1][column] = value
+    bad = tmp_path / "bad.trace"
+    bad.write_text("t,lat,lon,v,omega\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    with pytest.raises(PathFormatError, match=rf"bad\.trace:3: non-finite value '{value}'"):
+        load_trace(bad)
