@@ -78,10 +78,10 @@ def cmd_record(args) -> int:
 
 def cmd_compile_path(args) -> int:
     trace = load_trace(args.trace)
-    wlist = compile_path(trace, args.speed)
+    route = compile_path(trace, args.speed)
     out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, args.speed)
-    save_waypoints(wlist, out)
-    print(f"compiled {len(wlist.waypoints)} waypoints -> {out}")
+    save_waypoints(route, out)
+    print(f"compiled {len(route.waypoints)} waypoints -> {out}")
     return 0
 
 

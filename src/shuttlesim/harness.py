@@ -23,6 +23,7 @@ from shuttlesim.scenario import ScenarioConfig, ScenarioError
 from shuttlesim.signs import STOP_SPEED, SignDetector, SignStopLogic
 from shuttlesim.twist import TwistCommand, TwistController
 from shuttlesim.waypoints import (
+    PathFormatError,
     RecordedTrace,
     cross_track_error,
     follow_step,
@@ -181,7 +182,11 @@ class Simulation:
             raise ScenarioError("waypoints: run requires a waypoints file")
         self.scenario = scenario
         self.rng = np.random.default_rng(scenario.seed)
-        self.wlist = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
+        try:
+            self.route = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
+        except PathFormatError as exc:
+            raise ScenarioError(f"waypoints: {exc}") from exc
+        self.target_index, self.finished = 0, False  # the waypoint follower's state
         self.world = scenario.world
         start = scenario.start
         self.state = VehicleState(x=start.x, y=start.y, heading=start.heading, speed=start.speed)
@@ -224,7 +229,8 @@ class Simulation:
 
         for tick in range(n_ticks):
             t = tick * dt
-            wp_cmd, self.wlist = follow_step(self.wlist, self.state, cfg.follower)
+            wp_cmd, self.target_index, self.finished = follow_step(
+                self.route, self.target_index, self.finished, self.state, cfg.follower)
             commands = [SpeedCommand(wp_cmd, Source.WAYPOINT)]
 
             self._sense(tick)
@@ -258,7 +264,7 @@ class Simulation:
             act = self.controller.step(selected.twist, self.state.speed, self.state.accel, dt)
 
             display = self.display.update(self.state.speed, t)
-            cte = cross_track_error(self.wlist, self.state)
+            cte = cross_track_error(self.route, self.state)
             if self.grid_dump is not None and self._grid is not None:
                 for cx, cy, zmin, zmax in self._grid.occupied_cell_stats():
                     self.grid_dump.append(f"{t!r},{cx!r},{cy!r},{zmin!r},{zmax!r}")

@@ -122,8 +122,8 @@ def step_plant(
 
     if state.speed <= 0.0 and accel_cmd <= 0.0:
         # Parked: brakes hold the cart, nothing moves.
-        return replace(state, speed=0.0, yaw_rate=0.0, accel=0.0,
-                       steer_angle=delta, brake_force=0.0)
+        return replace(state, heading=normalize_angle(state.heading), speed=0.0, yaw_rate=0.0,
+                       accel=0.0, steer_angle=delta, brake_force=0.0)
 
     yaw_rate = state.speed / params.wheelbase * math.tan(delta)
     heading = normalize_angle(state.heading + yaw_rate * dt)

@@ -9,7 +9,7 @@ the turn radius recovered from the recorded v and omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,6 @@ EARTH_RADIUS = 6378137.0
 LATERAL_ACCEL_LIMIT = 0.5  # m/s^2
 RECORD_SPACING = 1.0  # m between recorded waypoints
 OMEGA_STRAIGHT = 1e-3  # below this yaw rate the radius is treated as infinite
-
-
-class NoPathError(ValueError):
-    """Raised when a follower is stepped without any waypoints."""
 
 
 class PathFormatError(ValueError):
@@ -68,10 +64,10 @@ def _project(origin: tuple[float, float], lat_lon) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RouteGeometry:
-    """A route projected into the local frame once, with its arc lengths and segments."""
+class Route:
+    """A recorded route, projected into the local frame once, with its arc lengths and segments."""
 
-    waypoints: tuple[Waypoint, ...]  # the tuple this geometry was built from
+    waypoints: tuple[Waypoint, ...]
     origin: tuple[float, float]
     xy: np.ndarray  # (N, 2) waypoint positions, m east/north of origin
     remaining: np.ndarray  # (N,) path length from each waypoint to the last, m
@@ -80,7 +76,9 @@ class RouteGeometry:
     seg_len2: np.ndarray  # (N-1,) squared segment lengths
 
     @classmethod
-    def build(cls, waypoints: tuple[Waypoint, ...], origin: tuple[float, float]) -> "RouteGeometry":
+    def build(cls, waypoints: tuple[Waypoint, ...], origin: tuple[float, float]) -> "Route":
+        if len(waypoints) < 2:
+            raise ValueError(f"a route needs at least two waypoints, got {len(waypoints)}")
         xy = _project(origin, ((w.lat, w.lon) for w in waypoints))
         seg_start = np.ascontiguousarray(xy[:-1].T)
         seg_vec = np.ascontiguousarray(np.diff(xy, axis=0).T)
@@ -91,27 +89,6 @@ class RouteGeometry:
         for a in arrays:
             a.flags.writeable = False
         return cls(waypoints, origin, *arrays)
-
-
-@dataclass(frozen=True)
-class WaypointList:
-    waypoints: tuple[Waypoint, ...]
-    target_index: int = 0
-    origin: tuple[float, float] = (0.0, 0.0)
-    finished: bool = False  # latched once the final waypoint has been reached
-    # built here unless carried over by ``replace`` from a list of the same route
-    geometry: RouteGeometry | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.waypoints and not 0 <= self.target_index < len(self.waypoints):
-            raise ValueError("target_index out of range")
-        geo = self.geometry
-        if geo is None or geo.waypoints is not self.waypoints or geo.origin != self.origin:
-            object.__setattr__(self, "geometry", RouteGeometry.build(self.waypoints, self.origin))
-
-    def local_xy(self) -> np.ndarray:
-        """Read-only (N, 2) waypoint positions in the local frame."""
-        return self.geometry.xy
 
 
 @dataclass(frozen=True)
@@ -150,44 +127,38 @@ class FollowerParams:
 
 
 def follow_step(
-    wlist: WaypointList, state: VehicleState, params: FollowerParams = FollowerParams()
-) -> tuple[TwistCommand, WaypointList]:
-    """Produce the twist command tracking the list's current target.
+    route: Route, target_index: int, finished: bool, state: VehicleState,
+    params: FollowerParams = FollowerParams(),
+) -> tuple[TwistCommand, int, bool]:
+    """Produce the twist command tracking ``route.waypoints[target_index]``.
 
+    Returns the command with the follower's next ``(target_index, finished)``.
     Advances the target index past every waypoint closer than the switch
     radius (so stale near points are skipped after position jumps). The speed
     tapers into the final waypoint, and once the vehicle has closed within the
-    switch radius of it the list latches finished and commands zero for good.
+    switch radius of it the follower latches finished and commands zero for good.
     """
-    if not wlist.waypoints:
-        raise NoPathError("waypoint list is empty")
+    xy = route.xy
+    idx = target_index
+    if not finished:
+        last = len(xy) - 1
+        while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
+            idx += 1
+        tx, ty = xy[idx]
+        dist = math.hypot(tx - state.x, ty - state.y)
+        finished = idx == last and dist < params.switch_radius
+    if finished:
+        return TwistCommand(0.0, 0.0, params.accel_limit, params.decel_limit), idx, True
 
-    stop_cmd = TwistCommand(0.0, 0.0, params.accel_limit, params.decel_limit)
-    if wlist.finished:
-        return stop_cmd, wlist
-
-    geo = wlist.geometry
-    xy = geo.xy
-    idx = wlist.target_index
-    last = len(wlist.waypoints) - 1
-    while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
-        idx += 1
-
-    tx, ty = xy[idx]
-    dist = math.hypot(tx - state.x, ty - state.y)
-    if idx == last and dist < params.switch_radius:
-        return stop_cmd, replace(wlist, target_index=idx, finished=True)
-
-    # slow into the terminus so the cart does not sail past the list end
-    remaining = dist + float(geo.remaining[idx])
+    # slow into the terminus so the cart does not sail past the route's end
+    remaining = dist + float(route.remaining[idx])
     margin = max(remaining - params.switch_radius, 0.0)
     taper = math.sqrt(2.0 * params.decel_limit * margin) + 0.15
-    speed = min(wlist.waypoints[idx].speed, taper)
+    speed = min(route.waypoints[idx].speed, taper)
 
     bearing = math.atan2(ty - state.y, tx - state.x)
     theta_error = normalize_angle(bearing - state.heading - params.heading_bias)
-    cmd = TwistCommand(speed, params.kp * theta_error, params.accel_limit, params.decel_limit)
-    return cmd, replace(wlist, target_index=idx)
+    return TwistCommand(speed, params.kp * theta_error, params.accel_limit, params.decel_limit), idx, False
 
 
 def turn_radius(v: float, omega: float) -> float:
@@ -201,7 +172,7 @@ def compile_path(
     trace: RecordedTrace,
     target_speed: float,
     spacing: float = RECORD_SPACING,
-) -> WaypointList:
+) -> Route:
     """Resample a driven trace at 1 m spacing and cap speeds by curvature.
 
     Each waypoint's speed is min(target_speed, sqrt(0.5 * r)) where r is the
@@ -234,21 +205,18 @@ def compile_path(
         v_max = math.sqrt(LATERAL_ACCEL_LIMIT * r) if math.isfinite(r) else math.inf
         lat, lon = from_local(origin, float(x), float(y))
         waypoints.append(Waypoint(lat, lon, min(target_speed, v_max)))
-    return WaypointList(tuple(waypoints), 0, origin)
+    return Route.build(tuple(waypoints), origin)
 
 
-def cross_track_error(wlist: WaypointList, state: VehicleState) -> float:
+def cross_track_error(route: Route, state: VehicleState) -> float:
     """Unsigned perpendicular distance from the vehicle to the nearest path segment.
 
     The search is global, not local to the target, because a path may cross itself.
     """
-    if len(wlist.waypoints) < 2:
-        raise ValueError("cross-track error needs at least two waypoints")
-    geo = wlist.geometry
-    (ax, ay), (dx, dy) = geo.seg_start, geo.seg_vec
+    (ax, ay), (dx, dy) = route.seg_start, route.seg_vec
     x, y = state.x, state.y
     dot = (x - ax) * dx + (y - ay) * dy
-    t = np.divide(dot, geo.seg_len2, out=np.zeros_like(dot), where=geo.seg_len2 > 0)
+    t = np.divide(dot, route.seg_len2, out=np.zeros_like(dot), where=route.seg_len2 > 0)
     np.clip(t, 0.0, 1.0, out=t)
     return float(np.min(np.hypot(x - (ax + t * dx), y - (ay + t * dy))))
 
@@ -257,12 +225,12 @@ def waypoint_filename(route: str, speed: float) -> str:
     return f"{route}_{speed:g}mps.waypoints"
 
 
-def save_waypoints(wlist: WaypointList, path) -> None:
-    lines = [f"{w.lat:.8f},{w.lon:.8f},{float(w.speed)!r}" for w in wlist.waypoints]
+def save_waypoints(route: Route, path) -> None:
+    lines = [f"{w.lat:.8f},{w.lon:.8f},{float(w.speed)!r}" for w in route.waypoints]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_waypoints(path, origin: tuple[float, float] | None = None) -> WaypointList:
+def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
     waypoints = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -276,11 +244,12 @@ def load_waypoints(path, origin: tuple[float, float] | None = None) -> WaypointL
             waypoints.append(Waypoint(lat, lon, speed))
         except ValueError as exc:
             raise PathFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not waypoints:
-        raise PathFormatError(f"{path}: no waypoints found")
-    if origin is None:
+    if origin is None and waypoints:
         origin = (waypoints[0].lat, waypoints[0].lon)
-    return WaypointList(tuple(waypoints), 0, origin)
+    try:
+        return Route.build(tuple(waypoints), origin)
+    except ValueError as exc:
+        raise PathFormatError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: RecordedTrace, path) -> None:

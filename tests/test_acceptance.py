@@ -25,8 +25,8 @@ from shuttlesim.signs import (
 from shuttlesim.twist import TwistCommand
 from shuttlesim.waypoints import (
     RecordedTrace,
+    Route,
     Waypoint,
-    WaypointList,
     compile_path,
     cross_track_error,
     from_local,
@@ -35,9 +35,7 @@ from shuttlesim.waypoints import (
     turn_radius,
 )
 from shuttlesim.world import Pedestrian, SignSpec, WorldModel
-from tests.conftest import straight_path
-from tests.test_signs import brute_ror, brute_sor
-from tests.test_waypoints import brute_force_cte
+from tests.conftest import brute_force_cte, brute_ror, brute_sor, straight_path
 
 PARAMS = VehicleParams()
 ORIGIN = (30.615, -96.34)
@@ -66,9 +64,9 @@ def figure8_waypoints(tmp_path):
         DriveSegment(duration=3.0, speed=2.5, yaw_rate=0.0, blend=1.0),
     )
     trace = record_trace(ScenarioConfig(duration=1.0, drive_script=script, origin=ORIGIN))
-    wlist = compile_path(trace, 3.0)
+    route = compile_path(trace, 3.0)
     path = tmp_path / "figure8_3mps.waypoints"
-    save_waypoints(wlist, path)
+    save_waypoints(route, path)
     return str(path)
 
 
@@ -116,11 +114,11 @@ def test_criterion_03_curvature_speed_limiting():
     for _ in range(100):
         trace = random_consistent_trace(rng)
         target = float(rng.uniform(0.5, 5.0))
-        wlist = compile_path(trace, target)
+        route = compile_path(trace, target)
         # recover the recorded curvature at each waypoint: resample the raw
         # trace at the same metre marks the compiler used
         raw_xy = np.asarray(
-            [to_local(wlist.origin, la, lo) for la, lo in zip(trace.lat, trace.lon)]
+            [to_local(route.origin, la, lo) for la, lo in zip(trace.lat, trace.lon)]
         )
         raw_s = np.concatenate(([0.0], np.cumsum(np.hypot(*np.diff(raw_xy, axis=0).T))))
         marks = np.arange(0.0, raw_s[-1], 1.0)
@@ -128,8 +126,8 @@ def test_criterion_03_curvature_speed_limiting():
             marks = np.append(marks, raw_s[-1])
         v_rec = np.interp(marks, raw_s, trace.v)
         w_rec = np.interp(marks, raw_s, trace.omega)
-        assert len(marks) == len(wlist.waypoints)
-        for wp, vr, wr in zip(wlist.waypoints, v_rec, w_rec):
+        assert len(marks) == len(route.waypoints)
+        for wp, vr, wr in zip(route.waypoints, v_rec, w_rec):
             r = turn_radius(vr, wr)
             if math.isfinite(r):
                 worst = max(worst, wp.speed**2 / r)
@@ -276,9 +274,9 @@ def test_criterion_09_pipeline_stage_oracles():
         wps = tuple(
             Waypoint(*from_local(ORIGIN, float(x), float(y)), 1.0) for x, y in pts
         )
-        wlist = WaypointList(wps, 0, ORIGIN)
+        route = Route.build(wps, ORIGIN)
         state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)))
-        err = abs(cross_track_error(wlist, state) - brute_force_cte(wlist, state))
+        err = abs(cross_track_error(route, state) - brute_force_cte(route, state))
         worst = max(worst, err)
     ok = worst <= 1e-9
     report(9, ok, f"stage oracles: ROR and SOR exact on 1000 clouds each; "

@@ -165,11 +165,13 @@ BAD_SCENARIOS = [
      "world.signs[0].width: expected a finite number"),
     ("waypoints: [a.waypoints]", "waypoints: expected str"),
     ("duration: 1.0", "waypoints: run requires a waypoints file"),
+    ("waypoints: one.waypoints", "one.waypoints: a route needs at least two waypoints, got 1"),
 ]
 
 
 @pytest.mark.parametrize("text, key", BAD_SCENARIOS)
 def test_bad_scenario_one_line_error(tmp_path, capsys, text, key):
+    (tmp_path / "one.waypoints").write_text("30.615,-96.34,3.0\n")
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     assert main(["run", str(bad)]) == 1

@@ -341,8 +341,8 @@ def test_figure8_trace_compiles_with_curvature_limits():
         ),
     )
     trace = record_trace(sc)
-    wlist = compile_path(trace, 3.0)
-    speeds = np.array([w.speed for w in wlist.waypoints])
+    route = compile_path(trace, 3.0)
+    speeds = np.array([w.speed for w in route.waypoints])
     limited = speeds < 3.0 - 1e-9
     # two lobes of curvature-limited waypoints separated by faster sections
     runs = np.flatnonzero(np.diff(limited.astype(int)) == 1)

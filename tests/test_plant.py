@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shuttlesim.plant import (
     VehicleParams,
@@ -135,3 +137,26 @@ def test_steering_clamped():
 def test_params_validation():
     with pytest.raises(ValueError):
         VehicleParams(wheelbase=-1.0)
+
+
+# far beyond any physical state, but not so large that one step overflows a float
+LARGE = st.floats(-1e6, 1e6)
+PEDAL = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@example(state=VehicleState(heading=4.0), pedals=(0.0, 0.0), steer=0.0, dt=DT)  # parked
+@given(
+    state=st.builds(VehicleState, x=LARGE, y=LARGE, speed=LARGE, yaw_rate=LARGE, accel=LARGE,
+                    steer_angle=LARGE, brake_force=LARGE,
+                    heading=st.floats(allow_nan=False, allow_infinity=False)),
+    pedals=st.one_of(st.tuples(PEDAL, st.just(0.0)), st.tuples(st.just(0.0), PEDAL)),
+    steer=st.floats(-PARAMS.max_steer, PARAMS.max_steer),
+    dt=st.floats(0.0, 0.1, exclude_min=True),
+)
+def test_step_plant_keeps_state_finite_and_speed_non_negative(state, pedals, steer, dt):
+    throttle, brake = pedals
+    out = step_plant(state, PARAMS, throttle=throttle, brake=brake, steer_cmd=steer, dt=dt)
+    assert math.isfinite(out.speed) and out.speed >= 0.0
+    assert math.isfinite(out.x) and math.isfinite(out.y)
+    assert -math.pi <= out.heading <= math.pi

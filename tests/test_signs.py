@@ -21,6 +21,7 @@ from shuttlesim.signs import (
     statistical_outlier_removal,
 )
 from shuttlesim.world import SignSpec, WorldModel
+from tests.conftest import brute_ror, brute_sor
 
 PARAMS = VehicleParams()
 SENSOR = (PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height)
@@ -51,30 +52,6 @@ def test_intensity_filter_empty_and_background():
     assert len(intensity_filter(empty)) == 0
     ground = make_frame([[3, 0, 0]] * 5, [20.0] * 5)
     assert len(intensity_filter(ground)) == 0
-
-
-def brute_ror(points, radius=0.5, min_neighbors=3):
-    keep = []
-    for i, p in enumerate(points):
-        n = 0
-        for j, q in enumerate(points):
-            if i != j and np.linalg.norm(p - q) <= radius:
-                n += 1
-        if n >= min_neighbors:
-            keep.append(i)
-    return points[keep]
-
-
-def brute_sor(points, k=8, stddev_mult=1.0):
-    if len(points) <= k:
-        return points
-    means = []
-    for i, p in enumerate(points):
-        d = np.sort(np.linalg.norm(points - p, axis=1))
-        means.append(d[1 : k + 1].mean())  # skip self
-    means = np.asarray(means)
-    thresh = means.mean() + stddev_mult * means.std()
-    return points[means <= thresh]
 
 
 def test_ror_isolated_point_removed():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import (
@@ -60,16 +62,21 @@ def test_brake_clamped_to_zero_for_tiny_decel():
     assert brake == 0.0  # 0.28*ln(0.02)+0.9 < 0
 
 
-def test_mutual_exclusion_random_sequences():
-    rng = np.random.default_rng(3)
-    state = ControllerState()
-    for _ in range(500):
-        cmd = TwistCommand(float(rng.uniform(0, 5)), decel_limit=float(rng.uniform(0.1, 5)))
-        throttle, brake, state = speed_step(
-            cmd, float(rng.uniform(0, 5)), float(rng.uniform(-3, 3)), state, DT
-        )
-        assert throttle * brake == 0.0
-        assert 0.0 <= state.throttle_filter_state <= 1.0
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COMMAND = st.builds(TwistCommand, linear_v=st.floats(min_value=0.0, allow_infinity=False),
+                    angular_w=FINITE, accel_limit=POSITIVE, decel_limit=POSITIVE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(COMMAND, FINITE, FINITE), min_size=1, max_size=50))
+def test_mutual_exclusion_random_sequences(steps):
+    # steps of (command, measured speed, measured accel) through one controller
+    controller = TwistController(PARAMS)
+    for cmd, speed, accel in steps:
+        act = controller.step(cmd, speed, accel, DT)
+        assert min(act.throttle, act.brake) == 0.0
+        assert 0.0 <= controller.state.throttle_filter_state <= 1.0
 
 
 def test_actuator_command_invariant():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,11 +12,10 @@ from shuttlesim.twist import TwistCommand
 from shuttlesim.waypoints import (
     EARTH_RADIUS,
     FollowerParams,
-    NoPathError,
     PathFormatError,
     RecordedTrace,
+    Route,
     Waypoint,
-    WaypointList,
     compile_path,
     cross_track_error,
     follow_step,
@@ -28,16 +27,17 @@ from shuttlesim.waypoints import (
     turn_radius,
     waypoint_filename,
 )
+from tests.conftest import brute_force_cte, reference_xy
 
 ORIGIN = (30.615, -96.34)
 
 
-def straight_list(n=30, spacing=1.0, speed=3.0):
+def straight_route(n=30, spacing=1.0, speed=3.0):
     wps = []
     for i in range(n):
         lat, lon = from_local(ORIGIN, i * spacing, 0.0)
         wps.append(Waypoint(lat, lon, speed))
-    return WaypointList(tuple(wps), 0, ORIGIN)
+    return Route.build(tuple(wps), ORIGIN)
 
 
 def test_to_local_identity():
@@ -62,47 +62,47 @@ def test_round_trip_within_1mm_over_10km():
 
 
 def test_follow_heading_at_target_gives_zero_omega():
-    wlist = straight_list()
+    route = straight_route()
     state = VehicleState(x=0.0, y=0.0, heading=0.0)
-    cmd, _ = follow_step(wlist, state)
+    cmd, _, _ = follow_step(route, 0, False, state)
     assert cmd.angular_w == pytest.approx(0.0, abs=1e-9)
     assert cmd.linear_v == 3.0
 
 
 def test_target_advances_inside_switch_radius():
-    wlist = straight_list()
+    route = straight_route()
     # 1.9 m from the current target -> it is skipped
     state = VehicleState(x=-1.9, y=0.0)
-    _, out = follow_step(wlist, state)
-    assert out.target_index == 1
+    _, idx, _ = follow_step(route, 0, False, state)
+    assert idx == 1
     # the skip loop keeps advancing past every stale near point
     state = VehicleState(x=0.5, y=0.0)
-    _, out = follow_step(wlist, state)
-    assert out.target_index == 3
+    _, idx, _ = follow_step(route, 0, False, state)
+    assert idx == 3
 
 
 def test_proportional_omega():
     params = FollowerParams(kp=1.5)
-    wlist = straight_list()
+    route = straight_route()
     # target resolves to the waypoint at x=3, dead ahead of the vehicle
     state = VehicleState(x=0.5, y=0.0, heading=-0.2)
-    cmd, out = follow_step(wlist, state, params)
-    assert out.target_index == 3
+    cmd, idx, _ = follow_step(route, 0, False, state, params)
+    assert idx == 3
     assert cmd.angular_w == pytest.approx(1.5 * 0.2, abs=1e-6)
     assert cmd.angular_w > 0  # steering back toward the path heading
 
 
 def test_omega_sign_matches_heading_error_and_is_bounded():
     rng = np.random.default_rng(5)
-    wlist = straight_list()
+    route = straight_route()
     for _ in range(100):
         state = VehicleState(
             x=float(rng.uniform(0, 20)),
             y=float(rng.uniform(-3, 3)),
             heading=float(rng.uniform(-math.pi, math.pi)),
         )
-        cmd, out = follow_step(wlist, state)
-        xy = out.local_xy()[out.target_index]
+        cmd, idx, _ = follow_step(route, 0, False, state)
+        xy = route.xy[idx]
         bearing = math.atan2(xy[1] - state.y, xy[0] - state.x)
         err = math.remainder(bearing - state.heading, 2 * math.pi)
         if abs(err) > 1e-9:
@@ -111,27 +111,30 @@ def test_omega_sign_matches_heading_error_and_is_bounded():
 
 
 def test_end_of_list_commands_zero():
-    wlist = straight_list(n=5)
-    wlist = WaypointList(wlist.waypoints, 3, wlist.origin)
+    route = straight_route(n=5)
     state = VehicleState(x=3.5, y=0.0)
-    cmd, out = follow_step(wlist, state)
-    assert out.target_index == 4
+    cmd, idx, finished = follow_step(route, 3, False, state)
+    assert (idx, finished) == (4, True)
     assert cmd.linear_v == 0.0
+    # latched: the stop holds wherever the vehicle goes next
+    cmd, idx, finished = follow_step(route, idx, finished, VehicleState(x=-10.0, y=5.0))
+    assert (idx, finished, cmd.linear_v, cmd.angular_w) == (4, True, 0.0, 0.0)
 
 
-def test_empty_list_raises():
-    with pytest.raises(NoPathError):
-        follow_step(WaypointList(()), VehicleState())
+def test_route_build_rejects_fewer_than_two_waypoints():
+    wps = straight_route(n=2).waypoints
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"at least two waypoints, got {n}"):
+            Route.build(wps[:n], ORIGIN)
 
 
 def test_target_index_non_decreasing():
-    wlist = straight_list()
-    state = VehicleState()
-    prev = wlist.target_index
+    route = straight_route()
+    idx, finished = 0, False
     for x in np.linspace(0, 25, 120):
-        _, wlist = follow_step(wlist, VehicleState(x=float(x)), FollowerParams())
-        assert wlist.target_index >= prev
-        prev = wlist.target_index
+        _, new_idx, finished = follow_step(route, idx, finished, VehicleState(x=float(x)), FollowerParams())
+        assert new_idx >= idx
+        idx = new_idx
 
 
 def circle_trace(radius=10.0, v=2.0, n=400):
@@ -191,7 +194,7 @@ def test_compiled_speeds_respect_lateral_accel():
 def test_resampled_spacing_one_metre():
     trace = circle_trace(radius=12.0, v=2.0)
     out = compile_path(trace, 3.0)
-    xy = out.local_xy()
+    xy = out.xy
     gaps = np.hypot(*np.diff(xy, axis=0).T)
     assert np.all(np.abs(gaps[:-1] - 1.0) <= 0.05)
 
@@ -210,19 +213,14 @@ def test_compile_rejects_degenerate_trace():
 
 
 def test_cross_track_on_segment_is_zero():
-    wlist = straight_list()
-    assert cross_track_error(wlist, VehicleState(x=3.3, y=0.0)) == pytest.approx(0.0, abs=1e-12)
+    route = straight_route()
+    assert cross_track_error(route, VehicleState(x=3.3, y=0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_track_offset_measured():
-    wlist = straight_list()
-    assert cross_track_error(wlist, VehicleState(x=5.0, y=0.12)) == pytest.approx(0.12, rel=1e-9)
-    assert cross_track_error(wlist, VehicleState(x=5.0, y=-0.12)) == pytest.approx(0.12, rel=1e-9)
-
-
-def reference_xy(wlist):
-    """The route projected on every call, one to_local per waypoint."""
-    return np.asarray([to_local(wlist.origin, w.lat, w.lon) for w in wlist.waypoints], dtype=float)
+    route = straight_route()
+    assert cross_track_error(route, VehicleState(x=5.0, y=0.12)) == pytest.approx(0.12, rel=1e-9)
+    assert cross_track_error(route, VehicleState(x=5.0, y=-0.12)) == pytest.approx(0.12, rel=1e-9)
 
 
 def reference_remaining(xy, idx):
@@ -230,14 +228,16 @@ def reference_remaining(xy, idx):
     return float(np.sum(np.hypot(*np.diff(xy[idx:], axis=0).T)))
 
 
-def reference_follow_step(wlist, state, params=FollowerParams()):
+def reference_follow_step(route, target_index, finished, state, params=FollowerParams()):
     """follow_step with the route projected and the tail summed on every call.
 
     Returns (command, target index, finished).
     """
     stop = TwistCommand(0.0, 0.0, params.accel_limit, params.decel_limit)
-    xy = reference_xy(wlist)
-    idx = wlist.target_index
+    if finished:
+        return stop, target_index, True
+    xy = reference_xy(route)
+    idx = target_index
     last = len(xy) - 1
     while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
         idx += 1
@@ -246,7 +246,7 @@ def reference_follow_step(wlist, state, params=FollowerParams()):
         return stop, idx, True
     remaining = dist + reference_remaining(xy, idx)
     taper = math.sqrt(2.0 * params.decel_limit * max(remaining - params.switch_radius, 0.0)) + 0.15
-    speed = min(wlist.waypoints[idx].speed, taper)
+    speed = min(route.waypoints[idx].speed, taper)
     bearing = math.atan2(xy[idx, 1] - state.y, xy[idx, 0] - state.x)
     omega = params.kp * normalize_angle(bearing - state.heading - params.heading_bias)
     return TwistCommand(speed, omega, params.accel_limit, params.decel_limit), idx, False
@@ -269,26 +269,23 @@ def test_follow_step_matches_per_call_projection():
     for _ in range(200):
         wps = random_route(rng, int(rng.integers(2, 61)))
         params = FollowerParams(switch_radius=float(rng.uniform(0.5, 6.0)))
-        wlist = WaypointList(wps, int(rng.integers(0, len(wps))), ORIGIN)
-        xy = reference_xy(wlist)
-        assert np.array_equal(wlist.local_xy(), xy)
+        route = Route.build(wps, ORIGIN)
+        xy = reference_xy(route)
+        assert np.array_equal(route.xy, xy)
         for idx in range(len(wps)):
-            assert wlist.geometry.remaining[idx] == pytest.approx(reference_remaining(xy, idx), abs=1e-9)
-        for _ in range(5):  # a few ticks, so later ones run on a carried-over geometry
+            assert route.remaining[idx] == pytest.approx(reference_remaining(xy, idx), abs=1e-9)
+        idx, finished = int(rng.integers(0, len(wps))), False
+        for _ in range(5):  # a few ticks, each starting from the previous one's state
             state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)),
                                  heading=float(rng.uniform(-math.pi, math.pi)))
-            ref_cmd, ref_idx, ref_finished = reference_follow_step(wlist, state, params)
-            cmd, out = follow_step(wlist, state, params)
-            assert (out.target_index, out.finished) == (ref_idx, ref_finished)
+            ref_cmd, ref_idx, ref_finished = reference_follow_step(route, idx, finished, state, params)
+            cmd, idx, finished = follow_step(route, idx, finished, state, params)
+            assert (idx, finished) == (ref_idx, ref_finished)
             # the taper's square root can stretch a last-bit difference in the
             # remaining length near the switch radius
             assert replace(cmd, linear_v=0.0) == replace(ref_cmd, linear_v=0.0)
             assert cmd.linear_v == pytest.approx(ref_cmd.linear_v, abs=1e-6)
-            assert cross_track_error(out, state) == pytest.approx(brute_force_cte(out, state), abs=1e-9)
-            if out.finished:
-                break
-            assert out.geometry is wlist.geometry
-            wlist = out
+            assert cross_track_error(route, state) == pytest.approx(brute_force_cte(route, state), abs=1e-9)
 
 
 def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
@@ -302,36 +299,16 @@ def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
     sim = Simulation(ScenarioConfig(duration=2.0, tick_rate=50.0, waypoint_file=straight_waypoints))
     _, rows = sim.run()
     assert len(rows) == 100
-    assert len(calls) == len(sim.wlist.waypoints)
+    assert len(calls) == len(sim.route.waypoints)
 
 
-def test_geometry_is_read_only_and_follows_the_route():
-    wlist = straight_list(n=10)
-    with pytest.raises(ValueError):
-        wlist.local_xy()[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        wlist.geometry.remaining[0] = 0.0
-    assert replace(wlist, target_index=4).geometry is wlist.geometry
-    shorter = replace(wlist, waypoints=wlist.waypoints[:5])
-    assert np.array_equal(shorter.local_xy(), reference_xy(shorter))
-    moved = replace(wlist, origin=(ORIGIN[0] + 1e-4, ORIGIN[1]))
-    assert np.array_equal(moved.local_xy(), reference_xy(moved))
-
-
-def brute_force_cte(wlist, state):
-    xy = reference_xy(wlist)
-    best = math.inf
-    p = (state.x, state.y)
-    for (ax, ay), (bx, by) in zip(xy[:-1], xy[1:]):
-        abx, aby = bx - ax, by - ay
-        denom = abx * abx + aby * aby
-        if denom == 0:
-            t = 0.0
-        else:
-            t = max(0.0, min(1.0, ((p[0] - ax) * abx + (p[1] - ay) * aby) / denom))
-        cx, cy = ax + t * abx, ay + t * aby
-        best = min(best, math.hypot(p[0] - cx, p[1] - cy))
-    return best
+def test_route_arrays_are_read_only():
+    route = straight_route(n=10)
+    for a in (route.xy, route.remaining, route.seg_start, route.seg_vec, route.seg_len2):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        route.xy = np.zeros((10, 2))
 
 
 def test_cross_track_matches_brute_force():
@@ -343,19 +320,19 @@ def test_cross_track_matches_brute_force():
         for x, y in pts:
             lat, lon = from_local(ORIGIN, float(x), float(y))
             wps.append(Waypoint(lat, lon, 1.0))
-        wlist = WaypointList(tuple(wps), 0, ORIGIN)
+        route = Route.build(tuple(wps), ORIGIN)
         state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)))
-        assert cross_track_error(wlist, state) == pytest.approx(brute_force_cte(wlist, state), abs=1e-9)
+        assert cross_track_error(route, state) == pytest.approx(brute_force_cte(route, state), abs=1e-9)
 
 
 def test_waypoint_file_round_trip(tmp_path):
-    wlist = straight_list(n=8)
+    route = straight_route(n=8)
     path = tmp_path / waypoint_filename("test", 3.0)
     assert path.name == "test_3mps.waypoints"
-    save_waypoints(wlist, path)
+    save_waypoints(route, path)
     loaded = load_waypoints(path)
     assert len(loaded.waypoints) == 8
-    for a, b in zip(wlist.waypoints, loaded.waypoints):
+    for a, b in zip(route.waypoints, loaded.waypoints):
         assert a.lat == pytest.approx(b.lat, abs=1e-8)
         assert a.lon == pytest.approx(b.lon, abs=1e-8)
         assert a.speed == b.speed
