@@ -7,7 +7,6 @@ from shuttlesim.harness import (
     metrics_from_rows,
     read_log,
     record_trace,
-    run_scenario,
     write_log,
 )
 from shuttlesim.scenario import ScenarioConfig, ScenarioError, load_scenario
@@ -16,5 +15,5 @@ from shuttlesim.waypoints import compile_path, load_waypoints, save_waypoints
 __all__ = [
     "LogRow", "RunMetrics", "ScenarioConfig", "ScenarioError", "Simulation",
     "compile_path", "load_scenario", "load_waypoints", "metrics_from_rows",
-    "read_log", "record_trace", "run_scenario", "save_waypoints", "write_log",
+    "read_log", "record_trace", "save_waypoints", "write_log",
 ]

@@ -20,7 +20,7 @@ from shuttlesim.harness import (
     write_csv,
     write_log,
 )
-from shuttlesim.scenario import ScenarioError, load_scenario
+from shuttlesim.scenario import load_scenario
 from shuttlesim.waypoints import (
     compile_path,
     load_trace,
@@ -35,12 +35,12 @@ def _print_metrics(metrics, stream=sys.stdout):
 
 
 @contextmanager
-def _naming(scenario_path):
-    """Prefix the file to errors of a scenario that loaded but cannot be used."""
+def _naming(path):
+    """Prefix the file to errors of an input that loaded but cannot be used."""
     try:
         yield
-    except ScenarioError as exc:
-        raise ScenarioError(f"{scenario_path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -78,7 +78,8 @@ def cmd_record(args) -> int:
 
 def cmd_compile_path(args) -> int:
     trace = load_trace(args.trace)
-    route = compile_path(trace, args.speed)
+    with _naming(args.trace):
+        route = compile_path(trace, args.speed)
     out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, args.speed)
     save_waypoints(route, out)
     print(f"compiled {len(route.waypoints)} waypoints -> {out}")

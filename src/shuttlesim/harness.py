@@ -184,7 +184,7 @@ class Simulation:
         self.rng = np.random.default_rng(scenario.seed)
         try:
             self.route = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
-        except PathFormatError as exc:
+        except (PathFormatError, OSError) as exc:
             raise ScenarioError(f"waypoints: {exc}") from exc
         self.target_index, self.finished = 0, False  # the waypoint follower's state
         self.world = scenario.world
@@ -205,8 +205,7 @@ class Simulation:
     def _sense(self, tick: int):
         cfg = self.scenario
         if tick % cfg.lidar_period_ticks == 0:
-            frame = scan(self.world, self.state, cfg.vehicle, cfg.lidar,
-                         rng=self.rng, timestamp=tick * cfg.dt)
+            frame = scan(self.world, self.state, cfg.vehicle, cfg.lidar, rng=self.rng)
             self._frames.append((tick, frame))
         # perception sees the newest sweep at least the latency old; older
         # ones are dropped only once a newer one is usable
@@ -266,8 +265,9 @@ class Simulation:
             display = self.display.update(self.state.speed, t)
             cte = cross_track_error(self.route, self.state)
             if self.grid_dump is not None and self._grid is not None:
-                for cx, cy, zmin, zmax in self._grid.occupied_cell_stats():
-                    self.grid_dump.append(f"{t!r},{cx!r},{cy!r},{zmin!r},{zmax!r}")
+                g = self._grid
+                for (cx, cy), lo, hi in zip(g.centers.tolist(), g.min_z.tolist(), g.max_z.tolist()):
+                    self.grid_dump.append(f"{t!r},{cx!r},{cy!r},{lo!r},{hi!r}")
 
             rows.append(
                 LogRow(
@@ -287,10 +287,6 @@ class Simulation:
             self.world = step_pedestrians(self.world, dt)
 
         return metrics_from_rows(rows), rows
-
-
-def run_scenario(scenario: ScenarioConfig) -> tuple[RunMetrics, list[LogRow]]:
-    return Simulation(scenario).run()
 
 
 def write_csv(path, header: str, lines) -> None:

@@ -41,20 +41,18 @@ class LidarConfig:
 
 @dataclass(frozen=True)
 class LidarFrame:
-    """One sweep in vehicle coordinates (x forward, y left, z up)."""
+    """One sweep's hits in vehicle coordinates (x forward, y left, z up) and their intensities."""
 
     points: np.ndarray  # (N, 3)
     intensity: np.ndarray  # (N,)
-    ring: np.ndarray  # (N,) int
-    timestamp: float = 0.0
 
     def __len__(self):
         return len(self.points)
 
 
 @functools.lru_cache(maxsize=4)
-def _ray_table(azimuth_step_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit ray directions in sensor frame and their ring indices."""
+def _ray_table(azimuth_step_deg: float) -> np.ndarray:
+    """(N, 3) unit ray directions in sensor frame, ring by ring."""
     azimuths = np.deg2rad(np.arange(0.0, 360.0, azimuth_step_deg))
     elevations = np.deg2rad(np.asarray(RING_ELEVATIONS_DEG, dtype=float))
     cos_e = np.cos(elevations)[:, None]
@@ -67,8 +65,7 @@ def _ray_table(azimuth_step_deg: float) -> tuple[np.ndarray, np.ndarray]:
         ],
         axis=-1,
     ).reshape(-1, 3)
-    rings = np.repeat(np.arange(16), len(azimuths))
-    return np.ascontiguousarray(dirs), rings
+    return np.ascontiguousarray(dirs)
 
 
 def _update_hits(t_best, intensity_best, t_new, hit_mask, intensity_new):
@@ -87,10 +84,9 @@ def scan(
     params: VehicleParams = VehicleParams(),
     config: LidarConfig = LidarConfig(),
     rng: np.random.Generator | None = None,
-    timestamp: float = 0.0,
 ) -> LidarFrame:
     """Cast one full sweep and return the hits in vehicle coordinates."""
-    dirs_sensor, rings = _ray_table(config.azimuth_step_deg)
+    dirs_sensor = _ray_table(config.azimuth_step_deg)
     n = len(dirs_sensor)
 
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
@@ -168,9 +164,4 @@ def scan(
 
     rel = pts_world - np.array([state.x, state.y, 0.0])
     pts_vehicle = rel @ rot  # world->vehicle is the transpose rotation
-    return LidarFrame(
-        points=pts_vehicle,
-        intensity=intensity[keep],
-        ring=rings[keep].astype(np.int16),
-        timestamp=timestamp,
-    )
+    return LidarFrame(pts_vehicle, intensity[keep])

@@ -41,26 +41,12 @@ class GridParams:
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    cell_size: float
-    extent: float
-    min_z: np.ndarray
-    max_z: np.ndarray
-    count: np.ndarray
-    occupied: np.ndarray
+    """A sweep's height map: the cell mask and its K occupied cells, in row-major order."""
 
-    def occupied_cell_centers(self) -> np.ndarray:
-        """(N, 2) vehicle-frame centres of occupied cells."""
-        idx = np.argwhere(self.occupied)
-        return (idx + 0.5) * self.cell_size - self.extent
-
-    def occupied_cell_stats(self) -> list[tuple[float, float, float, float]]:
-        """(x, y, min_z, max_z) per occupied cell, for grid dumps."""
-        return [
-            (float(cx), float(cy), float(lo), float(hi))
-            for (cx, cy), lo, hi in zip(
-                self.occupied_cell_centers(), self.min_z[self.occupied], self.max_z[self.occupied]
-            )
-        ]
+    occupied: np.ndarray  # (n, n) bool
+    centers: np.ndarray  # (K, 2) vehicle-frame cell centres
+    min_z: np.ndarray  # (K,) lowest point in each occupied cell
+    max_z: np.ndarray  # (K,) highest point in each occupied cell
 
 
 def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:
@@ -84,7 +70,8 @@ def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> Occupanc
 
     spread = np.where(count > 0, max_z - min_z, 0.0)
     occupied = (count >= params.min_cell_points) & (spread > params.height_threshold)
-    return OccupancyGrid(params.cell_size, params.extent, min_z, max_z, count, occupied)
+    centers = (np.argwhere(occupied) + 0.5) * params.cell_size - params.extent
+    return OccupancyGrid(occupied, centers, min_z[occupied], max_z[occupied])
 
 
 @dataclass(frozen=True)
@@ -139,37 +126,28 @@ def corridor_coordinates(corridor: Corridor, points: np.ndarray) -> tuple[np.nda
     return s, lateral
 
 
-def _membership(corridor: Corridor, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def corridor_membership(corridor: Corridor, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inside-the-footprint mask and arc length from the rear axle for (N, 2) points."""
     s, lateral = corridor_coordinates(corridor, points)
     s_max = corridor.front_overhang + corridor.length
     return (s >= 0.0) & (s <= s_max) & (lateral <= corridor.half_width), s
 
 
-def contains(corridor: Corridor, points: np.ndarray) -> np.ndarray:
-    """Boolean mask of points inside the corridor footprint."""
-    return _membership(corridor, points)[0]
-
-
 @dataclass(frozen=True)
 class ObstacleReport:
     present: bool
     closest_distance: float = math.inf  # ahead of the front bumper, m
-    cell_position: tuple[float, float] | None = None
 
 
 def closest_in_corridor(grid: OccupancyGrid, corridor: Corridor) -> ObstacleReport:
     """Closest occupied cell along the corridor, measured from the bumper."""
-    centers = grid.occupied_cell_centers()
-    if len(centers) == 0:
+    if len(grid.centers) == 0:
         return ObstacleReport(present=False)
-    inside, s = _membership(corridor, centers)
+    inside, s = corridor_membership(corridor, grid.centers)
     if not inside.any():
         return ObstacleReport(present=False)
     d = np.maximum(s[inside] - corridor.front_overhang, 0.0)
-    k = int(np.argmin(d))
-    cell = centers[inside][k]
-    return ObstacleReport(True, float(d[k]), (float(cell[0]), float(cell[1])))
+    return ObstacleReport(True, float(d.min()))
 
 
 def speed_limit_for_distance(d: float, check_range: float = 15.0) -> float | None:

@@ -55,24 +55,16 @@ class SignDetection:
     point_count: int
 
 
-def _mask_frame(frame: LidarFrame, mask: np.ndarray) -> LidarFrame:
-    return LidarFrame(
-        points=frame.points[mask],
-        intensity=frame.intensity[mask],
-        ring=frame.ring[mask],
-        timestamp=frame.timestamp,
-    )
-
-
 def fov_filter(frame: LidarFrame, fov_side: float = 10.0) -> LidarFrame:
     """Stage 1: drop everything behind the vehicle or outside the side band."""
     mask = (frame.points[:, 0] > 0.0) & (np.abs(frame.points[:, 1]) <= fov_side)
-    return _mask_frame(frame, mask)
+    return LidarFrame(frame.points[mask], frame.intensity[mask])
 
 
 def intensity_filter(frame: LidarFrame, min_intensity: float = 85.0) -> LidarFrame:
     """Stage 2: keep only returns bright enough to be retroreflective."""
-    return _mask_frame(frame, frame.intensity >= min_intensity)
+    mask = frame.intensity >= min_intensity
+    return LidarFrame(frame.points[mask], frame.intensity[mask])
 
 
 def radius_outlier_removal(
@@ -115,7 +107,6 @@ def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 def plane_segment(
     points: np.ndarray,
-    dist_tol: float = 0.05,
     params: FilterParams = FilterParams(),
     sensor_origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> SignDetection | None:
@@ -145,7 +136,7 @@ def plane_segment(
                 continue
             normal = normal / norm
             dist = np.abs((remaining - p0) @ normal)
-            inliers = dist <= dist_tol
+            inliers = dist <= params.plane_dist_tol
             if best_inliers is None or inliers.sum() > best_inliers.sum():
                 best_inliers = inliers
         if best_inliers is None or best_inliers.sum() < 3:
@@ -156,7 +147,7 @@ def plane_segment(
             break
         normal, offset = fit
         dist = np.abs(remaining @ normal + offset)
-        inliers = dist <= dist_tol
+        inliers = dist <= params.plane_dist_tol
         if normal[0] < 0.0:
             normal, offset = -normal, -offset
 
@@ -194,7 +185,7 @@ class SignDetector:
         pts = statistical_outlier_removal(pts, p.sor_k, p.sor_stddev_mult)
         if len(pts) < p.min_sign_points:
             return None
-        return plane_segment(pts, p.plane_dist_tol, p, self.sensor_origin)
+        return plane_segment(pts, p, self.sensor_origin)
 
 
 def sign_speed_command(

@@ -72,3 +72,25 @@ def brute_force_cte(route, state):
         cx, cy = ax + t * abx, ay + t * aby
         best = min(best, math.hypot(p[0] - cx, p[1] - cy))
     return best
+
+
+def reference_grid(points, params):
+    """Bin each point into a dict of cell -> z values; return the grid's
+    (occupied, centers, min_z, max_z) as ``build_grid`` lays them out."""
+    n = int(round(2 * params.extent / params.cell_size))
+    cells = {}
+    for x, y, z in points:
+        if z > params.roof_height:
+            continue
+        i = math.floor((x + params.extent) / params.cell_size)
+        j = math.floor((y + params.extent) / params.cell_size)
+        if 0 <= i < n and 0 <= j < n:
+            cells.setdefault((i, j), []).append(z)
+    kept = sorted(cell for cell, zs in cells.items()
+                  if len(zs) >= params.min_cell_points and max(zs) - min(zs) > params.height_threshold)
+    occupied = np.zeros((n, n), dtype=bool)
+    for cell in kept:
+        occupied[cell] = True
+    centers = np.array([[(k + 0.5) * params.cell_size - params.extent for k in cell] for cell in kept])
+    return (occupied, centers.reshape(-1, 2), np.array([min(cells[c]) for c in kept]),
+            np.array([max(cells[c]) for c in kept]))

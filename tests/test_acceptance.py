@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shuttlesim.harness import Simulation, record_trace, run_scenario
+from shuttlesim.harness import Simulation, record_trace
 from shuttlesim.lidar import LidarConfig, scan
 from shuttlesim.obstacles import required_side_clearance, speed_limit_for_distance
 from shuttlesim.plant import VehicleParams, VehicleState, simulate_full_stop
@@ -74,7 +74,7 @@ def test_criterion_02_figure8_tracking(tmp_path):
     waypoints = figure8_waypoints(tmp_path)
     sc = ScenarioConfig(duration=72.0, waypoint_file=waypoints, origin=ORIGIN)
     t0 = time.perf_counter()
-    metrics, _ = run_scenario(sc)
+    metrics, _ = Simulation(sc).run()
     runtime = time.perf_counter() - t0
     ok = metrics.peak_cte <= 0.25 and metrics.mean_cte <= 0.12 and runtime < 10.0
     report(2, ok, f"figure-8 at 3 m/s: peak cte {metrics.peak_cte:.3f} m (<=0.25), "
@@ -176,7 +176,7 @@ def test_criterion_05_pedestrian_stop(tmp_path):
     min_trigger = math.inf
     for seed in range(20):
         sc, ped = pedestrian_crossing_scenario(seed, str(waypoints))
-        metrics, rows = run_scenario(sc)
+        metrics, rows = Simulation(sc).run()
         triggers = [r.obstacle_d for r in rows if r.obstacle_d is not None]
         stopped = any(e.source == "obstacle" for e in metrics.stop_events)
         gaps = []
@@ -243,7 +243,7 @@ def test_criterion_08_sign_stop_profile(tmp_path):
         start=StartPose(speed=3.0), world=sign_world(10.0),
         lidar=LidarConfig(range_jitter=0.01),
     )
-    metrics, rows = run_scenario(sc)
+    metrics, rows = Simulation(sc).run()
     detections = [r for r in rows if r.sign_d is not None]
     assert detections, "sign never detected"
     t_det, v_det = detections[0].t, detections[0].v
@@ -294,8 +294,8 @@ def test_criterion_10_determinism(tmp_path):
         seed=99, duration=6.0, waypoint_file=str(waypoints), origin=ORIGIN,
         start=StartPose(speed=3.0), world=world, lidar=LidarConfig(range_jitter=0.01),
     )
-    _, rows_a = run_scenario(sc)
-    _, rows_b = run_scenario(sc)
+    _, rows_a = Simulation(sc).run()
+    _, rows_b = Simulation(sc).run()
     bytes_a = "\n".join(r.format() for r in rows_a).encode()
     bytes_b = "\n".join(r.format() for r in rows_b).encode()
     ok = bytes_a == bytes_b

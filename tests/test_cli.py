@@ -140,6 +140,18 @@ def test_compile_path_rejects_non_finite_trace(tmp_path, capsys):
     assert not list(tmp_path.glob("*.waypoints"))
 
 
+@pytest.mark.parametrize("lat_b, message", [
+    ("30.0", "trace has zero length"),
+    ("30.000000000000004", "a route needs at least two waypoints, got 1"),  # 4e-15 deg apart
+])
+def test_compile_path_error_names_trace(tmp_path, capsys, lat_b, message):
+    trace = tmp_path / "short.trace"
+    trace.write_text(f"t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,{lat_b},-96.0,1.0,0.0\n")
+    assert main(["compile-path", str(trace), "--speed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+    assert not list(tmp_path.glob("*.waypoints"))
+
+
 BAD_SCENARIOS = [
     # (scenario text, the key path and message the error must show)
     ("duration: [broken", "invalid YAML (line 2)"),
@@ -166,6 +178,7 @@ BAD_SCENARIOS = [
     ("waypoints: [a.waypoints]", "waypoints: expected str"),
     ("duration: 1.0", "waypoints: run requires a waypoints file"),
     ("waypoints: one.waypoints", "one.waypoints: a route needs at least two waypoints, got 1"),
+    ("waypoints: nothere.waypoints", "waypoints: [Errno 2] No such file or directory"),
 ]
 
 

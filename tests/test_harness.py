@@ -12,7 +12,6 @@ from shuttlesim.harness import (
     metrics_from_rows,
     read_log,
     record_trace,
-    run_scenario,
     write_log,
 )
 from shuttlesim.lidar import LidarConfig
@@ -23,7 +22,13 @@ from shuttlesim.scenario import (
     StartPose,
 )
 from shuttlesim.waypoints import compile_path
-from shuttlesim.world import Pedestrian, SignSpec, WorldModel
+from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
+
+
+BOX_AND_SIGN = WorldModel(
+    obstacles=(BoxObstacle(center=(10.0, 0.0), size=(0.6, 0.6), height=1.5),),
+    signs=(SignSpec(center=(14.0, -2.0, 2.0), normal=(-1, 0, 0)),),
+)
 
 
 def straight_scenario(straight_waypoints, **kw):
@@ -43,8 +48,8 @@ def test_deterministic_logs_same_seed(straight_waypoints):
         straight_waypoints, duration=5.0, seed=11, world=world,
         lidar=LidarConfig(range_jitter=0.01),
     )
-    _, rows_a = run_scenario(sc)
-    _, rows_b = run_scenario(sc)
+    _, rows_a = Simulation(sc).run()
+    _, rows_b = Simulation(sc).run()
     text_a = "\n".join(r.format() for r in rows_a)
     text_b = "\n".join(r.format() for r in rows_b)
     assert text_a == text_b
@@ -58,15 +63,15 @@ def test_different_seed_changes_log(straight_waypoints):
         straight_waypoints, duration=2.0, seed=1, world=world,
         lidar=LidarConfig(range_jitter=0.02),
     )
-    _, rows_a = run_scenario(sc)
-    _, rows_b = run_scenario(replace(sc, seed=2))
+    _, rows_a = Simulation(sc).run()
+    _, rows_b = Simulation(replace(sc, seed=2)).run()
     # the jittered sign range is logged at full precision
     assert any(a.format() != b.format() for a, b in zip(rows_a, rows_b))
 
 
 def test_log_roundtrip_reproduces_metrics(tmp_path, straight_waypoints):
     sc = straight_scenario(straight_waypoints, duration=4.0)
-    metrics, rows = run_scenario(sc)
+    metrics, rows = Simulation(sc).run()
     log = tmp_path / "run.log"
     write_log(rows, log)
     rows_back = read_log(log)
@@ -105,7 +110,7 @@ def test_log_row_rejects_unknown_source_code():
 def test_non_finite_log_value_rejected(tmp_path, straight_waypoints, capsys, column, value):
     from shuttlesim.cli import main
 
-    _, rows = run_scenario(straight_scenario(straight_waypoints, duration=0.1))
+    _, rows = Simulation(straight_scenario(straight_waypoints, duration=0.1)).run()
     log = tmp_path / "run.log"
     write_log(rows, log)
     lines = log.read_text().splitlines()
@@ -123,7 +128,6 @@ def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoin
     # the benchmark reads every column but display as a float, which is why
     # the source column holds a number, not the source's name
     from bench.checks import parse_log
-    from shuttlesim.world import BoxObstacle
 
     world = WorldModel(
         obstacles=(BoxObstacle(center=(12.0, 0.0), size=(0.6, 0.6), height=1.5),),
@@ -132,7 +136,7 @@ def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoin
     # perception fires only from tick 5, so the waypoint source wins until then
     sc = straight_scenario(straight_waypoints, duration=2.5, world=world, perception_latency_ticks=5,
                            manual_stops=(ManualStop(t=2.0, duration=0.5),))
-    _, rows = run_scenario(sc)
+    _, rows = Simulation(sc).run()
     assert {r.source for r in rows} == set(Source)
     log = tmp_path / "run.log"
     write_log(rows, log)
@@ -168,27 +172,13 @@ def test_pipeline_stage_order(straight_waypoints, monkeypatch):
     assert stages[-1] == "plant"
 
 
-def test_side_logs_only_for_given_sinks(straight_waypoints, monkeypatch):
-    from shuttlesim.obstacles import OccupancyGrid
-    from shuttlesim.world import BoxObstacle
-
-    world = WorldModel(
-        obstacles=(BoxObstacle(center=(10.0, 0.0), size=(0.6, 0.6), height=1.5),),
-        signs=(SignSpec(center=(14.0, -2.0, 2.0), normal=(-1, 0, 0)),),
-    )
-    sc = straight_scenario(straight_waypoints, duration=2.0, world=world)
-    stats_calls = []
-    cell_stats = OccupancyGrid.occupied_cell_stats
-    monkeypatch.setattr(OccupancyGrid, "occupied_cell_stats",
-                        lambda grid: stats_calls.append(1) or cell_stats(grid))
-
+def test_side_logs_only_for_given_sinks(straight_waypoints):
+    sc = straight_scenario(straight_waypoints, duration=2.0, world=BOX_AND_SIGN)
     _, rows = Simulation(sc).run()
-    assert stats_calls == []
 
     sign_log, grid_dump = [], []
     _, rows_logged = Simulation(sc, sign_log=sign_log, grid_dump=grid_dump).run()
     assert [r.format() for r in rows_logged] == [r.format() for r in rows]
-    assert len(stats_calls) == len(rows)  # the first sweep lands on tick 0
     sign_ticks = [r.t for r in rows if r.sign_d is not None]
     assert sign_ticks and [float(line.split(",")[0]) for line in sign_log] == sign_ticks
     assert grid_dump and all(len(line.split(",")) == 5 for line in grid_dump)
@@ -203,14 +193,27 @@ def test_bench_layers_resolve():
     assert missing == []
 
 
+def test_bench_layer_counts_read_results(straight_waypoints, monkeypatch):
+    # the tracer records {} when a layer's count cannot read the call's
+    # arguments or result, which silently zeroes that per-layer metric
+    from bench.spans import LAYERS, Tracer, resolve
+
+    for layer in LAYERS:  # let monkeypatch put back what the tracer replaces
+        monkeypatch.setattr(*resolve(layer.module, layer.attr))
+    tracer = Tracer()
+    tracer.install()
+    Simulation(straight_scenario(straight_waypoints, duration=2.0, world=BOX_AND_SIGN)).run()
+    counted = [layer.name for layer in LAYERS if layer.count is not None]
+    assert {name: len(tracer.counts[name]) > 0 for name in counted} == dict.fromkeys(counted, True)
+    assert {name: tracer.counts[name].count({}) for name in counted} == dict.fromkeys(counted, 0)
+
+
 def test_obstacle_standoff_at_static_wall(straight_waypoints):
     # a wall across the path: the slowdown law walks the cart down to a
     # standoff around the 5 m stop threshold, then it halts
-    from shuttlesim.world import BoxObstacle
-
     world = WorldModel(obstacles=(BoxObstacle(center=(25.0, 0.0), size=(0.8, 3.0), height=1.6),))
     sc = straight_scenario(straight_waypoints, duration=30.0, world=world)
-    metrics, rows = run_scenario(sc)
+    metrics, rows = Simulation(sc).run()
     assert any(e.source == "obstacle" for e in metrics.stop_events)
     assert rows[-1].v < 0.05
     # cart holds well clear of the wall face at x = 24.6
@@ -222,7 +225,7 @@ def test_manual_stop_window(straight_waypoints):
         straight_waypoints, duration=14.0,
         manual_stops=(ManualStop(t=3.0, duration=3.0),),
     )
-    metrics, rows = run_scenario(sc)
+    metrics, rows = Simulation(sc).run()
     vmin = min(r.v for r in rows if 3.0 <= r.t <= 7.5)
     assert vmin < 0.05
     assert [e.source for e in metrics.stop_events] == ["manual-stop"]
@@ -237,7 +240,7 @@ def test_sign_stop_and_resume(straight_waypoints):
         straight_waypoints, duration=16.0, seed=5, world=world,
         lidar=LidarConfig(range_jitter=0.01),
     )
-    metrics, rows = run_scenario(sc)
+    metrics, rows = Simulation(sc).run()
     assert any(e.source == "sign" for e in metrics.stop_events)
     assert rows[-1].v > 2.0
     assert len(metrics.sign_detections) > 0
@@ -253,7 +256,7 @@ def test_sign_stop_trigger_is_latched_distance(straight_waypoints):
     x_sign = 1.6 + math.sqrt(15.0**2 - lateral**2)
     world = WorldModel(signs=(SignSpec(center=(x_sign, lateral, 2.0), normal=(-1, 0, 0)),))
     sc = straight_scenario(straight_waypoints, duration=11.0, world=world)
-    metrics, rows = run_scenario(sc)
+    metrics, rows = Simulation(sc).run()
     stop = next(e for e in metrics.stop_events if e.source == "sign")
     i = next(i for i, r in enumerate(rows) if r.t == stop.t)
     while i > 0 and rows[i - 1].sign_stop_d is not None:
@@ -264,7 +267,7 @@ def test_sign_stop_trigger_is_latched_distance(straight_waypoints):
 
 def test_display_column_tracks_motion(straight_waypoints):
     sc = straight_scenario(straight_waypoints, duration=4.0, start=StartPose(speed=0.0))
-    _, rows = run_scenario(sc)
+    _, rows = Simulation(sc).run()
     assert rows[0].display == "STOPPED"
     assert rows[-1].display == "MOVING"
 
@@ -276,11 +279,11 @@ def test_perception_latency_delays_detection(straight_waypoints):
     base = straight_scenario(straight_waypoints, duration=2.0, world=world)
     from dataclasses import replace
 
-    _, rows_now = run_scenario(base)
+    _, rows_now = Simulation(base).run()
     first_now = next(r.t for r in rows_now if r.sign_d is not None)
     # at 45 ticks nine sweeps are taken before the first one is usable
     for latency in (20, 45):
-        _, rows_lag = run_scenario(replace(base, perception_latency_ticks=latency))
+        _, rows_lag = Simulation(replace(base, perception_latency_ticks=latency)).run()
         first_lag = next((r.t for r in rows_lag if r.sign_d is not None), None)
         assert first_lag is not None, f"latency {latency}: perception never fired"
         assert first_lag >= first_now + latency * base.dt - 0.1
@@ -314,7 +317,7 @@ def test_headon_closing_speed_measured_not_asserted(straight_waypoints):
             pedestrians=(Pedestrian(position=(38.0, 0.0), velocity=(-oncoming, 0.0)),)
         )
         sc = straight_scenario(straight_waypoints, duration=12.0, world=world)
-        _, rows = run_scenario(sc)
+        _, rows = Simulation(sc).run()
         # margin left when the cart reaches standstill; afterwards the walker
         # closing on a parked cart is not the cart's doing
         moving = [r for r in rows if r.v >= 0.05]

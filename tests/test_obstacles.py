@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.obstacles import (
@@ -10,8 +12,8 @@ from shuttlesim.obstacles import (
     GridParams,
     build_grid,
     closest_in_corridor,
-    contains,
     corridor_from_steering,
+    corridor_membership,
     modify_speed,
     required_side_clearance,
     speed_limit_for_distance,
@@ -19,6 +21,7 @@ from shuttlesim.obstacles import (
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import TwistCommand
 from shuttlesim.world import BoxObstacle, WorldModel
+from tests.conftest import reference_grid
 
 PARAMS = VehicleParams()
 GRID = GridParams()
@@ -28,8 +31,7 @@ def frame_from_points(points, intensity=None):
     pts = np.asarray(points, dtype=float)
     if intensity is None:
         intensity = np.full(len(pts), 20.0)
-    return LidarFrame(points=pts, intensity=np.asarray(intensity, dtype=float),
-                      ring=np.zeros(len(pts), dtype=np.int16))
+    return LidarFrame(points=pts, intensity=np.asarray(intensity, dtype=float))
 
 
 def test_flat_ground_unoccupied():
@@ -69,10 +71,11 @@ def test_straight_corridor():
     assert c.radius is None
     assert c.length == 15.0
     assert c.half_width == pytest.approx(1.15)
-    inside = contains(c, np.array([[5.0, 0.5], [5.0, -1.1], [17.0, 0.0], [5.0, 1.3], [-1.0, 0.0]]))
+    pts = np.array([[5.0, 0.5], [5.0, -1.1], [17.0, 0.0], [5.0, 1.3], [-1.0, 0.0]])
+    inside, _ = corridor_membership(c, pts)
     assert inside.tolist() == [True, True, True, False, False]
     # beyond the overhang + length the corridor ends
-    assert not contains(c, np.array([[PARAMS.front_overhang + 15.5, 0.0]]))[0]
+    assert not corridor_membership(c, np.array([[PARAMS.front_overhang + 15.5, 0.0]]))[0][0]
 
 
 def test_arc_corridor_radius():
@@ -98,7 +101,7 @@ def test_corridor_contains_simulated_rollout(radius_sign):
         state = step_plant(state, PARAMS, throttle=0.016, brake=0.0, steer_cmd=delta, dt=0.02)
         travelled += math.hypot(state.x - prev[0], state.y - prev[1])
         pts.append((state.x, state.y))
-    inside = contains(corridor, np.asarray(pts))
+    inside, _ = corridor_membership(corridor, np.asarray(pts))
     assert inside.all()
 
 
@@ -176,8 +179,8 @@ def test_closest_cell_selected():
     )
     report = closest_in_corridor(build_grid(frame, GRID), corridor)
     assert report.present
-    assert report.closest_distance < 3.2
-    assert report.cell_position[0] < 6.5
+    # the nearer cell, centred at x = 6.125, wins
+    assert report.closest_distance == pytest.approx(6.125 - PARAMS.front_overhang)
 
 
 def test_required_side_clearance_bands():
@@ -191,8 +194,42 @@ def test_required_side_clearance_bands():
 
 def test_grid_dump_stats():
     grid = grid_with_cell_at(6.0, 0.0)
-    stats = grid.occupied_cell_stats()
-    assert len(stats) == 1
-    x, y, zmin, zmax = stats[0]
-    assert zmin == 0.0 and zmax == 0.5
-    assert x == pytest.approx(6.125, abs=0.126)
+    assert grid.centers.tolist() == [[6.125, 0.125]]
+    assert grid.min_z.tolist() == [0.0] and grid.max_z.tolist() == [0.5]
+
+
+# a cloud is a list of vertical columns of points, so that cells fill up;
+# the offsets put columns exactly on cell edges, and the bases reach both
+# ends of the extent and beyond it
+COORD = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([-25.0, -20.0, -19.75, 0.0, 5.0, 19.75, 20.0]),
+    st.sampled_from([0.0, 0.1, 0.25]) | st.floats(-0.3, 0.3),
+)
+HEIGHT = st.sampled_from([0.0, 0.07, 2.1, 2.2]) | st.floats(-0.5, 3.0)
+CLOUD = st.lists(
+    st.builds(lambda x, y, zs: [(x, y, z) for z in zs], COORD, COORD, st.lists(HEIGHT, max_size=4)),
+    max_size=10,
+).map(lambda columns: [p for column in columns for p in column])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    points=CLOUD,
+    params=st.builds(
+        GridParams,
+        cell_size=st.sampled_from([0.25, 0.3, 1.0]),
+        height_threshold=st.sampled_from([0.0, 0.07]),
+        min_cell_points=st.sampled_from([1, 2, 3]),
+    ),
+)
+@example(points=[], params=GridParams())
+@example(points=[(-20.0, 19.75, 0.0), (-20.0, 19.75, 0.5), (20.0, 0.0, 0.0), (20.0, 0.0, 0.5),
+                 (5.0, 5.0, 0.0), (5.0, 5.0, 2.2)], params=GridParams())
+def test_build_grid_matches_per_point_binning(points, params):
+    grid = build_grid(frame_from_points(np.array(points).reshape(-1, 3)), params)
+    occupied, centers, min_z, max_z = reference_grid(points, params)
+    assert np.array_equal(grid.occupied, occupied)
+    assert np.array_equal(grid.centers, centers)
+    assert np.array_equal(grid.min_z, min_z)
+    assert np.array_equal(grid.max_z, max_z)

@@ -29,8 +29,7 @@ SENSOR = (PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height)
 
 def make_frame(points, intensity):
     pts = np.asarray(points, dtype=float)
-    return LidarFrame(points=pts, intensity=np.asarray(intensity, dtype=float),
-                      ring=np.zeros(len(pts), dtype=np.int16))
+    return LidarFrame(points=pts, intensity=np.asarray(intensity, dtype=float))
 
 
 def test_fov_filter():
@@ -131,7 +130,7 @@ def plane_points(n=50, a=1.0, seed=0, offset=10.0):
 
 def test_plane_recovers_facing_normal():
     pts = plane_points()
-    det = plane_segment(pts, 0.05, FilterParams(), SENSOR)
+    det = plane_segment(pts, FilterParams(), SENSOR)
     assert det is not None
     a, b, c, _ = det.plane
     angle = math.degrees(math.acos(min(1.0, abs(a))))
@@ -142,19 +141,19 @@ def test_plane_recovers_facing_normal():
 
 def test_oblique_plane_rejected():
     pts = plane_points(a=0.5)
-    det = plane_segment(pts, 0.05, FilterParams(), SENSOR)
+    det = plane_segment(pts, FilterParams(), SENSOR)
     assert det is None
 
 
 def test_below_min_support_rejected():
     pts = plane_points(n=5)
-    assert plane_segment(pts, 0.05, FilterParams(), SENSOR) is None
+    assert plane_segment(pts, FilterParams(), SENSOR) is None
 
 
 def test_plane_deterministic():
     pts = plane_points(seed=3)
-    d1 = plane_segment(pts, 0.05, FilterParams(), SENSOR)
-    d2 = plane_segment(pts, 0.05, FilterParams(), SENSOR)
+    d1 = plane_segment(pts, FilterParams(), SENSOR)
+    d2 = plane_segment(pts, FilterParams(), SENSOR)
     assert d1.plane == d2.plane
     assert d1.distance == d2.distance
 
@@ -223,10 +222,7 @@ def test_pipeline_throughput_measured_not_asserted():
 
 
 def test_sign_speed_command_law():
-    det_10 = plane_segment(plane_points(offset=10.0), 0.05, FilterParams(), (0.0, 0.0, 2.0))
     # distance is the nearest-inlier range, so pin it via a synthetic detection
-    from shuttlesim.signs import SignDetection
-
     det = SignDetection(plane=(1, 0, 0, -10), inlier_points=np.zeros((1, 3)), distance=10.0, point_count=40)
     cmd = sign_speed_command(det, 3.0)
     assert cmd.linear_v == 0.0
