@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -77,6 +78,8 @@ def cmd_record(args) -> int:
 
 
 def cmd_compile_path(args) -> int:
+    if not (math.isfinite(args.speed) and args.speed > 0):
+        raise ValueError(f"--speed: must be a positive finite number, got {args.speed}")
     trace = load_trace(args.trace)
     with _naming(args.trace):
         route = compile_path(trace, args.speed)

@@ -50,28 +50,31 @@ class OccupancyGrid:
 
 
 def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:
-    """Bin a sweep into min/max height cells and flag tall spreads."""
+    """Bin a sweep into min/max height cells and flag tall spreads.
+
+    Points are grouped by their row-major cell index, so the groups come out
+    in the order of the occupied cells.
+    """
     n = int(round(2 * params.extent / params.cell_size))
-    min_z = np.full((n, n), np.inf)
-    max_z = np.full((n, n), -np.inf)
-    count = np.zeros((n, n), dtype=np.int32)
-
-    if len(frame):
-        pts = frame.points
-        below_roof = pts[:, 2] <= params.roof_height
-        pts = pts[below_roof]
-        ij = np.floor((pts[:, :2] + params.extent) / params.cell_size).astype(int)
-        ok = np.all((ij >= 0) & (ij < n), axis=1)
-        ij = ij[ok]
-        z = pts[ok, 2]
-        np.minimum.at(min_z, (ij[:, 0], ij[:, 1]), z)
-        np.maximum.at(max_z, (ij[:, 0], ij[:, 1]), z)
-        np.add.at(count, (ij[:, 0], ij[:, 1]), 1)
-
-    spread = np.where(count > 0, max_z - min_z, 0.0)
-    occupied = (count >= params.min_cell_points) & (spread > params.height_threshold)
-    centers = (np.argwhere(occupied) + 0.5) * params.cell_size - params.extent
-    return OccupancyGrid(occupied, centers, min_z[occupied], max_z[occupied])
+    x, y, z = frame.points.T
+    below_roof = z <= params.roof_height
+    i = np.floor((x[below_roof] + params.extent) / params.cell_size).astype(int)
+    j = np.floor((y[below_roof] + params.extent) / params.cell_size).astype(int)
+    ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    cell = (i * n + j)[ok]
+    order = np.argsort(cell, kind="stable")
+    cell, z = cell[order], z[below_roof][ok][order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    cell = cell[starts]
+    min_z = np.minimum.reduceat(z, starts)
+    max_z = np.maximum.reduceat(z, starts)
+    count = np.diff(starts, append=len(z))
+    keep = (count >= params.min_cell_points) & (max_z - min_z > params.height_threshold)
+    cell = cell[keep]
+    occupied = np.zeros(n * n, dtype=bool)
+    occupied[cell] = True
+    centers = (np.stack([cell // n, cell % n], axis=1) + 0.5) * params.cell_size - params.extent
+    return OccupancyGrid(occupied.reshape(n, n), centers, min_z[keep], max_z[keep])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from shuttlesim.twist import TwistCommand
 
 STOP_SPEED = 0.05  # below this the cart counts as stopped
 MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
+_RANSAC_BLOCK = 1 << 16  # distance-matrix entries scored at a time
+_COLLINEAR = 1e-12  # a triple whose cross product is shorter spans no plane
 
 
 @dataclass(frozen=True)
@@ -94,15 +96,58 @@ def statistical_outlier_removal(
     return points[mean_dist <= threshold]
 
 
-def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     centroid = points.mean(axis=0)
-    _, s, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    normal = vt[-1]
-    norm = np.linalg.norm(normal)
-    if norm == 0:
-        return None
-    normal = normal / norm
+    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    normal = vt[-1] / np.linalg.norm(vt[-1])
     return normal, float(-normal @ centroid)
+
+
+def _plane_inliers(points: np.ndarray, triple: np.ndarray, tol: float) -> np.ndarray | None:
+    """Inlier mask of the plane through three of the points; None when they are collinear."""
+    p0, p1, p2 = points[triple]
+    normal = np.cross(p1 - p0, p2 - p0)
+    norm = np.linalg.norm(normal)
+    if norm < _COLLINEAR:
+        return None
+    return np.abs((points - p0) @ (normal / norm)) <= tol
+
+
+def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> int | None:
+    """Index of the first triple whose plane has the most inliers; None if all are collinear.
+
+    Scores every candidate with one (points x triples) distance matrix, in
+    blocks of rows. A batched count can differ from ``_plane_inliers``' only
+    for a triple within rounding of the collinearity cut or a point within
+    rounding of ``tol``; such candidates are recounted with ``_plane_inliers``,
+    so the winner is the one a candidate-by-candidate loop would keep.
+    """
+    p0 = points[triples[:, 0]]
+    a = points[triples[:, 1]] - p0
+    b = points[triples[:, 2]] - p0
+    # the components np.cross computes, for all triples at once
+    normal = np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                       a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                       a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
+    norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
+    usable = norm >= _COLLINEAR
+    unsure = np.abs(norm - _COLLINEAR) <= 1e-9 * _COLLINEAR
+    unit = normal / np.where(usable, norm, 1.0)[:, None]
+    offset = np.einsum("ij,ij->i", p0, unit)
+    # rounding of either distance formula stays far below this
+    slack = 1e-9 * (1.0 + np.abs(points).max())
+    counts = np.zeros(len(triples), dtype=np.int64)
+    rows = max(1, _RANSAC_BLOCK // len(triples))
+    for start in range(0, len(points), rows):
+        dist = np.abs(points[start:start + rows] @ unit.T - offset)
+        counts += np.count_nonzero(dist <= tol, axis=0)
+        unsure |= (np.abs(dist - tol) <= slack).any(axis=0)
+    counts[~usable] = -1
+    for k in np.flatnonzero(unsure):
+        inliers = _plane_inliers(points, triples[k], tol)
+        counts[k] = -1 if inliers is None else np.count_nonzero(inliers)
+    best = int(np.argmax(counts))
+    return best if counts[best] >= 0 else None
 
 
 def plane_segment(
@@ -126,26 +171,18 @@ def plane_segment(
     for _ in range(3):  # at most a few plane extractions per frame
         if len(remaining) < params.min_sign_points:
             break
-        best_inliers = None
-        for _ in range(params.ransac_iters):
-            idx = rng.choice(len(remaining), size=3, replace=False)
-            p0, p1, p2 = remaining[idx]
-            normal = np.cross(p1 - p0, p2 - p0)
-            norm = np.linalg.norm(normal)
-            if norm < 1e-12:
-                continue
-            normal = normal / norm
-            dist = np.abs((remaining - p0) @ normal)
-            inliers = dist <= params.plane_dist_tol
-            if best_inliers is None or inliers.sum() > best_inliers.sum():
-                best_inliers = inliers
-        if best_inliers is None or best_inliers.sum() < 3:
+        # one draw per iteration, collinear triples included, as in a
+        # candidate-by-candidate loop
+        triples = np.array([rng.choice(len(remaining), size=3, replace=False)
+                            for _ in range(params.ransac_iters)])
+        best = _best_triple(remaining, triples, params.plane_dist_tol)
+        if best is None:
+            break
+        best_inliers = _plane_inliers(remaining, triples[best], params.plane_dist_tol)
+        if best_inliers.sum() < 3:
             break
 
-        fit = _fit_plane(remaining[best_inliers])
-        if fit is None:
-            break
-        normal, offset = fit
+        normal, offset = _fit_plane(remaining[best_inliers])
         dist = np.abs(remaining @ normal + offset)
         inliers = dist <= params.plane_dist_tol
         if normal[0] < 0.0:

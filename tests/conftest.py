@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shuttlesim.lidar import _ray_table
 from shuttlesim.scenario import DEFAULT_ORIGIN
+from shuttlesim.signs import SignDetection
 from shuttlesim.waypoints import Route, Waypoint, from_local, save_waypoints, to_local
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +96,114 @@ def reference_grid(points, params):
     centers = np.array([[(k + 0.5) * params.cell_size - params.extent for k in cell] for cell in kept])
     return (occupied, centers.reshape(-1, 2), np.array([min(cells[c]) for c in kept]),
             np.array([max(cells[c]) for c in kept]))
+
+
+def reference_scan(world, state, params, config, rng=None):
+    """Cast every object against every ray of the sweep; return (points, intensity)."""
+    dirs_sensor = _ray_table(config.azimuth_step_deg)[0]
+    n = len(dirs_sensor)
+    cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
+    rot = np.array([[cos_h, -sin_h, 0.0], [sin_h, cos_h, 0.0], [0.0, 0.0, 1.0]])
+    dirs = dirs_sensor @ rot.T
+    origin = np.array([state.x + cos_h * params.lidar_offset_x,
+                       state.y + sin_h * params.lidar_offset_x, params.lidar_mount_height])
+    t_best = np.full(n, np.inf)
+    intensity = np.zeros(n)
+
+    def update(t_new, hit, value):
+        closer = hit & (t_new < t_best)
+        t_best[closer] = t_new[closer]
+        intensity[closer] = value if np.isscalar(value) else value[closer]
+
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = np.where(dz < 0.0, -origin[2] / dz, np.inf)
+    update(t_ground, t_ground > config.min_range, config.background_intensity)
+
+    for box in world.obstacles:
+        lo = np.array([box.center[0] - box.size[0] / 2, box.center[1] - box.size[1] / 2, 0.0])
+        hi = np.array([box.center[0] + box.size[0] / 2, box.center[1] + box.size[1] / 2, box.height])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo - origin) / dirs
+            t2 = (hi - origin) / dirs
+        t_near = np.nanmax(np.minimum(t1, t2), axis=1)
+        t_far = np.nanmin(np.maximum(t1, t2), axis=1)
+        update(t_near, (t_far >= t_near) & (t_near > config.min_range), config.background_intensity)
+
+    for ped in world.pedestrians:
+        ox, oy = origin[0] - ped.position[0], origin[1] - ped.position[1]
+        a = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
+        b = 2.0 * (ox * dirs[:, 0] + oy * dirs[:, 1])
+        c = ox * ox + oy * oy - ped.radius**2
+        disc = b * b - 4.0 * a * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_cyl = np.where(disc >= 0, (-b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a), np.inf)
+        z_hit = origin[2] + t_cyl * dirs[:, 2]
+        update(t_cyl, (t_cyl > config.min_range) & (z_hit >= 0.0) & (z_hit <= ped.height),
+               config.background_intensity)
+
+    for sign in world.signs:
+        normal = np.asarray(sign.normal)
+        center = np.asarray(sign.center)
+        denom = dirs @ normal
+        valid = np.abs(denom) > 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_pl = np.where(valid, (center - origin) @ normal / denom, np.inf)
+        p = origin + np.where(valid, t_pl, 0.0)[:, None] * dirs
+        u = np.cross([0.0, 0.0, 1.0], normal)
+        u /= np.linalg.norm(u)
+        v = np.cross(normal, u)
+        rel = p - center
+        on_face = (np.abs(rel @ u) <= sign.width / 2) & (np.abs(rel @ v) <= sign.height / 2)
+        update(t_pl, valid & on_face & (t_pl > config.min_range),
+               np.where(denom < 0.0, sign.intensity, config.background_intensity))
+
+    if config.range_jitter > 0.0:
+        t_best = t_best + np.where(np.isfinite(t_best), rng.normal(0.0, config.range_jitter, n), 0.0)
+    keep = np.isfinite(t_best) & (t_best <= config.max_range)
+    pts_world = origin + t_best[keep, None] * dirs[keep]
+    return (pts_world - np.array([state.x, state.y, 0.0])) @ rot, intensity[keep]
+
+
+def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
+    """RANSAC scoring one candidate plane at a time; returns what ``plane_segment`` returns."""
+    points = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(params.ransac_seed)
+    origin = np.asarray(sensor_origin, dtype=float)
+    remaining = points
+    accepted = []
+    for _ in range(3):
+        if len(remaining) < params.min_sign_points:
+            break
+        best_inliers = None
+        for _ in range(params.ransac_iters):
+            idx = rng.choice(len(remaining), size=3, replace=False)
+            p0, p1, p2 = remaining[idx]
+            normal = np.cross(p1 - p0, p2 - p0)
+            norm = np.linalg.norm(normal)
+            if norm < 1e-12:
+                continue
+            normal = normal / norm
+            inliers = np.abs((remaining - p0) @ normal) <= params.plane_dist_tol
+            if best_inliers is None or inliers.sum() > best_inliers.sum():
+                best_inliers = inliers
+        if best_inliers is None or best_inliers.sum() < 3:
+            break
+        support = remaining[best_inliers]
+        centroid = support.mean(axis=0)
+        normal = np.linalg.svd(support - centroid, full_matrices=False)[2][-1]
+        normal = normal / np.linalg.norm(normal)
+        offset = float(-normal @ centroid)
+        inliers = np.abs(remaining @ normal + offset) <= params.plane_dist_tol
+        if normal[0] < 0.0:
+            normal, offset = -normal, -offset
+        support = remaining[inliers]
+        if len(support) >= params.min_sign_points and normal[0] >= params.normal_min_a:
+            accepted.append(SignDetection(
+                plane=(float(normal[0]), float(normal[1]), float(normal[2]), offset),
+                inlier_points=support,
+                distance=float(np.linalg.norm(support - origin, axis=1).min()),
+                point_count=int(len(support)),
+            ))
+        remaining = remaining[~inliers]
+    return min(accepted, key=lambda d: d.distance) if accepted else None

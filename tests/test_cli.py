@@ -152,6 +152,16 @@ def test_compile_path_error_names_trace(tmp_path, capsys, lat_b, message):
     assert not list(tmp_path.glob("*.waypoints"))
 
 
+@pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf"])
+def test_compile_path_rejects_bad_speed_naming_the_flag(tmp_path, capsys, speed):
+    trace = tmp_path / "ok.trace"
+    trace.write_text("t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.0001,-96.0,1.0,0.0\n")
+    assert main(["compile-path", str(trace), "--speed", speed]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --speed: must be a positive finite number, got {float(speed)}\n")
+    assert not list(tmp_path.glob("*.waypoints"))
+
+
 BAD_SCENARIOS = [
     # (scenario text, the key path and message the error must show)
     ("duration: [broken", "invalid YAML (line 2)"),

@@ -21,7 +21,7 @@ from shuttlesim.signs import (
     statistical_outlier_removal,
 )
 from shuttlesim.world import SignSpec, WorldModel
-from tests.conftest import brute_ror, brute_sor
+from tests.conftest import brute_ror, brute_sor, reference_plane_segment
 
 PARAMS = VehicleParams()
 SENSOR = (PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height)
@@ -300,3 +300,64 @@ def test_sign_stop_rearms_after_clear_ticks():
     logic.update(None, 1.0, t + 1.0)
     assert logic.phase == SignStopLogic.ARMED
     assert logic.update(detection_at(8.0), 2.0, t + 1.02) == sign_speed_command(detection_at(8.0), 2.0, 0.8)
+
+
+def random_cloud(rng, kind):
+    """A sign-like cloud; kinds 2-4 make collinear, repeated or exactly-at-tolerance points."""
+    def patch(n, x, noise):
+        yz = rng.uniform(-0.4, 0.4, (n, 2))
+        return np.column_stack([x + rng.normal(0.0, noise, n) + 0.1 * yz[:, 0], yz])
+    outliers = rng.uniform([5.0, -2.0, -1.0], [15.0, 2.0, 1.0], (rng.integers(0, 15), 3))
+    if kind == 0:
+        parts = [patch(rng.integers(10, 150), rng.uniform(6, 14), rng.choice([0.0, 0.005, 0.02]))]
+    elif kind == 1:
+        parts = [patch(rng.integers(10, 80), 8.0, 0.005), patch(rng.integers(10, 80), 12.0, 0.005)]
+    elif kind == 2:  # a line, so most triples are collinear
+        t = rng.uniform(0, 1, rng.integers(10, 60))
+        parts = [np.outer(t, rng.normal(size=3)) + rng.uniform(5, 10, 3)]
+        outliers = outliers[: rng.integers(0, 3)]
+    elif kind == 3:  # a few points repeated, so triples share points
+        parts = [np.repeat(patch(rng.integers(3, 6), 9.0, 0.01), rng.integers(3, 8), axis=0)]
+    else:  # on a 1/16 grid: points exactly 1/16 off the plane x = 8
+        grid = rng.integers(-6, 7, (rng.integers(15, 80), 2)) / 16.0
+        parts = [np.column_stack([8.0 + rng.integers(-1, 2, len(grid)) / 16.0, grid])]
+    return np.concatenate(parts + [outliers])
+
+
+def test_plane_segment_matches_candidate_by_candidate_reference(monkeypatch):
+    import shuttlesim.signs as signs
+    calls = {"inliers": 0, "winners": 0}
+    real_inliers, real_best = signs._plane_inliers, signs._best_triple
+
+    def plane_inliers(*args):
+        calls["inliers"] += 1
+        return real_inliers(*args)
+
+    def best_triple(*args):
+        best = real_best(*args)
+        calls["winners"] += best is not None
+        return best
+
+    monkeypatch.setattr(signs, "_plane_inliers", plane_inliers)
+    monkeypatch.setattr(signs, "_best_triple", best_triple)
+    rng = np.random.default_rng(11)
+    found = 0
+    for i in range(200):
+        params = FilterParams(ransac_iters=int(rng.choice([10, 50, 200])),
+                              ransac_seed=int(rng.integers(0, 1000)),
+                              min_sign_points=int(rng.choice([3, 5, 10])),
+                              normal_min_a=float(rng.choice([0.5, 0.9])),
+                              plane_dist_tol=0.0625 if i % 5 == 4 else 0.05)
+        points = random_cloud(rng, i % 5)
+        got = plane_segment(points, params, SENSOR)
+        want = reference_plane_segment(points, params, SENSOR)
+        assert (got is None) == (want is None), i
+        if want is not None:
+            found += 1
+            assert got.plane == want.plane
+            assert np.array_equal(got.inlier_points, want.inlier_points)
+            assert (got.distance, got.point_count) == (want.distance, want.point_count)
+    assert 50 < found < 200
+    # the grid clouds put points at exactly the tolerance, so some candidates
+    # are recounted one by one besides each extraction's winner
+    assert calls["inliers"] > calls["winners"]
