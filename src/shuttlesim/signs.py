@@ -113,6 +113,21 @@ def _plane_inliers(points: np.ndarray, triple: np.ndarray, tol: float) -> np.nda
     return np.abs((points - p0) @ (normal / norm)) <= tol
 
 
+def _distinct_triples(draws: np.ndarray) -> np.ndarray:
+    """Map draws from [0, m) x [0, m-1) x [0, m-2), one to one, onto ordered
+    triples of distinct indices in [0, m).
+
+    The second index skips the first, and the third skips the smaller and
+    then the larger of the first two.
+    """
+    triples = draws.copy()
+    triples[:, 1] += triples[:, 1] >= triples[:, 0]
+    lo, hi = np.sort(triples[:, :2], axis=1).T
+    triples[:, 2] += triples[:, 2] >= lo
+    triples[:, 2] += triples[:, 2] >= hi
+    return triples
+
+
 def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> int | None:
     """Index of the first triple whose plane has the most inliers; None if all are collinear.
 
@@ -157,8 +172,9 @@ def plane_segment(
 ) -> SignDetection | None:
     """Stage 5: RANSAC plane fit with a facing check on the recovered normal.
 
-    Runs a fixed-seed RANSAC, refines the winning plane on its inliers, flips
-    the normal so its x-component is non-negative, and accepts the plane only
+    Runs a fixed-seed RANSAC that draws every iteration's triple of distinct
+    points in one call, refines the winning plane on its inliers, flips the
+    normal so its x-component is non-negative, and accepts the plane only
     when that component reaches the facing threshold with enough support.
     When several planes exist the nearest accepted one wins.
     """
@@ -171,10 +187,9 @@ def plane_segment(
     for _ in range(3):  # at most a few plane extractions per frame
         if len(remaining) < params.min_sign_points:
             break
-        # one draw per iteration, collinear triples included, as in a
-        # candidate-by-candidate loop
-        triples = np.array([rng.choice(len(remaining), size=3, replace=False)
-                            for _ in range(params.ransac_iters)])
+        # every iteration's triple in one draw, collinear triples included
+        m = len(remaining)
+        triples = _distinct_triples(rng.integers(0, [m, m - 1, m - 2], size=(params.ransac_iters, 3)))
         best = _best_triple(remaining, triples, params.plane_dist_tol)
         if best is None:
             break

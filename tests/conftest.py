@@ -99,8 +99,87 @@ def reference_grid(points, params):
 
 
 def reference_scan(world, state, params, config, rng=None):
-    """Cast every object against every ray of the sweep; return (points, intensity)."""
-    dirs_sensor = _ray_table(config.azimuth_step_deg)[0]
+    """Cast every object against every ray of the sweep in the sensor frame; return (points, intensity)."""
+    h = params.lidar_mount_height
+    dirs = _ray_table(config.azimuth_step_deg, h, config.min_range)[0]
+    n = len(dirs)
+    cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
+    sx = state.x + cos_h * params.lidar_offset_x
+    sy = state.y + sin_h * params.lidar_offset_x
+    t_best = np.full(n, np.inf)
+    intensity = np.zeros(n)
+
+    def update(t_new, hit, value):
+        closer = hit & (t_new < t_best)
+        t_best[closer] = t_new[closer]
+        intensity[closer] = value if np.isscalar(value) else value[closer]
+
+    def rotate(x, y, sin):  # by the angle whose sine is ``sin`` and cosine cos_h
+        return cos_h * x - sin * y, sin * x + cos_h * y
+
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore"):
+        t_ground = np.where(dz < 0.0, h / -dz, np.inf)
+    update(t_ground, t_ground > config.min_range, config.background_intensity)
+
+    # boxes stay axis-aligned in the world; their rays turn by the heading
+    ray = np.stack([*rotate(dirs[:, 0], dirs[:, 1], sin_h), dz], axis=1)
+    for box in world.obstacles:
+        lo = np.array([box.center[0] - box.size[0] / 2 - sx, box.center[1] - box.size[1] / 2 - sy, -h])
+        hi = np.array([box.center[0] + box.size[0] / 2 - sx, box.center[1] + box.size[1] / 2 - sy,
+                       box.height - h])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = lo / ray
+            t2 = hi / ray
+        t_near = np.nanmax(np.minimum(t1, t2), axis=1)
+        t_far = np.nanmin(np.maximum(t1, t2), axis=1)
+        update(t_near, (t_far >= t_near) & (t_near > config.min_range), config.background_intensity)
+
+    for ped in world.pedestrians:
+        px, py = rotate(ped.position[0] - sx, ped.position[1] - sy, -sin_h)
+        a = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
+        b = -2.0 * (px * dirs[:, 0] + py * dirs[:, 1])
+        c = px * px + py * py - ped.radius**2
+        disc = b * b - 4.0 * a * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_side = np.where(disc >= 0, (-b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a), np.inf)
+            t_top = (ped.height - h) / dz
+        z_side = h + t_side * dz
+        update(t_side, (t_side > config.min_range) & (z_side >= 0.0) & (z_side <= ped.height),
+               config.background_intensity)
+        ex, ey = t_top * dirs[:, 0] - px, t_top * dirs[:, 1] - py
+        update(t_top, (dz < 0.0) & (t_top > config.min_range) & (ex * ex + ey * ey <= ped.radius**2),
+               config.background_intensity)
+
+    for sign in world.signs:
+        cx, cy = rotate(sign.center[0] - sx, sign.center[1] - sy, -sin_h)
+        center = np.array([cx, cy, sign.center[2] - h])
+        normal = np.array([*rotate(sign.normal[0], sign.normal[1], -sin_h), sign.normal[2]])
+        denom = dirs @ normal
+        valid = np.abs(denom) > 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_pl = np.where(valid, center @ normal / denom, np.inf)
+        p = np.where(valid, t_pl, 0.0)[:, None] * dirs
+        horizontal = math.hypot(normal[0], normal[1])
+        u = np.array([-normal[1] / horizontal, normal[0] / horizontal, 0.0])
+        v = np.array([-normal[2] * u[1], normal[2] * u[0], normal[0] * u[1] - normal[1] * u[0]])
+        rel = p - center
+        on_face = (np.abs(rel @ u) <= sign.width / 2) & (np.abs(rel @ v) <= sign.height / 2)
+        update(t_pl, valid & on_face & (t_pl > config.min_range),
+               np.where(denom < 0.0, sign.intensity, config.background_intensity))
+
+    returned = np.isfinite(t_best)
+    if config.range_jitter > 0.0:
+        t_best[returned] += rng.normal(0.0, config.range_jitter, np.count_nonzero(returned))
+    keep = returned & (t_best <= config.max_range)
+    mount = np.array([params.lidar_offset_x, 0.0, h])
+    return mount + t_best[keep, None] * dirs[keep], intensity[keep]
+
+
+def reference_scan_world(world, state, params, config):
+    """Cast every object against every ray turned into the world frame, and
+    turn the hits back; return (points, intensity). No range jitter."""
+    dirs_sensor = _ray_table(config.azimuth_step_deg, params.lidar_mount_height, config.min_range)[0]
     n = len(dirs_sensor)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     rot = np.array([[cos_h, -sin_h, 0.0], [sin_h, cos_h, 0.0], [0.0, 0.0, 1.0]])
@@ -138,8 +217,13 @@ def reference_scan(world, state, params, config, rng=None):
         disc = b * b - 4.0 * a * c
         with np.errstate(divide="ignore", invalid="ignore"):
             t_cyl = np.where(disc >= 0, (-b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a), np.inf)
-        z_hit = origin[2] + t_cyl * dirs[:, 2]
+            t_top = (ped.height - origin[2]) / dz
+        z_hit = origin[2] + t_cyl * dz
         update(t_cyl, (t_cyl > config.min_range) & (z_hit >= 0.0) & (z_hit <= ped.height),
+               config.background_intensity)
+        # the top cap, entered from above
+        rho2 = (ox + t_top * dirs[:, 0]) ** 2 + (oy + t_top * dirs[:, 1]) ** 2
+        update(t_top, (dz < 0.0) & (t_top > config.min_range) & (rho2 <= ped.radius**2),
                config.background_intensity)
 
     for sign in world.signs:
@@ -158,8 +242,6 @@ def reference_scan(world, state, params, config, rng=None):
         update(t_pl, valid & on_face & (t_pl > config.min_range),
                np.where(denom < 0.0, sign.intensity, config.background_intensity))
 
-    if config.range_jitter > 0.0:
-        t_best = t_best + np.where(np.isfinite(t_best), rng.normal(0.0, config.range_jitter, n), 0.0)
     keep = np.isfinite(t_best) & (t_best <= config.max_range)
     pts_world = origin + t_best[keep, None] * dirs[keep]
     return (pts_world - np.array([state.x, state.y, 0.0])) @ rot, intensity[keep]
@@ -176,8 +258,11 @@ def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
         if len(remaining) < params.min_sign_points:
             break
         best_inliers = None
-        for _ in range(params.ransac_iters):
-            idx = rng.choice(len(remaining), size=3, replace=False)
+        m = len(remaining)
+        for draw in rng.integers(0, [m, m - 1, m - 2], size=(params.ransac_iters, 3)):
+            # each index picks among the ones the earlier picks left
+            left = list(range(m))
+            idx = [left.pop(k) for k in draw]
             p0, p1, p2 = remaining[idx]
             normal = np.cross(p1 - p0, p2 - p0)
             norm = np.linalg.norm(normal)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shuttlesim.arbiter import Message, Source
@@ -143,6 +143,49 @@ def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoin
     columns = parse_log(log.read_text())
     assert sorted(set(columns["source"])) == [0.0, 1.0, 2.0, 3.0]
     assert read_log(log) == rows
+
+
+XY = st.tuples(st.floats(-5.0, 40.0), st.floats(-10.0, 10.0))
+BOXES = st.builds(BoxObstacle, center=XY, size=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+                  height=st.floats(0.3, 3.0))
+PEDESTRIANS = st.builds(Pedestrian, position=XY, velocity=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                        height=st.floats(1.0, 2.5), radius=st.floats(0.2, 0.6))
+
+
+def facing(bearing, tilt):
+    return (math.cos(bearing) * math.cos(tilt), math.sin(bearing) * math.cos(tilt), math.sin(tilt))
+
+
+SIGNS = st.builds(
+    lambda xy, z, normal, size: SignSpec(center=(*xy, z), normal=normal, width=size[0], height=size[1]),
+    XY, st.floats(0.5, 3.0),
+    # any way, or facing the cart
+    st.builds(facing, st.floats(-math.pi, math.pi) | st.floats(math.pi - 0.4, math.pi + 0.4),
+              st.floats(-0.6, 0.6)),
+    st.tuples(st.floats(0.3, 1.5), st.floats(0.3, 1.5)),
+)
+SMALL_WORLDS = st.builds(WorldModel, *(st.lists(kind, max_size=3).map(tuple) for kind in (BOXES, PEDESTRIANS, SIGNS)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(world=SMALL_WORLDS, seed=st.integers(0, 2**32 - 1), duration=st.floats(1.0, 2.0),
+       jitter=st.sampled_from([0.0, 0.01]))
+def test_closed_loop_on_random_small_worlds(straight_waypoints, tmp_path_factory, world, seed, duration, jitter):
+    sc = straight_scenario(straight_waypoints, duration=duration, seed=seed, world=world,
+                           lidar=LidarConfig(range_jitter=jitter))
+    log = tmp_path_factory.mktemp("loop") / "run.log"
+    _, rows = Simulation(sc).run()
+    write_log(rows, log)
+    text = log.read_text()
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        for name, cell in zip(header, line.split(","), strict=True):
+            assert name == "display" or cell == "" or math.isfinite(float(cell)), (name, line)
+    assert read_log(log) == rows
+    _, again = Simulation(sc).run()
+    write_log(again, log)
+    assert log.read_text() == text
 
 
 def test_pipeline_stage_order(straight_waypoints, monkeypatch):

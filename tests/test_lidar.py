@@ -8,10 +8,11 @@ from shuttlesim import lidar
 from shuttlesim.lidar import LidarConfig, scan
 from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel, step_pedestrians
-from tests.conftest import reference_scan
+from tests.conftest import reference_scan, reference_scan_world
 
 PARAMS = VehicleParams()
 CONFIG = LidarConfig()
+DIRS = lidar._ray_table(CONFIG.azimuth_step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0]
 
 
 def test_pedestrians_advance_linearly():
@@ -175,10 +176,12 @@ def assert_scan_matches_reference(world, state, config, seed=0):
     return frame
 
 
-def test_scan_matches_all_rays_reference_on_random_worlds():
+def random_worlds():
+    """300 random worlds, sensor poses and configs. In three of every four an
+    extra object sits around the sensor or across an azimuth seam. Yields
+    (i, world, state, config, extra), with ``extra`` None where none was placed."""
     rng = np.random.default_rng(2024)
     makers = (random_box, random_pedestrian, random_sign)
-    seen = 0
     for i in range(300):
         state = VehicleState(x=float(rng.uniform(-15, 15)), y=float(rng.uniform(-15, 15)),
                              heading=float(rng.uniform(-math.pi, math.pi)))
@@ -204,14 +207,33 @@ def test_scan_matches_all_rays_reference_on_random_worlds():
         else:
             extra = None
         if extra is not None:
-            field = {BoxObstacle: "obstacles", Pedestrian: "pedestrians", SignSpec: "signs"}[type(extra)]
-            world = replace(world, **{field: getattr(world, field) + (extra,)})
-        frame = assert_scan_matches_reference(world, state, config, seed=i)
+            world = replace(world, **{field_of(extra): getattr(world, field_of(extra)) + (extra,)})
+        yield i, world, state, config, extra
+
+
+def field_of(obj):
+    return {BoxObstacle: "obstacles", Pedestrian: "pedestrians", SignSpec: "signs"}[type(obj)]
+
+
+def test_scan_matches_all_rays_reference_on_random_worlds():
+    seen = 0
+    for i, world, state, config, extra in random_worlds():
+        assert_scan_matches_reference(world, state, config, seed=i)
         if i % 4 in (2, 3):
-            alone = scan(replace(WorldModel(), **{field: (extra,)}), state, PARAMS,
+            alone = scan(replace(WorldModel(), **{field_of(extra): (extra,)}), state, PARAMS,
                          replace(config, range_jitter=0.0))
             seen += bool((alone.points[:, 2] > 1e-6).any())
     assert seen == 150  # every object placed across a seam was in view (beyond the blind spot)
+
+
+def test_sensor_frame_cast_matches_world_frame_cast_on_random_worlds():
+    for _, world, state, config, _ in random_worlds():
+        config = replace(config, range_jitter=0.0)
+        frame = scan(world, state, PARAMS, config)
+        points, intensity = reference_scan_world(world, state, PARAMS, config)
+        assert frame.points.shape == points.shape
+        assert np.array_equal(frame.intensity, intensity)
+        assert np.abs(frame.points - points).max(initial=0.0) <= 1e-9
 
 
 def test_scan_sign_ray_on_the_edge_recast_on_whole_sweep(monkeypatch):
@@ -223,9 +245,9 @@ def test_scan_sign_ray_on_the_edge_recast_on_whole_sweep(monkeypatch):
                     height=2 * abs(ray_z - center_z) + 1e-13)
     calls = []
     real = lidar._sign_hits
-    monkeypatch.setattr(lidar, "_sign_hits", lambda *a: calls.append(len(a[2])) or real(*a))
+    monkeypatch.setattr(lidar, "_sign_hits", lambda *a: calls.append(len(a[3])) or real(*a))
     frame = assert_scan_matches_reference(WorldModel(signs=(sign,)), VehicleState(), CONFIG)
-    assert calls[-1] == len(lidar._ray_table(CONFIG.azimuth_step_deg)[0]) and len(calls) == 2
+    assert calls[-1] == len(DIRS) and len(calls) == 2
     assert (frame.intensity == sign.intensity).any()
 
 
@@ -273,7 +295,8 @@ def on_surface(p, world, tol=1e-6):
     if world.pedestrians:
         ped = world.pedestrians[0]
         rho = np.hypot(p[:, 0] - ped.position[0], p[:, 1] - ped.position[1])
-        return (np.abs(rho - ped.radius) <= tol) & (p[:, 2] >= 0.0) & (p[:, 2] <= ped.height)
+        side = (np.abs(rho - ped.radius) <= tol) & (p[:, 2] >= 0.0) & (p[:, 2] <= ped.height)
+        return side | ((np.abs(p[:, 2] - ped.height) <= tol) & (rho <= ped.radius + tol))
     sign = world.signs[0]
     n, across, up = sign_frame(sign)
     rel = p - np.asarray(sign.center)
@@ -292,6 +315,8 @@ def away_from_edges(p, direction, world):
         return np.sort(gap)[1] >= 2 * STEP
     if world.pedestrians:
         ped = world.pedestrians[0]
+        if abs(p[2] - ped.height) <= 1e-6:  # on the top cap: the ray heads down into the solid
+            return math.dist(p[:2], ped.position) <= ped.radius - 2 * STEP
         outward = (p[:2] - ped.position) / ped.radius
         chord = -2 * ped.radius * (outward @ direction[:2]) / np.linalg.norm(direction[:2])
         return chord >= 2 * STEP and 2 * STEP <= p[2] <= ped.height - 2 * STEP
@@ -300,8 +325,10 @@ def away_from_edges(p, direction, world):
 
 SINGLE_OBJECT_WORLDS = {
     "box": WorldModel(obstacles=(BoxObstacle(center=(9.0, 1.5), size=(1.2, 2.0), height=1.4),)),
-    # taller than the mount: the cast cylinder has no top cap, so no ray may enter from above
+    # taller than the mount: every ray enters through the side
     "pedestrian": WorldModel(pedestrians=(Pedestrian(position=(7.0, -1.0), height=2.4, radius=0.4),)),
+    # 2 m ahead of the 2.0 m mount: rays that pass over the 1.7 m rim enter through the top cap
+    "default-height pedestrian": WorldModel(pedestrians=(Pedestrian(position=(3.6, 0.0)),)),
     "facing sign": WorldModel(signs=(SignSpec(center=(11.0, 1.0, 2.2), normal=(-0.9, -0.3, 0.1),
                                               width=1.0, height=0.9),)),
     "back-facing sign": WorldModel(signs=(SignSpec(center=(9.0, -2.0, 1.6), normal=(0.9, 0.2, -0.1),
@@ -345,13 +372,12 @@ def test_scan_hits_agree_with_marching_along_the_ray(name):
     assert checked == 40
 
     # rays aimed near the object that returned no point on it
-    dirs = lidar._ray_table(CONFIG.azimuth_step_deg)[0]
     hit_dirs = (hits - MOUNT) / np.linalg.norm(hits - MOUNT, axis=1)[:, None]
-    returned = np.isclose(dirs @ hit_dirs.T, 1.0, rtol=0.0, atol=1e-9).any(axis=1)
+    returned = np.isclose(DIRS @ hit_dirs.T, 1.0, rtol=0.0, atol=1e-9).any(axis=1)
     centre = hits.mean(axis=0) - MOUNT
-    near = dirs @ (centre / np.linalg.norm(centre)) > math.cos(math.radians(12.0))
+    near = DIRS @ (centre / np.linalg.norm(centre)) > math.cos(math.radians(12.0))
     missed = np.flatnonzero(near & ~returned)
     assert len(missed) > 100
     for k in rng.choice(missed, size=100, replace=False):
-        _, q = march(dirs[k], CONFIG.max_range)
-        assert not inside(q, 2 * STEP if world.signs else 0.0).any(), dirs[k]
+        _, q = march(DIRS[k], CONFIG.max_range)
+        assert not inside(q, 2 * STEP if world.signs else 0.0).any(), DIRS[k]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from shuttlesim.signs import (
     SignDetector,
     SignStopLogic,
     SignStopParams,
+    _distinct_triples,
     fov_filter,
     intensity_filter,
     plane_segment,
@@ -361,3 +363,12 @@ def test_plane_segment_matches_candidate_by_candidate_reference(monkeypatch):
     # the grid clouds put points at exactly the tolerance, so some candidates
     # are recounted one by one besides each extraction's winner
     assert calls["inliers"] > calls["winners"]
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_distinct_triples_maps_every_draw_to_its_own_triple(m):
+    draws = np.array(list(itertools.product(range(m), range(m - 1), range(m - 2))))
+    triples = _distinct_triples(draws)
+    distinct = set(itertools.permutations(range(m), 3))
+    assert set(map(tuple, triples.tolist())) == distinct
+    assert len(triples) == len(distinct)
