@@ -1,7 +1,12 @@
 """Height-map obstacle detection and distance-based speed reduction.
 
 Each sweep is binned into a vehicle-centred grid; a cell counts as occupied
-when the vertical spread of its points exceeds the height threshold. The
+when the vertical spread of its points exceeds the height threshold. A cell's
+lowest point is no lower than the sweep's lowest binned point ``z_lo``, and
+rounded subtraction is monotone, so an occupied cell always holds a point more
+than the threshold above ``z_lo``. Only the cells holding such a tall point
+are grouped, with all of their points; bare ground is never sorted, and the
+grid is the one grouping every point gives, at any threshold. The
 vehicle's expected corridor is projected from the current steering angle with
 a bicycle model, and the closest occupied cell along it caps the commanded
 speed at d/5 - 1 (full stop at maximum deceleration inside 5 m).
@@ -21,7 +26,7 @@ from shuttlesim.twist import TwistCommand
 PEDESTRIAN_SPEED = 1.4  # m/s, design walking speed for clearance analysis
 SLOWDOWN_STOP_DISTANCE = 5.0  # m, commanded speed is zero inside this range
 SLOWDOWN_SLOPE = 5.0  # v = d/SLOWDOWN_SLOPE - 1
-MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates several n x n arrays
+MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates two n x n bool tables
 
 
 @dataclass(frozen=True)
@@ -52,18 +57,22 @@ class OccupancyGrid:
 def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:
     """Bin a sweep into min/max height cells and flag tall spreads.
 
-    Points are grouped by their row-major cell index, so the groups come out
-    in the order of the occupied cells.
+    Only the points of cells that hold a tall point are grouped (see the
+    module docstring). They are grouped by their row-major cell index, so the
+    groups come out in the order of the occupied cells.
     """
     n = int(round(2 * params.extent / params.cell_size))
     x, y, z = frame.points.T
-    below_roof = z <= params.roof_height
-    i = np.floor((x[below_roof] + params.extent) / params.cell_size).astype(int)
-    j = np.floor((y[below_roof] + params.extent) / params.cell_size).astype(int)
-    ok = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-    cell = (i * n + j)[ok]
+    i = np.floor((x + params.extent) / params.cell_size).astype(int)
+    j = np.floor((y + params.extent) / params.cell_size).astype(int)
+    binned = (z <= params.roof_height) & (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    cell, z = (i * n + j)[binned], z[binned]
+    tall = np.zeros(n * n, dtype=bool)
+    tall[cell[z - z.min(initial=np.inf) > params.height_threshold]] = True
+    maybe = tall[cell]
+    cell, z = cell[maybe], z[maybe]
     order = np.argsort(cell, kind="stable")
-    cell, z = cell[order], z[below_roof][ok][order]
+    cell, z = cell[order], z[order]
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
     cell = cell[starts]
     min_z = np.minimum.reduceat(z, starts)

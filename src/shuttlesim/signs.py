@@ -1,8 +1,10 @@
 """Retroreflective sign detection from LiDAR sweeps.
 
-Five filter stages run in order: field-of-view crop, minimum-intensity
-threshold, radius outlier removal, statistical outlier removal, and RANSAC
-plane segmentation with a facing check on the plane normal. A detected sign
+Five filter stages run in order: minimum-intensity threshold, field-of-view
+crop, radius outlier removal, statistical outlier removal, and RANSAC plane
+segmentation with a facing check on the plane normal. The threshold and the
+crop are per-point masks, so they commute; thresholding first leaves the crop
+the few bright returns of a sweep instead of all its ground. A detected sign
 yields a stop command whose deceleration limit is v^2 / (2 d) for the speed
 and distance at detection; ``SignStopLogic`` latches that command and holds
 it until the cart has stopped and dwelt.
@@ -58,13 +60,13 @@ class SignDetection:
 
 
 def fov_filter(frame: LidarFrame, fov_side: float = 10.0) -> LidarFrame:
-    """Stage 1: drop everything behind the vehicle or outside the side band."""
+    """Stage 2: drop everything behind the vehicle or outside the side band."""
     mask = (frame.points[:, 0] > 0.0) & (np.abs(frame.points[:, 1]) <= fov_side)
     return LidarFrame(frame.points[mask], frame.intensity[mask])
 
 
 def intensity_filter(frame: LidarFrame, min_intensity: float = 85.0) -> LidarFrame:
-    """Stage 2: keep only returns bright enough to be retroreflective."""
+    """Stage 1: keep only returns bright enough to be retroreflective."""
     mask = frame.intensity >= min_intensity
     return LidarFrame(frame.points[mask], frame.intensity[mask])
 
@@ -185,7 +187,7 @@ def plane_segment(
     accepted: list[SignDetection] = []
 
     for _ in range(3):  # at most a few plane extractions per frame
-        if len(remaining) < params.min_sign_points:
+        if len(remaining) < max(3, params.min_sign_points):  # a plane needs three points
             break
         # every iteration's triple in one draw, collinear triples included
         m = len(remaining)
@@ -231,8 +233,8 @@ class SignDetector:
 
     def detect(self, frame: LidarFrame) -> SignDetection | None:
         p = self.params
-        stage = fov_filter(frame, p.fov_side)
-        stage = intensity_filter(stage, p.min_intensity)
+        stage = intensity_filter(frame, p.min_intensity)
+        stage = fov_filter(stage, p.fov_side)
         pts = radius_outlier_removal(stage.points, p.ror_radius, p.ror_min_neighbors)
         pts = statistical_outlier_removal(pts, p.sor_k, p.sor_stddev_mult)
         if len(pts) < p.min_sign_points:

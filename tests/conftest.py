@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from shuttlesim.lidar import _ray_table
 from shuttlesim.scenario import DEFAULT_ORIGIN
 from shuttlesim.signs import SignDetection
 from shuttlesim.waypoints import Route, Waypoint, from_local, save_waypoints, to_local
+from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -26,6 +28,30 @@ def straight_waypoints(tmp_path_factory):
     path = tmp_path_factory.mktemp("paths") / "straight_3mps.waypoints"
     save_waypoints(straight_path(), path)
     return str(path)
+
+
+# Random worlds of up to three boxes, pedestrians and signs, ahead of a cart at the origin.
+
+XY = st.tuples(st.floats(-5.0, 40.0), st.floats(-10.0, 10.0))
+BOXES = st.builds(BoxObstacle, center=XY, size=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+                  height=st.floats(0.3, 3.0))
+PEDESTRIANS = st.builds(Pedestrian, position=XY, velocity=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                        height=st.floats(1.0, 2.5), radius=st.floats(0.2, 0.6))
+
+
+def facing(bearing, tilt):
+    return (math.cos(bearing) * math.cos(tilt), math.sin(bearing) * math.cos(tilt), math.sin(tilt))
+
+
+SIGNS = st.builds(
+    lambda xy, z, normal, size: SignSpec(center=(*xy, z), normal=normal, width=size[0], height=size[1]),
+    XY, st.floats(0.5, 3.0),
+    # any way, or facing the cart
+    st.builds(facing, st.floats(-math.pi, math.pi) | st.floats(math.pi - 0.4, math.pi + 0.4),
+              st.floats(-0.6, 0.6)),
+    st.tuples(st.floats(0.3, 1.5), st.floats(0.3, 1.5)),
+)
+SMALL_WORLDS = st.builds(WorldModel, *(st.lists(kind, max_size=3).map(tuple) for kind in (BOXES, PEDESTRIANS, SIGNS)))
 
 
 # Brute-force oracles that the unit tests and the acceptance criteria compare against.
@@ -255,7 +281,7 @@ def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
     remaining = points
     accepted = []
     for _ in range(3):
-        if len(remaining) < params.min_sign_points:
+        if len(remaining) < max(3, params.min_sign_points):
             break
         best_inliers = None
         m = len(remaining)

@@ -23,6 +23,7 @@ from shuttlesim.scenario import (
 )
 from shuttlesim.waypoints import compile_path
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
+from tests.conftest import SMALL_WORLDS
 
 
 BOX_AND_SIGN = WorldModel(
@@ -143,28 +144,6 @@ def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoin
     columns = parse_log(log.read_text())
     assert sorted(set(columns["source"])) == [0.0, 1.0, 2.0, 3.0]
     assert read_log(log) == rows
-
-
-XY = st.tuples(st.floats(-5.0, 40.0), st.floats(-10.0, 10.0))
-BOXES = st.builds(BoxObstacle, center=XY, size=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
-                  height=st.floats(0.3, 3.0))
-PEDESTRIANS = st.builds(Pedestrian, position=XY, velocity=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-                        height=st.floats(1.0, 2.5), radius=st.floats(0.2, 0.6))
-
-
-def facing(bearing, tilt):
-    return (math.cos(bearing) * math.cos(tilt), math.sin(bearing) * math.cos(tilt), math.sin(tilt))
-
-
-SIGNS = st.builds(
-    lambda xy, z, normal, size: SignSpec(center=(*xy, z), normal=normal, width=size[0], height=size[1]),
-    XY, st.floats(0.5, 3.0),
-    # any way, or facing the cart
-    st.builds(facing, st.floats(-math.pi, math.pi) | st.floats(math.pi - 0.4, math.pi + 0.4),
-              st.floats(-0.6, 0.6)),
-    st.tuples(st.floats(0.3, 1.5), st.floats(0.3, 1.5)),
-)
-SMALL_WORLDS = st.builds(WorldModel, *(st.lists(kind, max_size=3).map(tuple) for kind in (BOXES, PEDESTRIANS, SIGNS)))
 
 
 @settings(max_examples=25, deadline=None)

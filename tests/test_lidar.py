@@ -236,6 +236,27 @@ def test_sensor_frame_cast_matches_world_frame_cast_on_random_worlds():
         assert np.abs(frame.points - points).max(initial=0.0) <= 1e-9
 
 
+def test_wedge_keeps_the_rays_tangent_to_its_circle():
+    # circles whose tangent from the sensor runs exactly along a ray's azimuth
+    # k * step, where rounding of the wedge's bounds falls either side of k
+    rng = np.random.default_rng(11)
+    n_az = len(DIRS) // 16
+    step = math.radians(CONFIG.azimuth_step_deg)
+    for _ in range(400):
+        k, side = int(rng.integers(0, n_az)), float(rng.choice([-1.0, 1.0]))
+        half, d = float(rng.uniform(0.5, 30.0)) * step, float(rng.uniform(1.0, 40.0))
+        bearing = k * step - side * half
+        center, radius = (d * math.cos(bearing), d * math.sin(bearing)), d * math.sin(half)
+        columns = set((lidar._wedge(center, radius, n_az, step) % n_az).tolist())
+        for column in range(k - 3, k + 4):
+            ux, uy = float(DIRS[column % n_az, 0]), float(DIRS[column % n_az, 1])
+            norm = math.hypot(ux, uy)
+            along = (center[0] * ux + center[1] * uy) / norm
+            across = abs(center[0] * uy - center[1] * ux) / norm
+            if along > 0.0 and across <= radius:
+                assert column % n_az in columns
+
+
 def test_scan_sign_ray_on_the_edge_recast_on_whole_sweep(monkeypatch):
     # a sign whose top edge passes through the +1 degree ring's ray dead ahead
     d = 10.0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.obstacles import (
+    MAX_GRID_CELLS,
     Corridor,
     CorridorParams,
     GridParams,
@@ -21,7 +22,7 @@ from shuttlesim.obstacles import (
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import TwistCommand
 from shuttlesim.world import BoxObstacle, WorldModel
-from tests.conftest import reference_grid
+from tests.conftest import SMALL_WORLDS, reference_grid
 
 PARAMS = VehicleParams()
 GRID = GridParams()
@@ -213,23 +214,42 @@ CLOUD = st.lists(
 ).map(lambda columns: [p for column in columns for p in column])
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    points=CLOUD,
-    params=st.builds(
-        GridParams,
-        cell_size=st.sampled_from([0.25, 0.3, 1.0]),
-        height_threshold=st.sampled_from([0.0, 0.07]),
-        min_cell_points=st.sampled_from([1, 2, 3]),
-    ),
+GRIDS = st.builds(
+    GridParams,
+    cell_size=st.sampled_from([0.25, 0.3, 1.0, 2 * GRID.extent / MAX_GRID_CELLS]),
+    height_threshold=st.sampled_from([0.0, 0.07]),
+    min_cell_points=st.sampled_from([1, 2, 3]),
 )
-@example(points=[], params=GridParams())
-@example(points=[(-20.0, 19.75, 0.0), (-20.0, 19.75, 0.5), (20.0, 0.0, 0.0), (20.0, 0.0, 0.5),
-                 (5.0, 5.0, 0.0), (5.0, 5.0, 2.2)], params=GridParams())
-def test_build_grid_matches_per_point_binning(points, params):
-    grid = build_grid(frame_from_points(np.array(points).reshape(-1, 3)), params)
-    occupied, centers, min_z, max_z = reference_grid(points, params)
+
+
+def assert_grid_matches_reference(frame, params):
+    grid = build_grid(frame, params)
+    occupied, centers, min_z, max_z = reference_grid(frame.points, params)
     assert np.array_equal(grid.occupied, occupied)
     assert np.array_equal(grid.centers, centers)
     assert np.array_equal(grid.min_z, min_z)
     assert np.array_equal(grid.max_z, max_z)
+
+
+@settings(max_examples=50, deadline=None)
+@given(points=CLOUD, params=GRIDS)
+@example(points=[], params=GridParams())
+@example(points=[(-20.0, 19.75, 0.0), (-20.0, 19.75, 0.5), (20.0, 0.0, 0.0), (20.0, 0.0, 0.5),
+                 (5.0, 5.0, 0.0), (5.0, 5.0, 2.2)], params=GridParams())
+# spreads from the sweep's lowest point of exactly the threshold (unoccupied) and just above it
+@example(points=[(1.0, 1.0, 0.0), (1.0, 1.0, 0.07), (2.0, 2.0, 0.0), (2.0, 2.0, math.nextafter(0.07, 1.0))],
+         params=GridParams())
+# nothing above the ground, at threshold zero
+@example(points=[(1.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 2.0, -0.3), (2.0, 2.0, -0.3),
+                 (3.0, 3.0, -0.2), (3.0, 3.0, 0.0)], params=GridParams(height_threshold=0.0))
+def test_build_grid_matches_per_point_binning(points, params):
+    assert_grid_matches_reference(frame_from_points(np.array(points).reshape(-1, 3)), params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(world=SMALL_WORLDS, x=st.floats(-5.0, 40.0), heading=st.floats(-math.pi, math.pi),
+       seed=st.integers(0, 2**32 - 1), jitter=st.sampled_from([0.01, 0.05]), params=GRIDS)
+def test_build_grid_matches_per_point_binning_on_scanned_sweeps(world, x, heading, seed, jitter, params):
+    frame = scan(world, VehicleState(x=x, heading=heading), PARAMS, LidarConfig(range_jitter=jitter),
+                 rng=np.random.default_rng(seed))
+    assert_grid_matches_reference(frame, params)

@@ -152,6 +152,15 @@ def test_below_min_support_rejected():
     assert plane_segment(pts, FilterParams(), SENSOR) is None
 
 
+def test_two_points_give_no_plane():
+    # min_sign_points and ror_min_neighbors low enough to let two points through
+    params = FilterParams(min_sign_points=2, ror_min_neighbors=1)
+    pts = np.array([[5.0, 0.0, 1.0], [5.0, 0.1, 1.0]])
+    assert plane_segment(pts, params, SENSOR) is None
+    assert reference_plane_segment(pts, params, SENSOR) is None
+    assert SignDetector(params, SENSOR).detect(make_frame(pts, [200.0, 200.0])) is None
+
+
 def test_plane_deterministic():
     pts = plane_points(seed=3)
     d1 = plane_segment(pts, FilterParams(), SENSOR)
