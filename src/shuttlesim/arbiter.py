@@ -60,12 +60,6 @@ class Message(str, Enum):
     STOPPED = "STOPPED"
 
 
-@dataclass(frozen=True)
-class DisplayState:
-    message: Message
-    since: float = 0.0  # time the message was entered, s
-
-
 def display_message(v_meas: float) -> Message:
     """Stateless classification used when no history exists."""
     if v_meas < 0:
@@ -77,15 +71,13 @@ class DisplayTracker:
     """Hysteretic display state so the message does not chatter near zero speed."""
 
     def __init__(self):
-        self.state: DisplayState | None = None
+        self.message: Message | None = None
 
-    def update(self, v_meas: float, t: float) -> DisplayState:
-        if self.state is None:
-            self.state = DisplayState(display_message(v_meas), t)
-            return self.state
-        msg = self.state.message
-        if msg is Message.MOVING and v_meas < STOPPED_BELOW:
-            self.state = DisplayState(Message.STOPPED, t)
-        elif msg is Message.STOPPED and v_meas >= MOVING_ABOVE:
-            self.state = DisplayState(Message.MOVING, t)
-        return self.state
+    def update(self, v_meas: float) -> Message:
+        if self.message is None:
+            self.message = display_message(v_meas)
+        elif self.message is Message.MOVING and v_meas < STOPPED_BELOW:
+            self.message = Message.STOPPED
+        elif self.message is Message.STOPPED and v_meas >= MOVING_ABOVE:
+            self.message = Message.MOVING
+        return self.message

@@ -85,7 +85,7 @@ def cmd_compile_path(args) -> int:
         route = compile_path(trace, args.speed)
     out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, args.speed)
     save_waypoints(route, out)
-    print(f"compiled {len(route.waypoints)} waypoints -> {out}")
+    print(f"compiled {len(route.speed)} waypoints -> {out}")
     return 0
 
 

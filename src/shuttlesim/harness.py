@@ -16,19 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from shuttlesim.arbiter import DisplayTracker, Source, SpeedCommand, select
-from shuttlesim.lidar import scan
+from shuttlesim.lidar import LidarFrame, scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
 from shuttlesim.scenario import ScenarioConfig, ScenarioError
 from shuttlesim.signs import STOP_SPEED, SignDetector, SignStopLogic
 from shuttlesim.twist import TwistCommand, TwistController
 from shuttlesim.waypoints import (
-    PathFormatError,
     RecordedTrace,
     cross_track_error,
     follow_step,
     from_local,
     load_waypoints,
+    read_text,
 )
 from shuttlesim.world import step_pedestrians
 
@@ -113,7 +113,7 @@ class RunMetrics:
     peak_cte: float
     mean_cte: float
     stop_events: tuple[StopEvent, ...]
-    sign_detections: tuple[tuple[float, int], ...]  # (distance, point count) per tick
+    sign_detection_ticks: int
     final_speed: float
 
     def summary_dict(self) -> dict:
@@ -122,7 +122,7 @@ class RunMetrics:
             "peak_cte": self.peak_cte,
             "mean_cte": self.mean_cte,
             "stop_events": [asdict(e) for e in self.stop_events],
-            "sign_detection_ticks": len(self.sign_detections),
+            "sign_detection_ticks": self.sign_detection_ticks,
             "final_speed": self.final_speed,
         }
 
@@ -157,13 +157,12 @@ def metrics_from_rows(rows: list[LogRow]) -> RunMetrics:
     if stop_row is not None:
         events.append(stop_event(stop_row, rows[-1].t))
 
-    detections = tuple((r.sign_d, r.sign_n) for r in rows if r.sign_d is not None)
     return RunMetrics(
         ticks=len(rows),
         peak_cte=max(ctes),
         mean_cte=sum(ctes) / len(ctes),
         stop_events=tuple(events),
-        sign_detections=detections,
+        sign_detection_ticks=sum(r.sign_d is not None for r in rows),
         final_speed=rows[-1].v,
     )
 
@@ -184,7 +183,7 @@ class Simulation:
         self.rng = np.random.default_rng(scenario.seed)
         try:
             self.route = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
-        except (PathFormatError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise ScenarioError(f"waypoints: {exc}") from exc
         self.target_index, self.finished = 0, False  # the waypoint follower's state
         self.world = scenario.world
@@ -197,26 +196,23 @@ class Simulation:
         self.display = DisplayTracker()
         self.sign_log = sign_log
         self.grid_dump = grid_dump
-        self._frames: deque[tuple[int, object]] = deque()  # (tick, sweep), oldest first
-        self._last_frame = None
+        self._frames: deque[LidarFrame] = deque()  # sweeps scanned but not yet perceived, oldest first
+        self._sweep = None  # the sweep perceived last
         self._grid = None
         self._detection = None
 
     def _sense(self, tick: int):
         cfg = self.scenario
-        if tick % cfg.lidar_period_ticks == 0:
-            frame = scan(self.world, self.state, cfg.vehicle, cfg.lidar, rng=self.rng)
-            self._frames.append((tick, frame))
-        # perception sees the newest sweep at least the latency old; older
-        # ones are dropped only once a newer one is usable
-        ready = tick - cfg.perception_latency_ticks
-        while len(self._frames) > 1 and self._frames[1][0] <= ready:
-            self._frames.popleft()
-        if self._frames and self._frames[0][0] <= ready and self._frames[0][1] is not self._last_frame:
-            frame = self._frames[0][1]
-            self._last_frame = frame
-            self._grid = build_grid(frame, cfg.grid)
-            self._detection = self.detector.detect(frame)
+        period, latency = cfg.lidar_period_ticks, cfg.perception_latency_ticks
+        if tick % period == 0:
+            self._frames.append(scan(self.world, self.state, cfg.vehicle, cfg.lidar, rng=self.rng))
+        # perception takes each sweep exactly the latency after its scan
+        if tick >= latency and (tick - latency) % period == 0:
+            # held until the next one replaces it: a sweep freed before the next
+            # scan lets the allocator return its pages, which that scan faults back in
+            self._sweep = self._frames.popleft()
+            self._grid = build_grid(self._sweep, cfg.grid)
+            self._detection = self.detector.detect(self._sweep)
 
     def run(self) -> tuple[RunMetrics, list[LogRow]]:
         cfg = self.scenario
@@ -262,7 +258,7 @@ class Simulation:
             selected = select(commands)
             act = self.controller.step(selected.twist, self.state.speed, self.state.accel, dt)
 
-            display = self.display.update(self.state.speed, t)
+            display = self.display.update(self.state.speed)
             cte = cross_track_error(self.route, self.state)
             if self.grid_dump is not None and self._grid is not None:
                 g = self._grid
@@ -275,7 +271,7 @@ class Simulation:
                     v=self.state.speed, omega=self.state.yaw_rate,
                     throttle=act.throttle, brake=act.brake, steer=act.steer,
                     cte=cte, obstacle_d=obstacle_d, sign_d=sign_d, sign_n=sign_n,
-                    display=display.message.value, source=selected.source,
+                    display=display.value, source=selected.source,
                     sign_stop_d=sign_stop_d,
                 )
             )
@@ -299,7 +295,7 @@ def write_log(rows: list[LogRow], path) -> None:
 
 def read_log(path) -> list[LogRow]:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line or line.startswith("t,") or line.startswith("#"):
             continue
         try:

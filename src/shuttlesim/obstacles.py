@@ -123,24 +123,19 @@ def corridor_from_steering(
     )
 
 
-def corridor_coordinates(corridor: Corridor, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arc length from the rear axle and lateral offset for (N, 2) points."""
-    points = np.atleast_2d(points)
-    x, y = points[:, 0], points[:, 1]
-    if corridor.radius is None:
-        return x.copy(), np.abs(y)
-    r = corridor.radius
-    # centre of the turning circle sits at (0, r) in the vehicle frame
-    rho = np.hypot(x, y - r)
-    lateral = np.abs(rho - abs(r))
-    theta = np.arctan2(x, r - y) if r > 0 else np.arctan2(x, y - r)
-    s = np.where(theta >= 0.0, abs(r) * theta, -1.0)
-    return s, lateral
-
-
 def corridor_membership(corridor: Corridor, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inside-the-footprint mask and arc length from the rear axle for (N, 2) points."""
-    s, lateral = corridor_coordinates(corridor, points)
+    points = np.atleast_2d(points)
+    x, y = points[:, 0], points[:, 1]
+    r = corridor.radius
+    if r is None:
+        s, lateral = x.copy(), np.abs(y)
+    else:
+        # centre of the turning circle sits at (0, r) in the vehicle frame
+        rho = np.hypot(x, y - r)
+        lateral = np.abs(rho - abs(r))
+        theta = np.arctan2(x, r - y) if r > 0 else np.arctan2(x, y - r)
+        s = np.where(theta >= 0.0, abs(r) * theta, -1.0)
     s_max = corridor.front_overhang + corridor.length
     return (s >= 0.0) & (s <= s_max) & (lateral <= corridor.half_width), s
 

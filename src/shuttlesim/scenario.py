@@ -47,7 +47,7 @@ from shuttlesim.obstacles import CorridorParams, GridParams
 from shuttlesim.plant import VehicleParams
 from shuttlesim.signs import FilterParams, SignStopParams
 from shuttlesim.twist import ControllerGains
-from shuttlesim.waypoints import FollowerParams
+from shuttlesim.waypoints import MAX_LAT, MAX_LON, FollowerParams, read_text
 from shuttlesim.world import WorldModel
 
 DEFAULT_ORIGIN = (30.615, -96.34)
@@ -116,6 +116,9 @@ class ScenarioConfig:
         for name in ("seed", "perception_latency_ticks"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be >= 0")
+        for name, value, bound in zip(("latitude", "longitude"), self.origin, (MAX_LAT, MAX_LON)):
+            if not abs(value) <= bound:
+                raise ScenarioError(f"origin: {name} out of range: {value}")
 
     @property
     def dt(self) -> float:
@@ -199,7 +202,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = read_text(path)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:

@@ -12,7 +12,6 @@ it until the cart has stopped and dwelt.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,6 +1,6 @@
-"""Waypoint recording, compilation and following.
+"""Recording, compiling and following waypoint routes.
 
-Waypoint files hold one "lat,lon,speed" triplet per line. Paths are recorded
+A waypoint file holds one "lat,lon,speed" triplet per line. Paths are recorded
 by driving and sampling position every metre; compile_path then limits each
 waypoint's speed so lateral acceleration stays at or below 0.5 m/s^2 using
 the turn radius recovered from the recorded v and omega.
@@ -27,47 +27,54 @@ class PathFormatError(ValueError):
     """Raised on malformed waypoint or trace files."""
 
 
-def to_local(origin: tuple[float, float], lat: float, lon: float) -> tuple[float, float]:
-    """Equirectangular projection to metres east/north of ``origin``."""
+class RowError(ValueError):
+    """A route value out of range; ``row`` is the index of its waypoint."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def read_text(path) -> str:
+    """The contents of a text input file; one that is not UTF-8 raises an error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def to_local(origin: tuple[float, float], lat, lon):
+    """Equirectangular projection to metres east/north of ``origin``; takes scalars or arrays."""
     lat0, lon0 = origin
-    x = EARTH_RADIUS * math.radians(lon - lon0) * math.cos(math.radians(lat0))
-    y = EARTH_RADIUS * math.radians(lat - lat0)
+    x = EARTH_RADIUS * np.radians(lon - lon0) * math.cos(math.radians(lat0))
+    y = EARTH_RADIUS * np.radians(lat - lat0)
     return x, y
 
 
-def from_local(origin: tuple[float, float], x: float, y: float) -> tuple[float, float]:
-    """Inverse of :func:`to_local`."""
+def from_local(origin: tuple[float, float], x, y):
+    """Inverse of :func:`to_local`; takes scalars or arrays."""
     lat0, lon0 = origin
-    lat = lat0 + math.degrees(y / EARTH_RADIUS)
-    lon = lon0 + math.degrees(x / (EARTH_RADIUS * math.cos(math.radians(lat0))))
+    lat = lat0 + np.degrees(y / EARTH_RADIUS)
+    lon = lon0 + np.degrees(x / (EARTH_RADIUS * math.cos(math.radians(lat0))))
     return lat, lon
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    lat: float
-    lon: float
-    speed: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
-        if not (math.isfinite(self.speed) and self.speed >= 0):
-            raise ValueError(f"waypoint speed must be finite and non-negative, got {self.speed}")
-
-
-def _project(origin: tuple[float, float], lat_lon) -> np.ndarray:
-    """(N, 2) local positions of (lat, lon) pairs, one scalar :func:`to_local` each."""
-    return np.asarray([to_local(origin, la, lo) for la, lo in lat_lon], dtype=float).reshape(-1, 2)
+MAX_LAT, MAX_LON = 90.0, 180.0  # bounds on |latitude| and |longitude|, degrees
+# a route row's checks, in the order they are made: latitude, longitude, speed
+_ROW_ERRORS = (
+    "latitude out of range: {}",
+    "longitude out of range: {}",
+    "waypoint speed must be finite and non-negative, got {}",
+)
 
 
 @dataclass(frozen=True, eq=False)
 class Route:
-    """A recorded route, projected into the local frame once, with its arc lengths and segments."""
+    """A recorded route as read-only columns, projected into the local frame once, with its segments."""
 
-    waypoints: tuple[Waypoint, ...]
+    lat: np.ndarray  # (N,) degrees
+    lon: np.ndarray  # (N,) degrees
+    speed: np.ndarray  # (N,) m/s
     origin: tuple[float, float]
     xy: np.ndarray  # (N, 2) waypoint positions, m east/north of origin
     remaining: np.ndarray  # (N,) path length from each waypoint to the last, m
@@ -76,19 +83,27 @@ class Route:
     seg_len2: np.ndarray  # (N-1,) squared segment lengths
 
     @classmethod
-    def build(cls, waypoints: tuple[Waypoint, ...], origin: tuple[float, float]) -> "Route":
-        if len(waypoints) < 2:
-            raise ValueError(f"a route needs at least two waypoints, got {len(waypoints)}")
-        xy = _project(origin, ((w.lat, w.lon) for w in waypoints))
+    def build(cls, lat, lon, speed, origin: tuple[float, float]) -> "Route":
+        """Check, project and freeze the columns; raises :class:`RowError` on the first bad row."""
+        lat, lon, speed = (np.array(c, dtype=float) for c in (lat, lon, speed))
+        ok = np.column_stack((np.abs(lat) <= MAX_LAT, np.abs(lon) <= MAX_LON,
+                              np.isfinite(speed) & (speed >= 0.0)))
+        if not ok.all():
+            row, col = divmod(int(np.argmin(ok)), len(_ROW_ERRORS))
+            raise RowError(row, _ROW_ERRORS[col].format(float((lat, lon, speed)[col][row])))
+        if len(speed) < 2:
+            raise ValueError(f"a route needs at least two waypoints, got {len(speed)}")
+        xy = np.column_stack(to_local(origin, lat, lon))
         seg_start = np.ascontiguousarray(xy[:-1].T)
         seg_vec = np.ascontiguousarray(np.diff(xy, axis=0).T)
         dx, dy = seg_vec
         remaining = np.zeros(len(xy))
         remaining[:-1] = np.cumsum(np.hypot(dx, dy)[::-1])[::-1]
+        columns = (lat, lon, speed)
         arrays = (xy, remaining, seg_start, seg_vec, dx * dx + dy * dy)
-        for a in arrays:
+        for a in columns + arrays:
             a.flags.writeable = False
-        return cls(waypoints, origin, *arrays)
+        return cls(*columns, origin, *arrays)
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,7 @@ def follow_step(
     route: Route, target_index: int, finished: bool, state: VehicleState,
     params: FollowerParams = FollowerParams(),
 ) -> tuple[TwistCommand, int, bool]:
-    """Produce the twist command tracking ``route.waypoints[target_index]``.
+    """Produce the twist command tracking waypoint ``target_index`` of ``route``.
 
     Returns the command with the follower's next ``(target_index, finished)``.
     Advances the target index past every waypoint closer than the switch
@@ -154,18 +169,17 @@ def follow_step(
     remaining = dist + float(route.remaining[idx])
     margin = max(remaining - params.switch_radius, 0.0)
     taper = math.sqrt(2.0 * params.decel_limit * margin) + 0.15
-    speed = min(route.waypoints[idx].speed, taper)
+    speed = min(float(route.speed[idx]), taper)
 
     bearing = math.atan2(ty - state.y, tx - state.x)
     theta_error = normalize_angle(bearing - state.heading - params.heading_bias)
     return TwistCommand(speed, params.kp * theta_error, params.accel_limit, params.decel_limit), idx, False
 
 
-def turn_radius(v: float, omega: float) -> float:
-    """Turn radius from linear and angular velocity; infinite when straight."""
-    if abs(omega) < OMEGA_STRAIGHT:
-        return math.inf
-    return abs(v) / abs(omega)
+def turn_radius(v, omega) -> np.ndarray:
+    """Turn radius from linear and angular velocity, elementwise; infinite when straight."""
+    w = np.abs(omega)
+    return np.divide(np.abs(v), w, out=np.full(np.shape(w), math.inf), where=w >= OMEGA_STRAIGHT)
 
 
 def compile_path(
@@ -184,7 +198,7 @@ def compile_path(
         raise ValueError("trace needs at least two samples")
 
     origin = (float(trace.lat[0]), float(trace.lon[0]))
-    xy = _project(origin, zip(trace.lat, trace.lon))
+    xy = np.column_stack(to_local(origin, trace.lat, trace.lon))
     seg = np.hypot(*np.diff(xy, axis=0).T)
     s = np.concatenate(([0.0], np.cumsum(seg)))
     if s[-1] <= 0.0:
@@ -199,13 +213,9 @@ def compile_path(
     vs = np.interp(marks, s, trace.v)
     ws = np.interp(marks, s, trace.omega)
 
-    waypoints = []
-    for x, y, v, w in zip(xs, ys, vs, ws):
-        r = turn_radius(v, w)
-        v_max = math.sqrt(LATERAL_ACCEL_LIMIT * r) if math.isfinite(r) else math.inf
-        lat, lon = from_local(origin, float(x), float(y))
-        waypoints.append(Waypoint(lat, lon, min(target_speed, v_max)))
-    return Route.build(tuple(waypoints), origin)
+    lat, lon = from_local(origin, xs, ys)
+    speed = np.minimum(target_speed, np.sqrt(LATERAL_ACCEL_LIMIT * turn_radius(vs, ws)))
+    return Route.build(lat, lon, speed, origin)
 
 
 def cross_track_error(route: Route, state: VehicleState) -> float:
@@ -226,13 +236,14 @@ def waypoint_filename(route: str, speed: float) -> str:
 
 
 def save_waypoints(route: Route, path) -> None:
-    lines = [f"{w.lat:.8f},{w.lon:.8f},{float(w.speed)!r}" for w in route.waypoints]
+    columns = zip(route.lat.tolist(), route.lon.tolist(), route.speed.tolist())
+    lines = [f"{lat:.8f},{lon:.8f},{speed!r}" for lat, lon, speed in columns]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
-    waypoints = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    rows, linenos = [], []
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,14 +251,17 @@ def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
         if len(parts) != 3:
             raise PathFormatError(f"{path}:{lineno}: expected 'lat,lon,speed', got {line!r}")
         try:
-            lat, lon, speed = (float(p) for p in parts)
-            waypoints.append(Waypoint(lat, lon, speed))
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise PathFormatError(f"{path}:{lineno}: {exc}") from exc
-    if origin is None and waypoints:
-        origin = (waypoints[0].lat, waypoints[0].lon)
+        linenos.append(lineno)
+    lat, lon, speed = np.array(rows, dtype=float).reshape(-1, 3).T
+    if origin is None and rows:
+        origin = (rows[0][0], rows[0][1])
     try:
-        return Route.build(tuple(waypoints), origin)
+        return Route.build(lat, lon, speed, origin)
+    except RowError as exc:
+        raise PathFormatError(f"{path}:{linenos[exc.row]}: {exc}") from exc
     except ValueError as exc:
         raise PathFormatError(f"{path}: {exc}") from exc
 
@@ -261,7 +275,7 @@ def save_trace(trace: RecordedTrace, path) -> None:
 
 def load_trace(path) -> RecordedTrace:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("t,"):
             continue

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from shuttlesim.lidar import _ray_table
 from shuttlesim.scenario import DEFAULT_ORIGIN
 from shuttlesim.signs import SignDetection
-from shuttlesim.waypoints import Route, Waypoint, from_local, save_waypoints, to_local
+from shuttlesim.waypoints import EARTH_RADIUS, Route, from_local, save_waypoints
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -16,11 +16,9 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 
 
 def straight_path(length_m=80, speed=3.0, origin=DEFAULT_ORIGIN):
-    wps = []
-    for i in range(length_m + 1):
-        lat, lon = from_local(origin, float(i), 0.0)
-        wps.append(Waypoint(lat, lon, speed))
-    return Route.build(tuple(wps), origin)
+    n = length_m + 1
+    lat, lon = from_local(origin, np.arange(n, dtype=float), np.zeros(n))
+    return Route.build(lat, lon, np.full(n, speed), origin)
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +80,13 @@ def brute_sor(points, k=8, stddev_mult=1.0):
 
 
 def reference_xy(route):
-    """The route projected on every call, one to_local per waypoint."""
-    return np.asarray([to_local(route.origin, w.lat, w.lon) for w in route.waypoints], dtype=float)
+    """The route projected on every call, point by point in scalar math, independent of to_local."""
+    lat0, lon0 = route.origin
+    return np.asarray([
+        (EARTH_RADIUS * math.radians(lon - lon0) * math.cos(math.radians(lat0)),
+         EARTH_RADIUS * math.radians(lat - lat0))
+        for lat, lon in zip(route.lat.tolist(), route.lon.tolist())
+    ], dtype=float)
 
 
 def brute_force_cte(route, state):

@@ -6,10 +6,8 @@ lines alongside the pytest result.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from shuttlesim.harness import Simulation, record_trace
 from shuttlesim.lidar import LidarConfig, scan
@@ -22,11 +20,9 @@ from shuttlesim.signs import (
     radius_outlier_removal,
     statistical_outlier_removal,
 )
-from shuttlesim.twist import TwistCommand
 from shuttlesim.waypoints import (
     RecordedTrace,
     Route,
-    Waypoint,
     compile_path,
     cross_track_error,
     from_local,
@@ -126,12 +122,12 @@ def test_criterion_03_curvature_speed_limiting():
             marks = np.append(marks, raw_s[-1])
         v_rec = np.interp(marks, raw_s, trace.v)
         w_rec = np.interp(marks, raw_s, trace.omega)
-        assert len(marks) == len(route.waypoints)
-        for wp, vr, wr in zip(route.waypoints, v_rec, w_rec):
+        assert len(marks) == len(route.speed)
+        for speed, vr, wr in zip(route.speed.tolist(), v_rec, w_rec):
             r = turn_radius(vr, wr)
             if math.isfinite(r):
-                worst = max(worst, wp.speed**2 / r)
-            assert wp.speed <= target + 1e-9
+                worst = max(worst, speed**2 / r)
+            assert speed <= target + 1e-9
     ok = worst <= 0.5 + 1e-6
     report(3, ok, f"compiled speeds: worst lateral acceleration {worst:.9f} m/s^2 "
                   f"(<= 0.5 + 1e-6) over 100 random traces")
@@ -271,10 +267,8 @@ def test_criterion_09_pipeline_stage_oracles():
     for _ in range(1000):
         n = int(rng.integers(2, 10))
         pts = rng.uniform(-30, 30, size=(n, 2))
-        wps = tuple(
-            Waypoint(*from_local(ORIGIN, float(x), float(y)), 1.0) for x, y in pts
-        )
-        route = Route.build(wps, ORIGIN)
+        lat, lon = from_local(ORIGIN, pts[:, 0], pts[:, 1])
+        route = Route.build(lat, lon, np.ones(n), ORIGIN)
         state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)))
         err = abs(cross_track_error(route, state) - brute_force_cte(route, state))
         worst = max(worst, err)

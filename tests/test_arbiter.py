@@ -102,25 +102,21 @@ def test_display_message_thresholds():
 
 def test_display_hysteresis_no_chatter():
     tracker = DisplayTracker()
-    tracker.update(3.0, 0.0)
-    t = 1.0
+    tracker.update(3.0)
     # oscillating between 0.12 and 0.08 must not toggle the message
-    tracker.update(0.08, t)
-    assert tracker.state.message is Message.STOPPED
+    tracker.update(0.08)
+    assert tracker.message is Message.STOPPED
     for k in range(20):
-        state = tracker.update(0.12 if k % 2 else 0.08, t + k)
-        assert state.message is Message.STOPPED
-    assert tracker.update(0.2, 30.0).message is Message.MOVING
+        assert tracker.update(0.12 if k % 2 else 0.08) is Message.STOPPED
+    assert tracker.update(0.2) is Message.MOVING
 
 
 def test_display_transitions_at_exact_thresholds():
     tracker = DisplayTracker()
-    tracker.update(1.0, 0.0)
+    tracker.update(1.0)
     # ramp down: switches strictly below 0.1
-    assert tracker.update(0.1, 1.0).message is Message.MOVING
-    assert tracker.update(0.0999, 2.0).message is Message.STOPPED
+    assert tracker.update(0.1) is Message.MOVING
+    assert tracker.update(0.0999) is Message.STOPPED
     # ramp up: switches at 0.2
-    assert tracker.update(0.1999, 3.0).message is Message.STOPPED
-    state = tracker.update(0.2, 4.0)
-    assert state.message is Message.MOVING
-    assert state.since == 4.0
+    assert tracker.update(0.1999) is Message.STOPPED
+    assert tracker.update(0.2) is Message.MOVING

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 import yaml
 
@@ -189,6 +187,8 @@ BAD_SCENARIOS = [
     ("duration: 1.0", "waypoints: run requires a waypoints file"),
     ("waypoints: one.waypoints", "one.waypoints: a route needs at least two waypoints, got 1"),
     ("waypoints: nothere.waypoints", "waypoints: [Errno 2] No such file or directory"),
+    ("origin: [95.0, -96.34]", "origin: latitude out of range: 95.0"),
+    ("origin: [30.615, -181]", "origin: longitude out of range: -181.0"),
 ]
 
 
@@ -201,6 +201,30 @@ def test_bad_scenario_one_line_error(tmp_path, capsys, text, key):
     out, err = capsys.readouterr()
     assert err.count("\n") == 1
     assert err.startswith(f"error: {bad}: ") and key in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command, bad_file", [
+    ("run", "s.yaml"), ("run", "p.waypoints"), ("compile-path", "t.trace"), ("replay", "r.log"),
+])
+def test_non_utf8_input_one_line_error_names_file(tmp_path, capsys, command, bad_file):
+    files = {
+        "s.yaml": "duration: 1.0\nwaypoints: p.waypoints\n",
+        "p.waypoints": "30.615,-96.34,3.0\n30.6151,-96.34,3.0\n",
+        "t.trace": "t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.0001,-96.0,1.0,0.0\n",
+        "r.log": "",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode() + (b"# \xff\n" if name == bad_file else b""))
+    given = {"run": "s.yaml", "compile-path": "t.trace", "replay": "r.log"}[command]
+    args = [command, str(tmp_path / given)] + (["--speed", "3"] if command == "compile-path" else [])
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    named = str(tmp_path / bad_file)
+    if bad_file == "p.waypoints":  # read through the scenario that names it
+        named = f"{tmp_path / 's.yaml'}: waypoints: {(tmp_path / bad_file).resolve()}"
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {named}: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in out + err
 
 

@@ -265,10 +265,10 @@ def test_sign_stop_and_resume(straight_waypoints):
     metrics, rows = Simulation(sc).run()
     assert any(e.source == "sign" for e in metrics.stop_events)
     assert rows[-1].v > 2.0
-    assert len(metrics.sign_detections) > 0
-    d0, n0 = metrics.sign_detections[0]
-    assert d0 == pytest.approx(10.0, abs=0.3)
-    assert n0 >= 10
+    assert metrics.sign_detection_ticks > 0
+    first = next(r for r in rows if r.sign_d is not None)
+    assert first.sign_d == pytest.approx(10.0, abs=0.3)
+    assert first.sign_n >= 10
 
 
 def test_sign_stop_trigger_is_latched_distance(straight_waypoints):
@@ -309,6 +309,51 @@ def test_perception_latency_delays_detection(straight_waypoints):
         first_lag = next((r.t for r in rows_lag if r.sign_d is not None), None)
         assert first_lag is not None, f"latency {latency}: perception never fired"
         assert first_lag >= first_now + latency * base.dt - 0.1
+
+
+@pytest.mark.parametrize("period, latency", [(5, 0), (5, 7), (1, 3), (5, 45)])
+def test_each_sweep_is_perceived_exactly_latency_ticks_after_its_scan(
+        straight_waypoints, monkeypatch, period, latency):
+    import shuttlesim.harness as harness
+    from shuttlesim.signs import SignDetector
+
+    follow_step, scan, build_grid, detect = (
+        harness.follow_step, harness.scan, harness.build_grid, SignDetector.detect)
+    tick = -1  # counted at the loop's first per-tick call, as the benchmark's tick probe does
+    frames = []  # (sweep, tick it was scanned at); held so that sweeps stay distinct objects
+    grids, detections = [], []  # (tick, scan tick of the sweep handed on)
+
+    def scan_tick(frame):
+        return next(t for f, t in frames if f is frame)
+
+    def ticking(*args, **kwargs):
+        nonlocal tick
+        tick += 1
+        return follow_step(*args, **kwargs)
+
+    def scanning(*args, **kwargs):
+        frames.append((scan(*args, **kwargs), tick))
+        return frames[-1][0]
+
+    def gridding(frame, *args, **kwargs):
+        grids.append((tick, scan_tick(frame)))
+        return build_grid(frame, *args, **kwargs)
+
+    def detecting(self, frame):
+        detections.append((tick, scan_tick(frame)))
+        return detect(self, frame)
+
+    for name, fn in (("follow_step", ticking), ("scan", scanning), ("build_grid", gridding)):
+        monkeypatch.setattr(harness, name, fn)
+    monkeypatch.setattr(SignDetector, "detect", detecting)
+    sc = straight_scenario(straight_waypoints, duration=2.0, lidar_period_ticks=period,
+                           perception_latency_ticks=latency)
+    Simulation(sc).run()
+    assert tick == 99
+    assert [t for _, t in frames] == list(range(0, 100, period))
+    expected = [(s + latency, s) for s in range(0, 100 - latency, period)]
+    assert grids == expected
+    assert detections == expected
 
 
 def test_record_circle_trace():
@@ -367,9 +412,8 @@ def test_figure8_trace_compiles_with_curvature_limits():
     )
     trace = record_trace(sc)
     route = compile_path(trace, 3.0)
-    speeds = np.array([w.speed for w in route.waypoints])
-    limited = speeds < 3.0 - 1e-9
+    limited = route.speed < 3.0 - 1e-9
     # two lobes of curvature-limited waypoints separated by faster sections
     runs = np.flatnonzero(np.diff(limited.astype(int)) == 1)
     assert len(runs) >= 2
-    assert speeds.min() > 2.0  # r = 10 m allows sqrt(5) = 2.24 m/s
+    assert route.speed.min() > 2.0  # r = 10 m allows sqrt(5) = 2.24 m/s

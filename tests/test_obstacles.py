@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.obstacles import (
     MAX_GRID_CELLS,
-    Corridor,
-    CorridorParams,
     GridParams,
     build_grid,
     closest_in_corridor,
@@ -21,7 +19,7 @@ from shuttlesim.obstacles import (
 )
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import TwistCommand
-from shuttlesim.world import BoxObstacle, WorldModel
+from shuttlesim.world import WorldModel
 from tests.conftest import SMALL_WORLDS, reference_grid
 
 PARAMS = VehicleParams()

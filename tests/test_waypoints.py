@@ -15,7 +15,7 @@ from shuttlesim.waypoints import (
     PathFormatError,
     RecordedTrace,
     Route,
-    Waypoint,
+    RowError,
     compile_path,
     cross_track_error,
     follow_step,
@@ -33,11 +33,8 @@ ORIGIN = (30.615, -96.34)
 
 
 def straight_route(n=30, spacing=1.0, speed=3.0):
-    wps = []
-    for i in range(n):
-        lat, lon = from_local(ORIGIN, i * spacing, 0.0)
-        wps.append(Waypoint(lat, lon, speed))
-    return Route.build(tuple(wps), ORIGIN)
+    lat, lon = from_local(ORIGIN, np.arange(n) * spacing, np.zeros(n))
+    return Route.build(lat, lon, np.full(n, speed), ORIGIN)
 
 
 def test_to_local_identity():
@@ -122,10 +119,10 @@ def test_end_of_list_commands_zero():
 
 
 def test_route_build_rejects_fewer_than_two_waypoints():
-    wps = straight_route(n=2).waypoints
+    route = straight_route(n=2)
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"at least two waypoints, got {n}"):
-            Route.build(wps[:n], ORIGIN)
+            Route.build(route.lat[:n], route.lon[:n], route.speed[:n], ORIGIN)
 
 
 def test_target_index_non_decreasing():
@@ -163,19 +160,18 @@ def test_compile_straight_keeps_target_speed():
         lat[i], lon[i] = from_local(ORIGIN, i * 0.8, 0.0)
     trace = RecordedTrace(lat=lat, lon=lon, v=np.full(n, 2.5), omega=np.zeros(n), t=np.arange(n, dtype=float))
     out = compile_path(trace, 3.0)
-    assert all(w.speed == 3.0 for w in out.waypoints)
+    assert np.all(out.speed == 3.0)
 
 
 def test_compile_curvature_limits():
     # r = 4.5 m -> v_max = 1.5 m/s
     trace = circle_trace(radius=4.5, v=1.0)
     out = compile_path(trace, 3.0)
-    speeds = [w.speed for w in out.waypoints]
-    assert speeds[2] == pytest.approx(1.5, abs=1e-6)
+    assert out.speed[2] == pytest.approx(1.5, abs=1e-6)
     # r = 18 m -> v_max = 3.0, exactly at the boundary for a 3 m/s target
     trace = circle_trace(radius=18.0, v=1.5)
     out = compile_path(trace, 3.0)
-    assert out.waypoints[3].speed == pytest.approx(3.0, abs=1e-9)
+    assert out.speed[3] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_compiled_speeds_respect_lateral_accel():
@@ -186,9 +182,8 @@ def test_compiled_speeds_respect_lateral_accel():
         target = float(rng.uniform(0.5, 6.0))
         trace = circle_trace(radius=radius, v=v)
         out = compile_path(trace, target)
-        for w in out.waypoints:
-            assert w.speed <= target + 1e-9
-            assert w.speed**2 / radius <= 0.5 + 1e-6
+        assert np.all(out.speed <= target + 1e-9)
+        assert np.all(out.speed**2 / radius <= 0.5 + 1e-6)
 
 
 def test_resampled_spacing_one_metre():
@@ -246,7 +241,7 @@ def reference_follow_step(route, target_index, finished, state, params=FollowerP
         return stop, idx, True
     remaining = dist + reference_remaining(xy, idx)
     taper = math.sqrt(2.0 * params.decel_limit * max(remaining - params.switch_radius, 0.0)) + 0.15
-    speed = min(route.waypoints[idx].speed, taper)
+    speed = min(float(route.speed[idx]), taper)
     bearing = math.atan2(xy[idx, 1] - state.y, xy[idx, 0] - state.x)
     omega = params.kp * normalize_angle(bearing - state.heading - params.heading_bias)
     return TwistCommand(speed, omega, params.accel_limit, params.decel_limit), idx, False
@@ -254,27 +249,27 @@ def reference_follow_step(route, target_index, finished, state, params=FollowerP
 
 def random_route(rng, n):
     """n random waypoints within 30 m of the origin; about a fifth repeat their predecessor."""
-    wps = []
+    rows = []
     for _ in range(n):
-        if wps and rng.random() < 0.2:
-            wps.append(wps[-1])
+        if rows and rng.random() < 0.2:
+            rows.append(rows[-1])
             continue
         lat, lon = from_local(ORIGIN, *(float(c) for c in rng.uniform(-30, 30, size=2)))
-        wps.append(Waypoint(lat, lon, float(rng.uniform(0.0, 4.0))))
-    return tuple(wps)
+        rows.append((lat, lon, float(rng.uniform(0.0, 4.0))))
+    lat, lon, speed = np.array(rows).T
+    return Route.build(lat, lon, speed, ORIGIN)
 
 
 def test_follow_step_matches_per_call_projection():
     rng = np.random.default_rng(29)
     for _ in range(200):
-        wps = random_route(rng, int(rng.integers(2, 61)))
+        route = random_route(rng, int(rng.integers(2, 61)))
         params = FollowerParams(switch_radius=float(rng.uniform(0.5, 6.0)))
-        route = Route.build(wps, ORIGIN)
         xy = reference_xy(route)
         assert np.array_equal(route.xy, xy)
-        for idx in range(len(wps)):
+        for idx in range(len(xy)):
             assert route.remaining[idx] == pytest.approx(reference_remaining(xy, idx), abs=1e-9)
-        idx, finished = int(rng.integers(0, len(wps))), False
+        idx, finished = int(rng.integers(0, len(xy))), False
         for _ in range(5):  # a few ticks, each starting from the previous one's state
             state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)),
                                  heading=float(rng.uniform(-math.pi, math.pi)))
@@ -299,12 +294,13 @@ def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
     sim = Simulation(ScenarioConfig(duration=2.0, tick_rate=50.0, waypoint_file=straight_waypoints))
     _, rows = sim.run()
     assert len(rows) == 100
-    assert len(calls) == len(sim.route.waypoints)
+    assert len(calls) == 1  # one array call projects the whole route
 
 
 def test_route_arrays_are_read_only():
     route = straight_route(n=10)
-    for a in (route.xy, route.remaining, route.seg_start, route.seg_vec, route.seg_len2):
+    for a in (route.lat, route.lon, route.speed, route.xy, route.remaining, route.seg_start,
+              route.seg_vec, route.seg_len2):
         with pytest.raises(ValueError):
             a[0] = 1.0
     with pytest.raises(FrozenInstanceError):
@@ -316,11 +312,8 @@ def test_cross_track_matches_brute_force():
     for _ in range(300):
         n = int(rng.integers(2, 12))
         pts = rng.uniform(-30, 30, size=(n, 2))
-        wps = []
-        for x, y in pts:
-            lat, lon = from_local(ORIGIN, float(x), float(y))
-            wps.append(Waypoint(lat, lon, 1.0))
-        route = Route.build(tuple(wps), ORIGIN)
+        lat, lon = from_local(ORIGIN, pts[:, 0], pts[:, 1])
+        route = Route.build(lat, lon, np.ones(n), ORIGIN)
         state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)))
         assert cross_track_error(route, state) == pytest.approx(brute_force_cte(route, state), abs=1e-9)
 
@@ -331,11 +324,10 @@ def test_waypoint_file_round_trip(tmp_path):
     assert path.name == "test_3mps.waypoints"
     save_waypoints(route, path)
     loaded = load_waypoints(path)
-    assert len(loaded.waypoints) == 8
-    for a, b in zip(route.waypoints, loaded.waypoints):
-        assert a.lat == pytest.approx(b.lat, abs=1e-8)
-        assert a.lon == pytest.approx(b.lon, abs=1e-8)
-        assert a.speed == b.speed
+    assert len(loaded.speed) == 8
+    assert route.lat == pytest.approx(loaded.lat, abs=1e-8)
+    assert route.lon == pytest.approx(loaded.lon, abs=1e-8)
+    assert np.array_equal(route.speed, loaded.speed)
 
 
 def test_waypoint_file_error_reports_line(tmp_path):
@@ -345,13 +337,31 @@ def test_waypoint_file_error_reports_line(tmp_path):
         load_waypoints(bad)
 
 
-def test_waypoint_validation():
-    with pytest.raises(ValueError):
-        Waypoint(91.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Waypoint(0.0, 181.0, 1.0)
-    with pytest.raises(ValueError):
-        Waypoint(0.0, 0.0, -1.0)
+def test_waypoint_validation(tmp_path):
+    bad = tmp_path / "bad.waypoints"
+    for row, message in [
+        ((91.0, 0.0, 1.0), "latitude out of range: 91.0"),
+        ((0.0, 181.0, 1.0), "longitude out of range: 181.0"),
+        ((0.0, 0.0, -1.0), "waypoint speed must be finite and non-negative, got -1.0"),
+        ((0.0, 0.0, math.nan), "waypoint speed must be finite and non-negative, got nan"),
+        ((0.0, 0.0, math.inf), "waypoint speed must be finite and non-negative, got inf"),
+    ]:
+        lat, lon, speed = np.array([(0.0, 0.0, 1.0), row, (0.0, 1e-4, 1.0)]).T
+        with pytest.raises(RowError) as info:
+            Route.build(lat, lon, speed, (0.0, 0.0))
+        assert (info.value.row, str(info.value)) == (1, message)
+        # in a file, the error names the row's line
+        bad.write_text("# lat,lon,speed\n0.0,0.0,1.0\n" + ",".join(map(repr, row)) + "\n0.0,0.0001,1.0\n")
+        with pytest.raises(PathFormatError) as info:
+            load_waypoints(bad)
+        assert str(info.value) == f"{bad}:3: {message}"
+
+
+def test_route_reports_first_bad_row_and_its_first_bad_value():
+    lat, lon, speed = np.array([(0.0, 0.0, 1.0), (0.0, 200.0, -1.0), (95.0, 0.0, 1.0)]).T
+    with pytest.raises(RowError) as info:
+        Route.build(lat, lon, speed, (0.0, 0.0))
+    assert (info.value.row, str(info.value)) == (1, "longitude out of range: 200.0")
 
 
 @pytest.mark.parametrize("speed", ["nan", "inf"])
