@@ -183,7 +183,7 @@ class Simulation:
         self.rng = np.random.default_rng(scenario.seed)
         try:
             self.route = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             raise ScenarioError(f"waypoints: {exc}") from exc
         self.target_index, self.finished = 0, False  # the waypoint follower's state
         self.world = scenario.world

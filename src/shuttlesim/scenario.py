@@ -4,7 +4,7 @@ Schema (all sections optional unless noted):
 
     name: ped-crossing
     seed: 42
-    duration: 20.0            # required for `run`
+    duration: 20.0            # required for `run`; at most one simulated day at 50 Hz
     tick_rate: 50             # Hz, 10..200
     waypoints: route_3mps.waypoints   # path relative to the scenario file
     origin: [30.615, -96.34]  # lat/lon of the local frame
@@ -51,6 +51,7 @@ from shuttlesim.waypoints import MAX_LAT, MAX_LON, FollowerParams, read_text
 from shuttlesim.world import WorldModel
 
 DEFAULT_ORIGIN = (30.615, -96.34)
+MAX_TICKS = 24 * 3600 * 50  # one simulated day at 50 Hz: the most ticks a run or recording may take
 
 
 class ScenarioError(ValueError):
@@ -111,6 +112,9 @@ class ScenarioConfig:
             raise ScenarioError(f"tick_rate must be within [10, 200], got {self.tick_rate}")
         if self.duration <= 0:
             raise ScenarioError("duration must be positive")
+        for name, seconds in (("duration", self.duration), ("drive_script", sum(d.duration for d in self.drive_script))):
+            if seconds * self.tick_rate > MAX_TICKS:
+                raise ScenarioError(f"{name}: {seconds:g} s at {self.tick_rate:g} Hz is more than {MAX_TICKS} ticks")
         if self.lidar_period_ticks < 1:
             raise ScenarioError("lidar_period_ticks must be >= 1")
         for name in ("seed", "perception_latency_ticks"):
@@ -203,8 +207,8 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = read_text(path)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -36,11 +36,11 @@ class RowError(ValueError):
 
 
 def read_text(path) -> str:
-    """The contents of a text input file; one that is not UTF-8 raises an error naming it."""
+    """The contents of a text input file; one that cannot be read or is not UTF-8 raises a ValueError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def to_local(origin: tuple[float, float], lat, lon):
@@ -68,6 +68,57 @@ _ROW_ERRORS = (
 )
 
 
+CTE_CELL = 4.0  # m, side of the grid cells that index the route's segments for cross_track_error
+
+
+def _segment_distances(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
+    """Distance from (x, y) to each segment; x and y may also be arrays, one value per segment."""
+    dot = (x - ax) * dx + (y - ay) * dy
+    t = np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.hypot(x - (ax + t * dx), y - (ay + t * dy))
+
+
+def _runs(n) -> np.ndarray:
+    """0, 1, ..., n[k] - 1 for each k, concatenated."""
+    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _cte_index(segments):
+    """The grid cells that a segment crosses or passes close to, each with every segment that may be nearest from it.
+
+    A segment passes within half the diagonal of such a cell's centre, so from
+    anywhere in the cell it, and so the nearest one, is within the diagonal. Returns the grid's corner, (nx, ny), {cell id
+    i * ny + j: slice} and, cell after cell, the segments whose boxes, grown
+    by the diagonal, overlap the cell.
+    """
+    ends = segments[:2], segments[:2] + segments[2:4]
+    lo, hi, reach = np.minimum(*ends), np.maximum(*ends), CTE_CELL * math.sqrt(2.0) + 1e-6
+    if np.prod((hi - lo + 2 * reach) // CTE_CELL + 2, axis=0).sum() > 64 * len(lo[0]):
+        return (0.0, 0.0), (0, 0), {}, segments[:, :0]  # boxes too large to list the cells near them
+    corner = lo.min(axis=1, keepdims=True) - 2.5 * CTE_CELL  # puts every cell within reach at i, j >= 0
+    nx, ny = (np.floor((hi.max(axis=1) + reach - corner[:, 0]) / CTE_CELL) + 1).astype(int).tolist()
+
+    def rows(grow):  # each row of cells (i, j0..j1) a box grown by ``grow`` overlaps: id i * ny + j0, length, box
+        first, last = (np.floor((b - corner) / CTE_CELL).astype(np.intp) for b in (lo - grow, hi + grow))
+        w, h = last - first + 1
+        return np.repeat(first[0] * ny + first[1], w) + _runs(w) * ny, np.repeat(h, w), np.repeat(np.arange(len(w)), w)
+
+    # a cell is indexed when a segment whose box overlaps it passes within half its diagonal of its centre
+    start, length, seg = rows(0.0)
+    cell, seg = np.repeat(start, length) + _runs(length), np.repeat(seg, length)
+    centre = corner + (np.stack(np.divmod(cell, ny)) + 0.5) * CTE_CELL
+    cells = np.unique(cell[_segment_distances(*centre, *np.take(segments, seg, axis=1)) <= reach / 2])
+    # and lists the segments whose grown boxes overlap it, found row by row in the sorted ids
+    start, length, seg = rows(reach)
+    k = np.searchsorted(cells, start)
+    n = np.searchsorted(cells, start + length) - k
+    k, seg = np.repeat(k, n) + _runs(n), np.repeat(seg, n)
+    stop = np.cumsum(np.bincount(k, minlength=len(cells)))
+    spans = dict(zip(cells.tolist(), map(slice, np.append(0, stop[:-1]).tolist(), stop.tolist())))
+    return corner.ravel().tolist(), (nx, ny), spans, np.take(segments, seg[np.argsort(k)], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class Route:
     """A recorded route as read-only columns, projected into the local frame once, with its segments."""
@@ -78,9 +129,8 @@ class Route:
     origin: tuple[float, float]
     xy: np.ndarray  # (N, 2) waypoint positions, m east/north of origin
     remaining: np.ndarray  # (N,) path length from each waypoint to the last, m
-    seg_start: np.ndarray  # (2, N-1) x and y rows of the segment start points
-    seg_vec: np.ndarray  # (2, N-1) x and y rows of the segment vectors
-    seg_len2: np.ndarray  # (N-1,) squared segment lengths
+    segments: np.ndarray  # (5, N-1) rows: start x and y, vector x and y, squared length
+    cte_index: tuple  # grid corner, (nx, ny), {cell id: slice of candidates}, candidates
 
     @classmethod
     def build(cls, lat, lon, speed, origin: tuple[float, float]) -> "Route":
@@ -94,16 +144,15 @@ class Route:
         if len(speed) < 2:
             raise ValueError(f"a route needs at least two waypoints, got {len(speed)}")
         xy = np.column_stack(to_local(origin, lat, lon))
-        seg_start = np.ascontiguousarray(xy[:-1].T)
-        seg_vec = np.ascontiguousarray(np.diff(xy, axis=0).T)
-        dx, dy = seg_vec
+        dx, dy = np.diff(xy, axis=0).T
         remaining = np.zeros(len(xy))
         remaining[:-1] = np.cumsum(np.hypot(dx, dy)[::-1])[::-1]
-        columns = (lat, lon, speed)
-        arrays = (xy, remaining, seg_start, seg_vec, dx * dx + dy * dy)
-        for a in columns + arrays:
+        segments = np.stack((*xy[:-1].T, dx, dy, dx * dx + dy * dy))
+        index = _cte_index(segments)
+        columns = (lat, lon, speed, xy, remaining, segments, index[3])
+        for a in columns:
             a.flags.writeable = False
-        return cls(*columns, origin, *arrays)
+        return cls(*columns[:3], origin, *columns[3:6], index)
 
 
 @dataclass(frozen=True)
@@ -221,14 +270,17 @@ def compile_path(
 def cross_track_error(route: Route, state: VehicleState) -> float:
     """Unsigned perpendicular distance from the vehicle to the nearest path segment.
 
-    The search is global, not local to the target, because a path may cross itself.
+    The search is global, not local to the target, because a path may cross
+    itself. It reads only the candidates ``Route.build`` indexed for the
+    vehicle's grid cell, among which is every segment that can be nearest
+    there; a point in no indexed cell, or not finite, scans every segment.
     """
-    (ax, ay), (dx, dy) = route.seg_start, route.seg_vec
     x, y = state.x, state.y
-    dot = (x - ax) * dx + (y - ay) * dy
-    t = np.divide(dot, route.seg_len2, out=np.zeros_like(dot), where=route.seg_len2 > 0)
-    np.clip(t, 0.0, 1.0, out=t)
-    return float(np.min(np.hypot(x - (ax + t * dx), y - (ay + t * dy))))
+    (x0, y0), (nx, ny), spans, candidates = route.cte_index
+    i, j = (x - x0) / CTE_CELL, (y - y0) / CTE_CELL
+    span = spans.get(int(i) * ny + int(j)) if 0.0 <= i < nx and 0.0 <= j < ny else None
+    columns = route.segments if span is None else candidates[:, span]
+    return float(_segment_distances(x, y, *columns).min())
 
 
 def waypoint_filename(route: str, speed: float) -> str:

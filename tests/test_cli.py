@@ -186,7 +186,9 @@ BAD_SCENARIOS = [
     ("waypoints: [a.waypoints]", "waypoints: expected str"),
     ("duration: 1.0", "waypoints: run requires a waypoints file"),
     ("waypoints: one.waypoints", "one.waypoints: a route needs at least two waypoints, got 1"),
-    ("waypoints: nothere.waypoints", "waypoints: [Errno 2] No such file or directory"),
+    ("waypoints: nothere.waypoints", "nothere.waypoints: No such file or directory"),
+    ("duration: 1e300", "duration: 1e+300 s at 50 Hz is more than 4320000 ticks"),
+    ("drive_script: [{duration: 9e4, speed: 1}]", "drive_script: 90000 s at 50 Hz is more than"),
     ("origin: [95.0, -96.34]", "origin: latitude out of range: 95.0"),
     ("origin: [30.615, -181]", "origin: longitude out of range: -181.0"),
 ]
@@ -201,6 +203,18 @@ def test_bad_scenario_one_line_error(tmp_path, capsys, text, key):
     out, err = capsys.readouterr()
     assert err.count("\n") == 1
     assert err.startswith(f"error: {bad}: ") and key in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "nothere.yaml"], ["record", "nothere.yaml"], ["replay", "nothere.log"],
+    ["compile-path", "nothere.trace", "--speed", "3"],
+])
+def test_missing_input_file_one_line_error_names_it(tmp_path, capsys, args):
+    missing = tmp_path / args[1]
+    assert main([args[0], str(missing), *args[2:]]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {missing}: No such file or directory\n"
     assert "Traceback" not in out + err
 
 

@@ -70,8 +70,28 @@ def test_empty_file_rejected(tmp_path):
 
 
 def test_missing_file_rejected(tmp_path):
-    with pytest.raises(ScenarioError, match="cannot read"):
+    with pytest.raises(ScenarioError, match=r"nope\.yaml: No such file or directory$"):
         load_scenario(tmp_path / "nope.yaml")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("duration: 1e300", "duration: 1e+300 s at 50 Hz is more than 4320000 ticks"),
+    ("duration: 21601\ntick_rate: 200", "duration: 21601 s at 200 Hz is more than 4320000 ticks"),
+    ("drive_script: [{duration: 5e4, speed: 1}, {duration: 5e4, speed: 1}]",
+     "drive_script: 100000 s at 50 Hz is more than 4320000 ticks"),
+])
+def test_run_length_capped_at_one_simulated_day(tmp_path, text, message):
+    f = tmp_path / "long.yaml"
+    f.write_text(text + "\n")
+    with pytest.raises(ScenarioError, match=f"^{f}: {message}$".replace("+", r"\+")):
+        load_scenario(f)
+
+
+
+def test_run_of_exactly_one_simulated_day_loads():  # loaded only, never run
+    assert scenario_from_dict({"duration": 86400}).duration == 86400.0
+    assert scenario_from_dict({"duration": 21600, "tick_rate": 200}).duration == 21600.0
+    assert len(scenario_from_dict({"drive_script": [{"duration": 43200, "speed": 1}] * 2}).drive_script) == 2
 
 
 def test_yaml_1_1_number_strings_convert():

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuttlesim import waypoints
 from shuttlesim.harness import Simulation
@@ -10,6 +12,7 @@ from shuttlesim.plant import VehicleState, normalize_angle
 from shuttlesim.scenario import ScenarioConfig
 from shuttlesim.twist import TwistCommand
 from shuttlesim.waypoints import (
+    CTE_CELL,
     EARTH_RADIUS,
     FollowerParams,
     PathFormatError,
@@ -299,8 +302,8 @@ def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
 
 def test_route_arrays_are_read_only():
     route = straight_route(n=10)
-    for a in (route.lat, route.lon, route.speed, route.xy, route.remaining, route.seg_start,
-              route.seg_vec, route.seg_len2):
+    for a in (route.lat, route.lon, route.speed, route.xy, route.remaining, route.segments,
+              route.cte_index[3]):
         with pytest.raises(ValueError):
             a[0] = 1.0
     with pytest.raises(FrozenInstanceError):
@@ -316,6 +319,127 @@ def test_cross_track_matches_brute_force():
         route = Route.build(lat, lon, np.ones(n), ORIGIN)
         state = VehicleState(x=float(rng.uniform(-35, 35)), y=float(rng.uniform(-35, 35)))
         assert cross_track_error(route, state) == pytest.approx(brute_force_cte(route, state), abs=1e-9)
+
+
+def full_scan_cte(route, state):
+    """The cross-track error over every segment, the expression ``cross_track_error`` applies to a cell's slice."""
+    return float(waypoints._segment_distances(state.x, state.y, *route.segments).min())
+
+
+def walk_route(steps):
+    """A route from the origin along (length, heading) steps; a zero length repeats a waypoint."""
+    x, y = [0.0], [0.0]
+    for length, heading in steps:
+        x.append(x[-1] + length * math.cos(heading))
+        y.append(y[-1] + length * math.sin(heading))
+    lat, lon = from_local(ORIGIN, np.array(x), np.array(y))
+    return Route.build(lat, lon, np.ones(len(x)), ORIGIN)
+
+
+def figure8_route(scale, spacing):
+    """A lemniscate of half-width ``scale`` m, which crosses itself at the origin, sampled about every ``spacing`` m."""
+    t = np.linspace(0.0, 2.0 * math.pi, int(6.2 * scale / spacing) + 2)
+    lat, lon = from_local(ORIGIN, scale * np.sin(t), scale * np.sin(t) * np.cos(t))
+    return Route.build(lat, lon, np.ones(len(t)), ORIGIN)
+
+
+# steps of up to 9 m, so segments may be longer than a cell, and some of length 0
+STEPS = st.tuples(st.just(0.0) | st.floats(0.05, 9.0), st.floats(-math.pi, math.pi))
+ROUTES = (st.builds(walk_route, st.lists(STEPS, min_size=1, max_size=60))
+          | st.builds(figure8_route, st.floats(5.0, 60.0), st.floats(0.5, 6.0)))
+
+
+@st.composite
+def query_points(draw, route):
+    """A point in an indexed cell (on its edges and corners too), near the route, around or beyond the grid."""
+    (x0, y0), (nx, ny), spans, _ = route.cte_index
+    kind = draw(st.sampled_from(["cell", "near", "around", "far"]))
+    if kind == "cell":
+        i, j = divmod(draw(st.sampled_from(sorted(spans))), ny)
+        u, v = (draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(2))
+        x, y = x0 + (i + u) * CTE_CELL, y0 + (j + v) * CTE_CELL
+        nudge = draw(st.sampled_from([-math.inf, 0.0, math.inf]))  # one ulp either way off an edge
+        return float(np.nextafter(x, x + nudge)) if nudge else x, y
+    if kind == "near":
+        wx, wy = route.xy[draw(st.integers(0, len(route.xy) - 1))]
+        return float(wx) + draw(st.floats(-6.0, 6.0)), float(wy) + draw(st.floats(-6.0, 6.0))
+    if kind == "around":
+        return (draw(st.floats(x0 - 20.0, x0 + nx * CTE_CELL + 20.0)),
+                draw(st.floats(y0 - 20.0, y0 + ny * CTE_CELL + 20.0)))
+    return draw(st.tuples(*[st.sampled_from([-1e6, 1e6, math.inf, -math.inf, math.nan]) | st.floats(-100, 100)] * 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), route=ROUTES)
+def test_indexed_cross_track_equals_full_scan_bit_for_bit(data, route):
+    assert route.cte_index[2], "a route of steps up to 9 m is indexed"
+    for x, y in data.draw(st.lists(query_points(route), min_size=1, max_size=12)):
+        state = VehicleState(x=x, y=y)
+        with np.errstate(invalid="ignore"):  # inf - inf at a point at infinity
+            got, want = cross_track_error(route, state), full_scan_cte(route, state)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (x, y)
+
+
+def reference_cte_cells(route):
+    """{cell id: indices of its candidate segments}, from the definition, cell by cell in scalar math.
+
+    A cell is indexed when a segment whose box overlaps it passes within half
+    the cell's diagonal of its centre; its candidates are the segments whose
+    boxes, grown by the diagonal, overlap it. The grid is the index's own.
+    """
+    (x0, y0), (nx, ny), _, _ = route.cte_index
+    reach = CTE_CELL * math.sqrt(2.0) + 1e-6
+    boxes = [(min(ax, ax + dx), min(ay, ay + dy), max(ax, ax + dx), max(ay, ay + dy))
+             for ax, ay, dx, dy, _ in route.segments.T.tolist()]
+
+    def cells(box, grow):  # the cells that box overlaps once grown by ``grow`` on every side
+        lx, ly, hx, hy = box
+        return {i * ny + j for i in range(math.floor((lx - grow - x0) / CTE_CELL), math.floor((hx + grow - x0) / CTE_CELL) + 1)
+                for j in range(math.floor((ly - grow - y0) / CTE_CELL), math.floor((hy + grow - y0) / CTE_CELL) + 1)}
+
+    indexed = set()
+    for s, box in enumerate(boxes):
+        segment = Route.build(route.lat[s:s + 2], route.lon[s:s + 2], route.speed[s:s + 2], route.origin)
+        for cell in cells(box, 0.0):
+            i, j = divmod(cell, ny)
+            if brute_force_cte(segment, VehicleState(x=x0 + (i + 0.5) * CTE_CELL, y=y0 + (j + 0.5) * CTE_CELL)) <= reach / 2:
+                indexed.add(cell)
+    near = [cells(box, reach) for box in boxes]
+    return {cell: [s for s in range(len(boxes)) if cell in near[s]] for cell in indexed}
+
+
+@settings(max_examples=60, deadline=None)
+@given(route=ROUTES)
+def test_cte_index_holds_what_its_definition_says(route):
+    _, _, spans, candidates = route.cte_index
+    reference = reference_cte_cells(route)
+    assert sorted(spans) == sorted(reference)
+    columns = route.segments.T.tolist()
+    for cell, span in spans.items():
+        assert sorted(map(tuple, candidates[:, span].T.tolist())) == sorted(tuple(columns[s]) for s in reference[cell])
+
+
+def test_indexed_cross_track_on_a_long_route_reads_few_segments():
+    rng = np.random.default_rng(12)
+    route = walk_route(zip(np.ones(3000), np.cumsum(rng.normal(0.0, 0.2, 3000))))
+    (x0, y0), (nx, ny), spans, candidates = route.cte_index
+    sizes = [s.stop - s.start for s in spans.values()]
+    assert len(candidates[0]) == sum(sizes) and max(sizes) <= 40
+    near = route.xy[rng.integers(0, len(route.xy), 2000)] + rng.uniform(-1.0, 1.0, (2000, 2))
+    indexed = 0
+    for x, y in near.tolist():
+        state = VehicleState(x=x, y=y)
+        assert cross_track_error(route, state) == full_scan_cte(route, state)
+        indexed += int((x - x0) / CTE_CELL) * ny + int((y - y0) / CTE_CELL) in spans
+    assert indexed >= 0.95 * len(near)
+
+
+def test_route_with_boxes_too_large_to_index_scans_every_segment():
+    route = walk_route([(3000.0, 0.7), (3000.0, 2.0)])
+    assert route.cte_index[2] == {}
+    for x, y in [(0.0, 0.0), (100.0, 50.0), (2000.0, 2000.0)]:
+        state = VehicleState(x=x, y=y)
+        assert cross_track_error(route, state) == full_scan_cte(route, state)
 
 
 def test_waypoint_file_round_trip(tmp_path):
