@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,8 +32,19 @@ from shuttlesim.waypoints import (
 )
 
 
-def _print_metrics(metrics, stream=sys.stdout):
-    yaml.safe_dump(metrics.summary_dict(), stream, sort_keys=False)
+def _print_metrics(metrics, path=None):
+    """Write the metrics as YAML to ``path``, or to stdout without one."""
+    with open(path, "w") if path else nullcontext(sys.stdout) as stream:
+        yaml.safe_dump(metrics.summary_dict(), stream, sort_keys=False)
+
+
+def _open_outputs(*paths):
+    """Open every output file given before any work, so one that cannot be written fails first; leave none behind."""
+    for path in filter(None, paths):
+        new = not os.path.lexists(path)
+        open(path, "a").close()  # appending leaves an existing file as it is
+        if new:
+            os.remove(path)
 
 
 @contextmanager
@@ -52,6 +64,7 @@ def cmd_run(args) -> int:
     grid_dump = [] if args.grid_dump else None
     with _naming(args.scenario):
         sim = Simulation(scenario, sign_log, grid_dump)
+    _open_outputs(args.log, args.metrics, args.sign_log, args.grid_dump)
     metrics, rows = sim.run()
     if args.log:
         write_log(rows, args.log)
@@ -59,19 +72,16 @@ def cmd_run(args) -> int:
         write_csv(args.sign_log, SIGN_LOG_HEADER, sign_log)
     if args.grid_dump:
         write_csv(args.grid_dump, GRID_DUMP_HEADER, grid_dump)
-    if args.metrics:
-        with open(args.metrics, "w") as fh:
-            _print_metrics(metrics, fh)
-    else:
-        _print_metrics(metrics)
+    _print_metrics(metrics, args.metrics)
     return 0
 
 
 def cmd_record(args) -> int:
     scenario = load_scenario(args.scenario)
+    out = args.out or Path(args.scenario).with_suffix(".trace")
+    _open_outputs(out)
     with _naming(args.scenario):
         trace = record_trace(scenario)
-    out = args.out or Path(args.scenario).with_suffix(".trace")
     save_trace(trace, out)
     print(f"recorded {len(trace)} samples -> {out}")
     return 0
@@ -81,21 +91,17 @@ def cmd_compile_path(args) -> int:
     if not (math.isfinite(args.speed) and args.speed > 0):
         raise ValueError(f"--speed: must be a positive finite number, got {args.speed}")
     trace = load_trace(args.trace)
+    out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, args.speed)
+    _open_outputs(out)
     with _naming(args.trace):
         route = compile_path(trace, args.speed)
-    out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, args.speed)
     save_waypoints(route, out)
     print(f"compiled {len(route.speed)} waypoints -> {out}")
     return 0
 
 
 def cmd_replay(args) -> int:
-    metrics = metrics_from_rows(read_log(args.log))
-    if args.metrics:
-        with open(args.metrics, "w") as fh:
-            _print_metrics(metrics, fh)
-    else:
-        _print_metrics(metrics)
+    _print_metrics(metrics_from_rows(read_log(args.log)), args.metrics)
     return 0
 
 
@@ -140,7 +146,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ScenarioError and PathFormatError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+        path = getattr(exc, "filename", None)  # an output file that cannot be written
+        print(f"error: {path}: {exc.strerror}" if path else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -65,6 +65,10 @@ class StartPose:
     heading: float = 0.0
     speed: float = 0.0
 
+    def __post_init__(self):
+        if self.speed < 0:
+            raise ScenarioError(f"speed must be >= 0, got {self.speed}")
+
 
 @dataclass(frozen=True)
 class DriveSegment:

@@ -74,54 +74,37 @@ CTE_CELL = 4.0  # m, side of the grid cells that index the route's segments for 
 def _segment_distances(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
     """Distance from (x, y) to each segment; x and y may also be arrays, one value per segment."""
     dot = (x - ax) * dx + (y - ay) * dy
-    t = np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0)
-    np.clip(t, 0.0, 1.0, out=t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length segment's 0 / 0 is nan, which fmax takes to 0
+        t = np.fmin(np.fmax(dot / len2, 0.0), 1.0)
     return np.hypot(x - (ax + t * dx), y - (ay + t * dy))
 
 
-def _runs(n) -> np.ndarray:
-    """0, 1, ..., n[k] - 1 for each k, concatenated."""
-    return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-
-
 def _cte_index(segments):
-    """The grid cells that a segment crosses or passes close to, each with every segment that may be nearest from it.
+    """Every grid cell that a segment's box, grown by half a cell, overlaps, with the ids of all such segments.
 
-    A segment passes within half the diagonal of such a cell's centre, so from
-    anywhere in the cell it, and so the nearest one, is within the diagonal. Returns the grid's corner, (nx, ny), {cell id
-    i * ny + j: slice} and, cell after cell, the segments whose boxes, grown
-    by the diagonal, overlap the cell.
+    A segment within half a cell of a point is listed in the point's cell. Returns
+    the grid's corner, (nx, ny), {cell id i * ny + j: slice of ids} and the ids, cell after cell.
     """
     ends = segments[:2], segments[:2] + segments[2:4]
-    lo, hi, reach = np.minimum(*ends), np.maximum(*ends), CTE_CELL * math.sqrt(2.0) + 1e-6
-    if np.prod((hi - lo + 2 * reach) // CTE_CELL + 2, axis=0).sum() > 64 * len(lo[0]):
-        return (0.0, 0.0), (0, 0), {}, segments[:, :0]  # boxes too large to list the cells near them
-    corner = lo.min(axis=1, keepdims=True) - 2.5 * CTE_CELL  # puts every cell within reach at i, j >= 0
-    nx, ny = (np.floor((hi.max(axis=1) + reach - corner[:, 0]) / CTE_CELL) + 1).astype(int).tolist()
-
-    def rows(grow):  # each row of cells (i, j0..j1) a box grown by ``grow`` overlaps: id i * ny + j0, length, box
-        first, last = (np.floor((b - corner) / CTE_CELL).astype(np.intp) for b in (lo - grow, hi + grow))
-        w, h = last - first + 1
-        return np.repeat(first[0] * ny + first[1], w) + _runs(w) * ny, np.repeat(h, w), np.repeat(np.arange(len(w)), w)
-
-    # a cell is indexed when a segment whose box overlaps it passes within half its diagonal of its centre
-    start, length, seg = rows(0.0)
-    cell, seg = np.repeat(start, length) + _runs(length), np.repeat(seg, length)
-    centre = corner + (np.stack(np.divmod(cell, ny)) + 0.5) * CTE_CELL
-    cells = np.unique(cell[_segment_distances(*centre, *np.take(segments, seg, axis=1)) <= reach / 2])
-    # and lists the segments whose grown boxes overlap it, found row by row in the sorted ids
-    start, length, seg = rows(reach)
-    k = np.searchsorted(cells, start)
-    n = np.searchsorted(cells, start + length) - k
-    k, seg = np.repeat(k, n) + _runs(n), np.repeat(seg, n)
-    stop = np.cumsum(np.bincount(k, minlength=len(cells)))
-    spans = dict(zip(cells.tolist(), map(slice, np.append(0, stop[:-1]).tolist(), stop.tolist())))
-    return corner.ravel().tolist(), (nx, ny), spans, np.take(segments, seg[np.argsort(k)], axis=1)
+    lo, hi, grow = np.minimum(*ends), np.maximum(*ends), CTE_CELL / 2 + 1e-6  # 1e-6 m takes up rounding
+    corner = lo.min(axis=1, keepdims=True) - CTE_CELL  # puts every grown box at i, j >= 0
+    first, last = (np.floor((b - corner) / CTE_CELL).astype(np.intp) for b in (lo - grow, hi + grow))
+    w, h = last - first + 1
+    n = w * h
+    if n.sum() > 64 * len(n):
+        return (0.0, 0.0), (0, 0), {}, np.empty(0, np.intp)  # boxes too large to list their cells
+    nx, ny = (last.max(axis=1) + 1).tolist()
+    i, j = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), np.repeat(h, n))  # cells within each box
+    cell = np.repeat(first[0] * ny + first[1], n) + i * ny + j
+    order = np.argsort(cell, kind="stable")
+    cells, start, count = np.unique(cell[order], return_index=True, return_counts=True)
+    spans = dict(zip(cells.tolist(), map(slice, start.tolist(), (start + count).tolist())))
+    return corner.ravel().tolist(), (nx, ny), spans, np.repeat(np.arange(len(n)), n)[order]
 
 
 @dataclass(frozen=True, eq=False)
 class Route:
-    """A recorded route as read-only columns, projected into the local frame once, with its segments."""
+    """A recorded route as read-only columns, projected into the local frame once, with its segments and their grid index."""
 
     lat: np.ndarray  # (N,) degrees
     lon: np.ndarray  # (N,) degrees
@@ -130,7 +113,7 @@ class Route:
     xy: np.ndarray  # (N, 2) waypoint positions, m east/north of origin
     remaining: np.ndarray  # (N,) path length from each waypoint to the last, m
     segments: np.ndarray  # (5, N-1) rows: start x and y, vector x and y, squared length
-    cte_index: tuple  # grid corner, (nx, ny), {cell id: slice of candidates}, candidates
+    cte_index: tuple  # grid corner, (nx, ny), {cell id: slice of ids}, ids of the segments near each cell
 
     @classmethod
     def build(cls, lat, lon, speed, origin: tuple[float, float]) -> "Route":
@@ -169,7 +152,9 @@ class RecordedTrace:
         n = len(self.t)
         if any(len(a) != n for a in (self.lat, self.lon, self.v, self.omega)):
             raise ValueError("trace arrays must have equal length")
-        if n >= 2 and not np.all(np.diff(self.t) > 0):
+        if n < 2:
+            raise ValueError("trace needs at least two samples")
+        if not np.all(np.diff(self.t) > 0):
             raise ValueError("trace timestamps must be strictly increasing")
 
     def __len__(self):
@@ -243,8 +228,6 @@ def compile_path(
     """
     if target_speed <= 0:
         raise ValueError("target_speed must be positive")
-    if len(trace) < 2:
-        raise ValueError("trace needs at least two samples")
 
     origin = (float(trace.lat[0]), float(trace.lon[0]))
     xy = np.column_stack(to_local(origin, trace.lat, trace.lon))
@@ -271,16 +254,20 @@ def cross_track_error(route: Route, state: VehicleState) -> float:
     """Unsigned perpendicular distance from the vehicle to the nearest path segment.
 
     The search is global, not local to the target, because a path may cross
-    itself. It reads only the candidates ``Route.build`` indexed for the
-    vehicle's grid cell, among which is every segment that can be nearest
-    there; a point in no indexed cell, or not finite, scans every segment.
+    itself. It first reads the segments ``Route.build`` listed for the
+    vehicle's grid cell. If the nearest of them is within half a cell, it is
+    the nearest of all, since every segment that close is listed there.
+    Otherwise, and for a point in no listed cell or not finite, it scans every segment.
     """
     x, y = state.x, state.y
-    (x0, y0), (nx, ny), spans, candidates = route.cte_index
+    (x0, y0), (nx, ny), spans, ids = route.cte_index
     i, j = (x - x0) / CTE_CELL, (y - y0) / CTE_CELL
     span = spans.get(int(i) * ny + int(j)) if 0.0 <= i < nx and 0.0 <= j < ny else None
-    columns = route.segments if span is None else candidates[:, span]
-    return float(_segment_distances(x, y, *columns).min())
+    if span is not None:
+        d = float(_segment_distances(x, y, *route.segments.take(ids[span], axis=1)).min())
+        if d <= CTE_CELL / 2:
+            return d
+    return float(_segment_distances(x, y, *route.segments).min())
 
 
 def waypoint_filename(route: str, speed: float) -> str:
@@ -293,23 +280,37 @@ def save_waypoints(route: Route, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
-    rows, linenos = [], []
+def _read_rows(path, fields: str, skip: tuple[str, ...], finite: bool = False):
+    """The line numbers and values of the lines of comma-separated ``fields``, skipping blank ones and any starting with ``skip``.
+
+    A bad field count or number, or with ``finite`` a non-finite one, raises a PathFormatError naming path:line.
+    """
+    width = fields.count(",") + 1
+    linenos, rows = [], []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(skip):
             continue
         parts = line.split(",")
-        if len(parts) != 3:
-            raise PathFormatError(f"{path}:{lineno}: expected 'lat,lon,speed', got {line!r}")
+        if len(parts) != width:
+            raise PathFormatError(f"{path}:{lineno}: expected {fields!r}, got {line!r}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise PathFormatError(f"{path}:{lineno}: {exc}") from exc
+        for text, value in zip(parts, row):
+            if finite and not math.isfinite(value):
+                raise PathFormatError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
         linenos.append(lineno)
-    lat, lon, speed = np.array(rows, dtype=float).reshape(-1, 3).T
-    if origin is None and rows:
-        origin = (rows[0][0], rows[0][1])
+        rows.append(row)
+    return linenos, np.array(rows, dtype=float).reshape(-1, width)
+
+
+def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
+    linenos, rows = _read_rows(path, "lat,lon,speed", ("#",))
+    lat, lon, speed = rows.T
+    if origin is None and linenos:
+        origin = (float(lat[0]), float(lon[0]))
     try:
         return Route.build(lat, lon, speed, origin)
     except RowError as exc:
@@ -326,23 +327,9 @@ def save_trace(trace: RecordedTrace, path) -> None:
 
 
 def load_trace(path) -> RecordedTrace:
-    rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("t,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise PathFormatError(f"{path}:{lineno}: expected 't,lat,lon,v,omega', got {line!r}")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise PathFormatError(f"{path}:{lineno}: {exc}") from exc
-        for text, value in zip(parts, row):
-            if not math.isfinite(value):
-                raise PathFormatError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
-        rows.append(row)
-    if len(rows) < 2:
-        raise PathFormatError(f"{path}: trace needs at least two samples")
-    arr = np.asarray(rows)
-    return RecordedTrace(lat=arr[:, 1], lon=arr[:, 2], v=arr[:, 3], omega=arr[:, 4], t=arr[:, 0])
+    _, rows = _read_rows(path, "t,lat,lon,v,omega", ("#", "t,"), finite=True)
+    t, lat, lon, v, omega = rows.T
+    try:
+        return RecordedTrace(lat=lat, lon=lon, v=v, omega=omega, t=t)
+    except ValueError as exc:
+        raise PathFormatError(f"{path}: {exc}") from exc

@@ -1,7 +1,17 @@
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shuttlesim import cli
 from shuttlesim.cli import main
+from shuttlesim.harness import Simulation
 from tests.conftest import SCENARIO_DIR
 
 
@@ -150,6 +160,17 @@ def test_compile_path_error_names_trace(tmp_path, capsys, lat_b, message):
     assert not list(tmp_path.glob("*.waypoints"))
 
 
+@pytest.mark.parametrize("samples, message", [
+    (["0.0,30.0,-96.0,1.0,0.0"], "trace needs at least two samples"),
+    (["0.0,30.0,-96.0,1.0,0.0"] * 2 + ["1.0,30.0001,-96.0,1.0,0.0"], "trace timestamps must be strictly increasing"),
+])
+def test_compile_path_error_names_trace_that_is_not_a_drive(tmp_path, capsys, samples, message):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("\n".join(["t,lat,lon,v,omega", *samples]) + "\n")
+    assert main(["compile-path", str(trace), "--speed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+
+
 @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf"])
 def test_compile_path_rejects_bad_speed_naming_the_flag(tmp_path, capsys, speed):
     trace = tmp_path / "ok.trace"
@@ -191,6 +212,7 @@ BAD_SCENARIOS = [
     ("drive_script: [{duration: 9e4, speed: 1}]", "drive_script: 90000 s at 50 Hz is more than"),
     ("origin: [95.0, -96.34]", "origin: latitude out of range: 95.0"),
     ("origin: [30.615, -181]", "origin: longitude out of range: -181.0"),
+    ("start: {speed: -1}", "start: speed must be >= 0, got -1.0"),
 ]
 
 
@@ -246,3 +268,90 @@ def test_yaml_exponent_strings_load_as_numbers(tmp_path, straight_waypoints):
     # YAML 1.1 reads 3e0 as a string
     scenario = write_scenario(tmp_path, straight_waypoints, extra="gains: {kp_speed: 3e0}\n")
     assert main(["run", str(scenario)]) == 0
+
+
+def refuse_to_work(*args, **kwargs):
+    raise AssertionError("the work started before the outputs were checked")
+
+
+@pytest.mark.parametrize("command, flag, bad, reason", [
+    ("run", "--log", "o", "Is a directory"), ("run", "--metrics", "o", "Is a directory"),
+    ("run", "--sign-log", "o", "Is a directory"), ("run", "--grid-dump", "o", "Is a directory"),
+    ("record", "--out", "o", "Is a directory"), ("compile-path", "--out", "o", "Is a directory"),
+    ("run", "--log", "nothere/run.log", "No such file or directory"),
+])
+def test_unusable_output_fails_before_the_work_and_leaves_no_file(
+        tmp_path, capsys, monkeypatch, straight_waypoints, command, flag, bad, reason):
+    monkeypatch.setattr(Simulation, "run", refuse_to_work)
+    monkeypatch.setattr(cli, "record_trace", refuse_to_work)
+    monkeypatch.setattr(cli, "compile_path", refuse_to_work)
+    trace = tmp_path / "t.trace"
+    trace.write_text("t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.0001,-96.0,1.0,0.0\n")
+    args = {"run": ["run", str(write_scenario(tmp_path, straight_waypoints))],
+            "record": ["record", str(SCENARIO_DIR / "figure8_record.yaml")],
+            "compile-path": ["compile-path", str(trace), "--speed", "3"]}[command]
+    (tmp_path / "o").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    for f in ["--log", "--metrics", "--sign-log", "--grid-dump"] if command == "run" else ["--out"]:
+        args += [f, str(tmp_path / (bad if f == flag else f"{f[2:]}.out"))]  # the others can be written
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / bad}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?")
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` with one of: a line dropped or duplicated, a cut, a flipped bit, bytes that are not UTF-8, or a number replaced."""
+    kind = draw(st.sampled_from(["drop", "duplicate", "truncate", "flip", "not utf-8", "number"]))
+    lines = data.split(b"\n")
+    if kind in ("drop", "duplicate"):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k:k + 1] = [] if kind == "drop" else [lines[k]] * 2
+        return b"\n".join(lines)
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ (1 << draw(st.integers(0, 7)))]) + data[at + 1:]
+    if kind == "not utf-8":
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xfe\xfe"])) + data[at:]
+    number = draw(st.sampled_from(list(NUMBER.finditer(data))))
+    value = draw(st.sampled_from([b"1e300", b"-1e300", b"0", b"nan"]))
+    return data[:number.start()] + value + data[number.end():]
+
+
+@pytest.fixture(scope="module")
+def shipped_inputs(tmp_path_factory):
+    """{file name: bytes} of demo.yaml cut to 0.2 s, its route and its log."""
+    folder = tmp_path_factory.mktemp("shipped")
+    # a flipped digit can make the cut demo at most 0.9 s long
+    (folder / "demo.yaml").write_bytes((SCENARIO_DIR / "demo.yaml").read_bytes().replace(b"duration: 40.0", b"duration: .2"))
+    (folder / "straight_3mps.waypoints").write_bytes((SCENARIO_DIR / "straight_3mps.waypoints").read_bytes())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(folder / "demo.yaml"), "--log", str(folder / "demo.log")]) == 0
+    return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+
+# the command line that reads each file; the route is read through the scenario, which names it
+READERS = {"demo.yaml": ["run", "demo.yaml"], "straight_3mps.waypoints": ["run", "demo.yaml"],
+           "demo.log": ["replay", "demo.log"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(READERS)), data=st.data())
+def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, name, data):
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        for file, text in shipped_inputs.items():
+            (folder / file).write_bytes(data.draw(mutated(text)) if file == name else text)
+        verb, given_file = READERS[name]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([verb, str(folder / given_file)])
+        err = err.getvalue()
+        named = f"error: {folder / given_file}" + (f": waypoints: {(folder / name).resolve()}" if given_file != name else "")
+        named += ":"  # then the line number or the message
+        assert rc == 0 and err == "" or rc == 1 and err.count("\n") == 1 and err.startswith(named), err

@@ -326,21 +326,25 @@ def full_scan_cte(route, state):
     return float(waypoints._segment_distances(state.x, state.y, *route.segments).min())
 
 
+def route_through(x, y):
+    """A route through the points (x, y), m east/north of ORIGIN."""
+    lat, lon = from_local(ORIGIN, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return Route.build(lat, lon, np.ones(len(lat)), ORIGIN)
+
+
 def walk_route(steps):
     """A route from the origin along (length, heading) steps; a zero length repeats a waypoint."""
     x, y = [0.0], [0.0]
     for length, heading in steps:
         x.append(x[-1] + length * math.cos(heading))
         y.append(y[-1] + length * math.sin(heading))
-    lat, lon = from_local(ORIGIN, np.array(x), np.array(y))
-    return Route.build(lat, lon, np.ones(len(x)), ORIGIN)
+    return route_through(x, y)
 
 
 def figure8_route(scale, spacing):
     """A lemniscate of half-width ``scale`` m, which crosses itself at the origin, sampled about every ``spacing`` m."""
     t = np.linspace(0.0, 2.0 * math.pi, int(6.2 * scale / spacing) + 2)
-    lat, lon = from_local(ORIGIN, scale * np.sin(t), scale * np.sin(t) * np.cos(t))
-    return Route.build(lat, lon, np.ones(len(t)), ORIGIN)
+    return route_through(scale * np.sin(t), scale * np.sin(t) * np.cos(t))
 
 
 # steps of up to 9 m, so segments may be longer than a cell, and some of length 0
@@ -351,9 +355,10 @@ ROUTES = (st.builds(walk_route, st.lists(STEPS, min_size=1, max_size=60))
 
 @st.composite
 def query_points(draw, route):
-    """A point in an indexed cell (on its edges and corners too), near the route, around or beyond the grid."""
+    """A point in an indexed cell (on its edges and corners too), near the route, just over half a cell
+    to the side of a segment, around or beyond the grid."""
     (x0, y0), (nx, ny), spans, _ = route.cte_index
-    kind = draw(st.sampled_from(["cell", "near", "around", "far"]))
+    kind = draw(st.sampled_from(["cell", "near", "beyond", "around", "far"]))
     if kind == "cell":
         i, j = divmod(draw(st.sampled_from(sorted(spans))), ny)
         u, v = (draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(2))
@@ -363,6 +368,11 @@ def query_points(draw, route):
     if kind == "near":
         wx, wy = route.xy[draw(st.integers(0, len(route.xy) - 1))]
         return float(wx) + draw(st.floats(-6.0, 6.0)), float(wy) + draw(st.floats(-6.0, 6.0))
+    if kind == "beyond":  # so the nearest listed segment may lie past the half-cell check, and another be nearer
+        ax, ay, dx, dy, len2 = route.segments[:, draw(st.integers(0, len(route.segments[0]) - 1))].tolist()
+        u, off = draw(st.floats(0.0, 1.0)), (CTE_CELL / 2 + draw(st.floats(0.0, 1.0))) * draw(st.sampled_from([-1.0, 1.0]))
+        length = math.sqrt(len2)
+        return (ax + u * dx - off * dy / length, ay + u * dy + off * dx / length) if length else (ax, ay + off)
     if kind == "around":
         return (draw(st.floats(x0 - 20.0, x0 + nx * CTE_CELL + 20.0)),
                 draw(st.floats(y0 - 20.0, y0 + ny * CTE_CELL + 20.0)))
@@ -381,50 +391,79 @@ def test_indexed_cross_track_equals_full_scan_bit_for_bit(data, route):
 
 
 def reference_cte_cells(route):
-    """{cell id: indices of its candidate segments}, from the definition, cell by cell in scalar math.
+    """{cell id: ids of its segments}, from the definition, segment by segment in scalar math.
 
-    A cell is indexed when a segment whose box overlaps it passes within half
-    the cell's diagonal of its centre; its candidates are the segments whose
-    boxes, grown by the diagonal, overlap it. The grid is the index's own.
+    A cell lists every segment whose box, grown by half a cell and 1e-6 m on
+    every side, overlaps it. The grid is the index's own, and it holds every grown box.
     """
     (x0, y0), (nx, ny), _, _ = route.cte_index
-    reach = CTE_CELL * math.sqrt(2.0) + 1e-6
-    boxes = [(min(ax, ax + dx), min(ay, ay + dy), max(ax, ax + dx), max(ay, ay + dy))
-             for ax, ay, dx, dy, _ in route.segments.T.tolist()]
-
-    def cells(box, grow):  # the cells that box overlaps once grown by ``grow`` on every side
-        lx, ly, hx, hy = box
-        return {i * ny + j for i in range(math.floor((lx - grow - x0) / CTE_CELL), math.floor((hx + grow - x0) / CTE_CELL) + 1)
-                for j in range(math.floor((ly - grow - y0) / CTE_CELL), math.floor((hy + grow - y0) / CTE_CELL) + 1)}
-
-    indexed = set()
-    for s, box in enumerate(boxes):
-        segment = Route.build(route.lat[s:s + 2], route.lon[s:s + 2], route.speed[s:s + 2], route.origin)
-        for cell in cells(box, 0.0):
-            i, j = divmod(cell, ny)
-            if brute_force_cte(segment, VehicleState(x=x0 + (i + 0.5) * CTE_CELL, y=y0 + (j + 0.5) * CTE_CELL)) <= reach / 2:
-                indexed.add(cell)
-    near = [cells(box, reach) for box in boxes]
-    return {cell: [s for s in range(len(boxes)) if cell in near[s]] for cell in indexed}
+    grow = CTE_CELL / 2 + 1e-6
+    cells = {}
+    for s, (ax, ay, dx, dy, _) in enumerate(route.segments.T.tolist()):
+        for i in range(math.floor((min(ax, ax + dx) - grow - x0) / CTE_CELL), math.floor((max(ax, ax + dx) + grow - x0) / CTE_CELL) + 1):
+            for j in range(math.floor((min(ay, ay + dy) - grow - y0) / CTE_CELL), math.floor((max(ay, ay + dy) + grow - y0) / CTE_CELL) + 1):
+                assert 0 <= i < nx and 0 <= j < ny
+                cells.setdefault(i * ny + j, []).append(s)
+    return cells
 
 
 @settings(max_examples=60, deadline=None)
 @given(route=ROUTES)
 def test_cte_index_holds_what_its_definition_says(route):
-    _, _, spans, candidates = route.cte_index
+    _, _, spans, ids = route.cte_index
     reference = reference_cte_cells(route)
     assert sorted(spans) == sorted(reference)
-    columns = route.segments.T.tolist()
     for cell, span in spans.items():
-        assert sorted(map(tuple, candidates[:, span].T.tolist())) == sorted(tuple(columns[s]) for s in reference[cell])
+        assert sorted(ids[span].tolist()) == reference[cell]
+    assert sum(len(v) for v in reference.values()) == len(ids)
+
+
+def test_nearest_listed_segment_beyond_half_a_cell_sends_the_query_to_a_full_scan():
+    # the point is 2.5 m above the listed y = 3.4 leg and 2.2 m below the y = 8.1 leg,
+    # whose grown box stops 0.1 m short of the point's cell
+    route = route_through([40.0, 40.0, -20.0, -20.0, 20.0], [-10.0, 3.4, 3.4, 8.1, 8.1])
+    (x0, y0), (nx, ny), spans, ids = route.cte_index
+    state = VehicleState(x=1.0, y=5.9)
+    listed = ids[spans[int((state.x - x0) / CTE_CELL) * ny + int((state.y - y0) / CTE_CELL)]]
+    assert listed.tolist() == [1]
+    assert float(waypoints._segment_distances(state.x, state.y, *route.segments[:, listed]).min()) == pytest.approx(2.5)
+    assert cross_track_error(route, state) == full_scan_cte(route, state) == pytest.approx(2.2)
+
+
+def divide_and_clip_distances(x, y, ax, ay, dx, dy, len2):
+    """``_segment_distances`` with its segment parameter written as np.divide(where=len2 > 0) and np.clip."""
+    dot = (x - ax) * dx + (y - ay) * dy
+    t = np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0)
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.hypot(x - (ax + t * dx), y - (ay + t * dy))
+
+
+def test_segment_distances_equal_the_divide_and_clip_form_bit_for_bit():
+    # finite values whose products neither overflow nor underflow, with segments of length 0 and signed zeros
+    rng = np.random.default_rng(13)
+    n = 6000
+    x, y, ax, ay, dx, dy = rng.choice([-1.0, 1.0], (6, n)) * 10.0 ** rng.uniform(-6.0, 4.0, (6, n))
+    dx[:2000] = dy[:2000] = 0.0
+    dx[1000:3000:2] *= -0.0
+    dy[1000:3000:3] *= -0.0
+    ax[::5], ay[::5] = x[::5], y[::5]  # the point on the start, where the dot product is a zero
+    ax[1::7] *= 0.0
+    x[2::9] *= -0.0
+    len2 = dx * dx + dy * dy
+    got = waypoints._segment_distances(x, y, ax, ay, dx, dy, len2)
+    want = divide_and_clip_distances(x, y, ax, ay, dx, dy, len2)
+    assert got.tobytes() == want.tobytes()
+    for k in range(0, n, 97):  # and with a scalar point, as cross_track_error calls it
+        one = waypoints._segment_distances(x[k], y[k], ax, ay, dx, dy, len2)
+        assert one.tobytes() == divide_and_clip_distances(x[k], y[k], ax, ay, dx, dy, len2).tobytes()
 
 
 def test_indexed_cross_track_on_a_long_route_reads_few_segments():
     rng = np.random.default_rng(12)
     route = walk_route(zip(np.ones(3000), np.cumsum(rng.normal(0.0, 0.2, 3000))))
-    (x0, y0), (nx, ny), spans, candidates = route.cte_index
+    (x0, y0), (nx, ny), spans, ids = route.cte_index
     sizes = [s.stop - s.start for s in spans.values()]
-    assert len(candidates[0]) == sum(sizes) and max(sizes) <= 40
+    assert len(ids) == sum(sizes) and max(sizes) <= 40
     near = route.xy[rng.integers(0, len(route.xy), 2000)] + rng.uniform(-1.0, 1.0, (2000, 2))
     indexed = 0
     for x, y in near.tolist():
