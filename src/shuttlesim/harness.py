@@ -23,6 +23,7 @@ from shuttlesim.scenario import ScenarioConfig, ScenarioError
 from shuttlesim.signs import STOP_SPEED, SignDetector, SignStopLogic
 from shuttlesim.twist import TwistCommand, TwistController
 from shuttlesim.waypoints import (
+    RECORD_SPACING,
     RecordedTrace,
     cross_track_error,
     follow_step,
@@ -307,7 +308,7 @@ def read_log(path) -> list[LogRow]:
     return rows
 
 
-def record_trace(scenario: ScenarioConfig, spacing: float = 1.0) -> RecordedTrace:
+def record_trace(scenario: ScenarioConfig) -> RecordedTrace:
     """Drive the scripted segments closed-loop and sample the path every metre."""
     if not scenario.drive_script:
         raise ScenarioError("drive_script: record requires a non-empty drive_script")
@@ -336,15 +337,14 @@ def record_trace(scenario: ScenarioConfig, spacing: float = 1.0) -> RecordedTrac
                 yaw_cmd = prev_yaw + frac * (segment.yaw_rate - prev_yaw)
             else:
                 speed_cmd, yaw_cmd = segment.speed, segment.yaw_rate
-            cmd = TwistCommand(max(speed_cmd, 0.0), yaw_cmd,
-                               cfg.follower.accel_limit, cfg.follower.decel_limit)
+            cmd = TwistCommand(speed_cmd, yaw_cmd, cfg.follower.accel_limit, cfg.follower.decel_limit)
             act = controller.step(cmd, state.speed, state.accel, dt)
             prev = (state.x, state.y)
             state = step_plant(state, cfg.vehicle, act.throttle, act.brake,
                                act.steer / cfg.vehicle.steering_ratio, dt)
             travelled_since += math.hypot(state.x - prev[0], state.y - prev[1])
             t += dt
-            if travelled_since >= spacing:
+            if travelled_since >= RECORD_SPACING:
                 sample(t)
                 travelled_since = 0.0
         prev_speed, prev_yaw = segment.speed, segment.yaw_rate

@@ -22,9 +22,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from shuttlesim.bounds import LIMIT, Bound, Intensity, NonNegative, Positive, check_bounds
 from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.world import SignSpec, WorldModel
 
@@ -33,21 +35,16 @@ RING_ELEVATIONS_DEG = tuple(range(-15, 16, 2))  # 16 beams
 
 @dataclass(frozen=True)
 class LidarConfig:
-    azimuth_step_deg: float = 0.2
-    max_range: float = 50.0
-    min_range: float = 0.1
-    background_intensity: float = 20.0
-    range_jitter: float = 0.0  # Gaussian sigma on returned range, m
+    azimuth_step_deg: Annotated[float, Bound(0.01, 10.0, "within [0.01, 10]")] = 0.2
+    max_range: Positive = 50.0
+    min_range: NonNegative = 0.1
+    background_intensity: Intensity = 20.0
+    range_jitter: Annotated[NonNegative, LIMIT] = 0.0  # Gaussian sigma on returned range, m
 
     def __post_init__(self):
-        if not 0.01 <= self.azimuth_step_deg <= 10.0:
-            raise ValueError("azimuth_step_deg out of range")
-        if self.min_range < 0:
-            raise ValueError("min_range must be >= 0")
+        check_bounds(self)
         if self.max_range <= self.min_range:
             raise ValueError("max_range must exceed min_range")
-        if self.range_jitter < 0:
-            raise ValueError("range_jitter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def _sign_hits(sign: SignSpec, center, normal, dirs, denom, min_range):
     smaller array, by far less than the edge slack.
     """
     valid = np.abs(denom) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_pl = np.where(valid, center @ normal / denom, np.inf)
     p = np.where(valid, t_pl, 0.0)[:, None] * dirs
     nx, ny, nz = normal
@@ -195,7 +192,8 @@ def scan(
         lo = np.array([box.center[0] - box.size[0] / 2 - sx, box.center[1] - box.size[1] / 2 - sy, -h])
         hi = np.array([box.center[0] + box.size[0] / 2 - sx, box.center[1] + box.size[1] / 2 - sy,
                        box.height - h])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a ray component that is 0 or subnormal puts that slab at +-inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t1 = lo / ray
             t2 = hi / ray
         t_near = np.nanmax(np.minimum(t1, t2), axis=1)

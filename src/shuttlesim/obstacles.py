@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from shuttlesim.bounds import NonNegative, Positive, check_bounds
 from shuttlesim.lidar import LidarFrame
 from shuttlesim.plant import VehicleParams, simulate_full_stop
 from shuttlesim.twist import TwistCommand
@@ -31,15 +32,16 @@ MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates two n x n bool tabl
 
 @dataclass(frozen=True)
 class GridParams:
-    cell_size: float = 0.25
+    cell_size: Positive = 0.25
     # must cover the corridor's reach: 15 m ahead of the bumper, which sits
     # front_overhang beyond the grid's vehicle-centred origin
-    extent: float = 20.0  # grid covers +-extent around the vehicle, m
-    height_threshold: float = 0.07
-    roof_height: float = 2.1  # points above this are overhead structure
-    min_cell_points: float = 2  # a spread needs at least one point pair
+    extent: Positive = 20.0  # grid covers +-extent around the vehicle, m
+    height_threshold: NonNegative = 0.07
+    roof_height: Positive = 2.1  # points above this are overhead structure
+    min_cell_points: NonNegative = 2  # a spread needs at least one point pair
 
     def __post_init__(self):
+        check_bounds(self)
         if not 2 * self.extent / MAX_GRID_CELLS <= self.cell_size < self.extent:
             raise ValueError(f"cell_size {self.cell_size} must be in [2 extent / {MAX_GRID_CELLS}, extent)")
 
@@ -98,9 +100,11 @@ class Corridor:
 
 @dataclass(frozen=True)
 class CorridorParams:
-    length: float = 15.0
-    clearance: float = 0.4  # lateral margin beyond the vehicle half width
-    straight_steer_threshold: float = 0.01  # rad
+    length: Positive = 15.0
+    clearance: NonNegative = 0.4  # lateral margin beyond the vehicle half width
+    straight_steer_threshold: Positive = 0.01  # rad
+
+    __post_init__ = check_bounds
 
 
 def corridor_from_steering(

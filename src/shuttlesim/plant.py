@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
+
+from shuttlesim.bounds import LIMIT, TINY, Bound, Fraction, Length, Positive, check_bounds
 
 # Open-loop brake pedal map fitted on the real cart: pedal = 0.28*ln(decel) + 0.90.
 # The plant inverts it so commanded and realised deceleration agree in the
@@ -24,35 +27,19 @@ def normalize_angle(angle: float) -> float:
 class VehicleParams:
     """Geometry and actuator calibration of the shuttle."""
 
-    wheelbase: float = 2.57
-    steering_ratio: float = 16.8
-    max_steer: float = 0.55  # front-wheel angle limit, rad
-    throttle_gain: float = 2.5  # m/s^2 at full throttle
-    max_decel: float = 5.0  # mechanical limit reached at full pedal, m/s^2
-    brake_slew: float = 10.0  # brake force build/release rate, m/s^3
-    panic_brake_pedal: float = 0.995  # pedal position treated as full mechanical braking
-    half_width: float = 0.75
-    front_overhang: float = 3.2  # front bumper ahead of the rear axle, m
-    lidar_mount_height: float = 2.0
-    lidar_offset_x: float = 1.6  # mount ahead of the rear axle, m
+    wheelbase: Length = 2.57
+    steering_ratio: Positive = 16.8
+    max_steer: Annotated[float, Bound(TINY, math.nextafter(math.pi / 2, 0.0), "within (0, pi/2)")] = 0.55  # rad
+    throttle_gain: Annotated[Positive, LIMIT] = 2.5  # m/s^2 at full throttle
+    max_decel: Positive = 5.0  # mechanical limit reached at full pedal, m/s^2
+    brake_slew: Positive = 10.0  # brake force build/release rate, m/s^3
+    panic_brake_pedal: Fraction = 0.995  # pedal position treated as full mechanical braking
+    half_width: Length = 0.75
+    front_overhang: Length = 3.2  # front bumper ahead of the rear axle, m
+    lidar_mount_height: Length = 2.0
+    lidar_offset_x: Length = 1.6  # mount ahead of the rear axle, m
 
-    def __post_init__(self):
-        for name in (
-            "wheelbase",
-            "steering_ratio",
-            "max_steer",
-            "throttle_gain",
-            "max_decel",
-            "brake_slew",
-            "half_width",
-            "front_overhang",
-            "lidar_mount_height",
-            "lidar_offset_x",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.max_steer >= math.pi / 2:
-            raise ValueError("max_steer must be below pi/2")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ Schema (all sections optional unless noted):
 
 Values are converted to the annotated field types: numbers may be strings
 (YAML 1.1 reads ``3e0`` as one), floats must be finite, ints integral; an empty
-value keeps the default. Errors read ``file: key.path: message``.
+value keeps the default. A field's range is its annotation (``shuttlesim.bounds``),
+checked when its dataclass is built. Errors read ``file: key.path: message``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import yaml
 
+from shuttlesim.bounds import LIMIT, Bound, Coordinate, Count, Natural, NonNegative, Positive, check_bounds
 from shuttlesim.lidar import LidarConfig
 from shuttlesim.obstacles import CorridorParams, GridParams
 from shuttlesim.plant import VehicleParams
@@ -60,42 +62,41 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class StartPose:
-    x: float = 0.0
-    y: float = 0.0
+    x: Coordinate = 0.0
+    y: Coordinate = 0.0
     heading: float = 0.0
-    speed: float = 0.0
+    speed: Annotated[NonNegative, LIMIT] = 0.0
 
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ScenarioError(f"speed must be >= 0, got {self.speed}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class DriveSegment:
-    duration: float
-    speed: float
+    duration: Positive
+    speed: NonNegative
     yaw_rate: float = 0.0
-    blend: float = 0.0  # seconds of linear ramp from the previous command
+    blend: NonNegative = 0.0  # seconds of linear ramp from the previous command
 
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ScenarioError("drive segment duration must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class ManualStop:
-    t: float
-    duration: float
+    t: NonNegative
+    duration: Positive
+
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "scenario"
-    seed: int = 0
-    duration: float = 10.0
-    tick_rate: float = 50.0
+    seed: Natural = 0
+    duration: Positive = 10.0
+    tick_rate: Annotated[float, Bound(10.0, 200.0, "within [10, 200]")] = 50.0
     waypoint_file: str | None = None
-    origin: tuple[float, float] = DEFAULT_ORIGIN
+    origin: tuple[Annotated[float, Bound(-MAX_LAT, MAX_LAT, f"within [-{MAX_LAT:g}, {MAX_LAT:g}]")],
+                  Annotated[float, Bound(-MAX_LON, MAX_LON, f"within [-{MAX_LON:g}, {MAX_LON:g}]")]] = DEFAULT_ORIGIN
     start: StartPose = StartPose()
     world: WorldModel = WorldModel()
     vehicle: VehicleParams = VehicleParams()
@@ -105,28 +106,21 @@ class ScenarioConfig:
     corridor: CorridorParams = CorridorParams()
     sign_filter: FilterParams = FilterParams()
     lidar: LidarConfig = LidarConfig()
-    lidar_period_ticks: int = 5
-    perception_latency_ticks: int = 0
+    lidar_period_ticks: Count = 5
+    perception_latency_ticks: Natural = 0
     sign_stop: SignStopParams = SignStopParams()
     manual_stops: tuple[ManualStop, ...] = ()
     drive_script: tuple[DriveSegment, ...] = ()
 
     def __post_init__(self):
-        if not 10.0 <= self.tick_rate <= 200.0:
-            raise ScenarioError(f"tick_rate must be within [10, 200], got {self.tick_rate}")
-        if self.duration <= 0:
-            raise ScenarioError("duration must be positive")
+        check_bounds(self)
         for name, seconds in (("duration", self.duration), ("drive_script", sum(d.duration for d in self.drive_script))):
             if seconds * self.tick_rate > MAX_TICKS:
                 raise ScenarioError(f"{name}: {seconds:g} s at {self.tick_rate:g} Hz is more than {MAX_TICKS} ticks")
-        if self.lidar_period_ticks < 1:
-            raise ScenarioError("lidar_period_ticks must be >= 1")
-        for name in ("seed", "perception_latency_ticks"):
-            if getattr(self, name) < 0:
-                raise ScenarioError(f"{name} must be >= 0")
-        for name, value, bound in zip(("latitude", "longitude"), self.origin, (MAX_LAT, MAX_LON)):
-            if not abs(value) <= bound:
-                raise ScenarioError(f"origin: {name} out of range: {value}")
+        for i, ped in enumerate(self.world.pedestrians):  # where each starts: walking may carry it past the bound
+            for j, value in enumerate(ped.position):
+                if not LIMIT.lo <= value <= LIMIT.hi:
+                    raise ScenarioError(f"world.pedestrians[{i}]: position[{j}] must be {LIMIT.text}, got {value!r}")
 
     @property
     def dt(self) -> float:

@@ -13,10 +13,12 @@ it until the cart has stopped and dwelt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from shuttlesim.bounds import Bound, Count, Fraction, Intensity, Natural, NonNegative, Positive, check_bounds
 from shuttlesim.lidar import LidarFrame
 from shuttlesim.twist import TwistCommand
 
@@ -28,26 +30,19 @@ _COLLINEAR = 1e-12  # a triple whose cross product is shorter spans no plane
 
 @dataclass(frozen=True)
 class FilterParams:
-    fov_side: float = 10.0  # lateral half-extent kept by the FOV crop, m
-    min_intensity: float = 85.0
-    ror_radius: float = 0.5
-    ror_min_neighbors: int = 3
-    sor_k: int = 8
-    sor_stddev_mult: float = 1.0
-    plane_dist_tol: float = 0.05
-    normal_min_a: float = 0.9  # required x-component of the facing normal
-    min_sign_points: int = 10
-    ransac_iters: int = 200
-    ransac_seed: int = 0
+    fov_side: Positive = 10.0  # lateral half-extent kept by the FOV crop, m
+    min_intensity: Intensity = 85.0
+    ror_radius: Positive = 0.5
+    ror_min_neighbors: Count = 3
+    sor_k: Count = 8
+    sor_stddev_mult: Positive = 1.0
+    plane_dist_tol: Positive = 0.05
+    normal_min_a: Fraction = 0.9  # required x-component of the facing normal
+    min_sign_points: Count = 10
+    ransac_iters: Annotated[int, Bound(1, 100_000, "within [1, 100000]")] = 200  # triples drawn in one call
+    ransac_seed: Natural = 0
 
-    def __post_init__(self):
-        if not 0.0 <= self.min_intensity <= 255.0:
-            raise ValueError("min_intensity must be within [0, 255]")
-        for name in ("fov_side", "ror_radius", "ror_min_neighbors", "sor_k",
-                     "sor_stddev_mult", "plane_dist_tol", "normal_min_a",
-                     "min_sign_points", "ransac_iters"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -255,17 +250,11 @@ def sign_speed_command(
 
 @dataclass(frozen=True)
 class SignStopParams:
-    latch_distance: float = 1.5  # hold the stop once the sign is this close, m
-    dwell: float = 2.0  # time held at standstill before resuming, s
-    clear_ticks: int = 50  # detection-free ticks before re-arming
+    latch_distance: Positive = 1.5  # hold the stop once the sign is this close, m
+    dwell: NonNegative = 2.0  # time held at standstill before resuming, s
+    clear_ticks: Count = 50  # detection-free ticks before re-arming
 
-    def __post_init__(self):
-        if self.latch_distance <= 0:
-            raise ValueError("latch_distance must be positive")
-        if self.dwell < 0:
-            raise ValueError("dwell must be >= 0")
-        if self.clear_ticks < 1:
-            raise ValueError("clear_ticks must be >= 1")
+    __post_init__ = check_bounds
 
 
 class SignStopLogic:

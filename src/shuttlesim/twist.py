@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from shuttlesim.bounds import NonNegative, Positive, check_bounds
 from shuttlesim.plant import BRAKE_CURVE_OFFSET, BRAKE_CURVE_SLOPE, VehicleParams
 
 
@@ -53,13 +54,15 @@ class ControllerState:
 
 @dataclass(frozen=True)
 class ControllerGains:
-    kp_speed: float = 3.0  # speed error -> acceleration command
-    kp_throttle: float = 0.35
-    ki_throttle: float = 0.9
-    integrator_limit: float = 0.8  # anti-windup clamp on the integral term
-    throttle_filter_tau: float = 0.25  # jerk smoothing on the throttle output, s
-    accel_filter_tau: float = 2.0  # accelerometer noise filter, s
-    v_floor: float = 0.5  # guards the v->0 steering singularity, m/s
+    kp_speed: Positive = 3.0  # speed error -> acceleration command
+    kp_throttle: NonNegative = 0.35
+    ki_throttle: NonNegative = 0.9
+    integrator_limit: NonNegative = 0.8  # anti-windup clamp on the integral term
+    throttle_filter_tau: NonNegative = 0.25  # jerk smoothing on the throttle output, s
+    accel_filter_tau: NonNegative = 2.0  # accelerometer noise filter, s
+    v_floor: Positive = 0.5  # guards the v->0 steering singularity, m/s
+
+    __post_init__ = check_bounds
 
 
 def lowpass(state: float, raw: float, dt: float, tau: float) -> float:
@@ -92,13 +95,9 @@ def speed_step(
     a_cmd = min(max(gains.kp_speed * (cmd.linear_v - v_meas), -cmd.decel_limit), cmd.accel_limit)
     error = a_cmd - a_filt
 
-    if cmd.linear_v == 0.0:
-        # a stop command never throttles, even while the lagging acceleration
-        # estimate says the cart is decelerating harder than asked
-        brake = brake_pedal_for(-a_cmd) if a_cmd < 0.0 else 0.0
-        return 0.0, brake, ControllerState(a_filt, 0.0, 0.0, error)
-
-    if error >= 0.0:
+    # a stop command never throttles, even while the lagging acceleration
+    # estimate says the cart is decelerating harder than asked
+    if cmd.linear_v > 0.0 and error >= 0.0:
         # PI throttle with trapezoidal integration and conditional anti-windup.
         integ = state.throttle_integrator + gains.ki_throttle * 0.5 * (error + state.prev_accel_error) * dt
         integ = min(max(integ, -gains.integrator_limit), gains.integrator_limit)
@@ -113,11 +112,9 @@ def speed_step(
         next_state = ControllerState(a_filt, integ, throttle, error)
         return throttle, 0.0, next_state
 
-    # Negative acceleration error: release throttle. Brake only when an actual
-    # deceleration is commanded; the pedal map is undefined otherwise.
-    brake = brake_pedal_for(-a_cmd) if a_cmd < 0.0 else 0.0
-    next_state = ControllerState(a_filt, 0.0, 0.0, error)
-    return 0.0, brake, next_state
+    # A stop or a negative acceleration error releases the throttle. The pedal
+    # is 0 unless a deceleration is commanded.
+    return 0.0, brake_pedal_for(-a_cmd), ControllerState(a_filt, 0.0, 0.0, error)
 
 
 def steer_from_twist(

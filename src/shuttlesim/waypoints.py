@@ -14,12 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
+from shuttlesim.bounds import Positive, check_bounds
 from shuttlesim.plant import VehicleState, normalize_angle
 from shuttlesim.twist import TwistCommand
 
 EARTH_RADIUS = 6378137.0
 LATERAL_ACCEL_LIMIT = 0.5  # m/s^2
 RECORD_SPACING = 1.0  # m between recorded waypoints
+MAX_SAMPLE_GAP = 100.0 * RECORD_SPACING  # m; a trace whose samples lie farther apart was not recorded by driving
 OMEGA_STRAIGHT = 1e-3  # below this yaw rate the radius is treated as infinite
 
 
@@ -28,7 +30,7 @@ class PathFormatError(ValueError):
 
 
 class RowError(ValueError):
-    """A route value out of range; ``row`` is the index of its waypoint."""
+    """A route or trace value out of range; ``row`` is the index of its waypoint or sample."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -74,7 +76,8 @@ CTE_CELL = 4.0  # m, side of the grid cells that index the route's segments for 
 def _segment_distances(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
     """Distance from (x, y) to each segment; x and y may also be arrays, one value per segment."""
     dot = (x - ax) * dx + (y - ay) * dy
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length segment's 0 / 0 is nan, which fmax takes to 0
+    # a zero-length segment's 0 / 0 is nan, which fmax takes to 0; a subnormal length2 overflows to inf, which fmin takes to 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = np.fmin(np.fmax(dot / len2, 0.0), 1.0)
     return np.hypot(x - (ax + t * dx), y - (ay + t * dy))
 
@@ -156,6 +159,10 @@ class RecordedTrace:
             raise ValueError("trace needs at least two samples")
         if not np.all(np.diff(self.t) > 0):
             raise ValueError("trace timestamps must be strictly increasing")
+        gap = np.hypot(*np.diff(to_local((self.lat[0], self.lon[0]), self.lat, self.lon), axis=1))
+        if not np.all(gap <= MAX_SAMPLE_GAP):  # compile_path's route is then at most MAX_SAMPLE_GAP m a sample
+            row = int(np.argmin(gap <= MAX_SAMPLE_GAP))
+            raise RowError(row + 1, f"sample is {gap[row]:.3g} m from the one before, more than {MAX_SAMPLE_GAP:g} m")
 
     def __len__(self):
         return len(self.t)
@@ -163,16 +170,13 @@ class RecordedTrace:
 
 @dataclass(frozen=True)
 class FollowerParams:
-    kp: float = 1.5  # heading error -> angular velocity
-    switch_radius: float = 2.0  # advance to the next waypoint inside this range, m
-    accel_limit: float = 1.0
-    decel_limit: float = 1.2
+    kp: Positive = 1.5  # heading error -> angular velocity
+    switch_radius: Positive = 2.0  # advance to the next waypoint inside this range, m
+    accel_limit: Positive = 1.0
+    decel_limit: Positive = 1.2
     heading_bias: float = 0.0  # constant compass correction, rad
 
-    def __post_init__(self):
-        for name in ("kp", "switch_radius", "accel_limit", "decel_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    __post_init__ = check_bounds
 
 
 def follow_step(
@@ -216,11 +220,7 @@ def turn_radius(v, omega) -> np.ndarray:
     return np.divide(np.abs(v), w, out=np.full(np.shape(w), math.inf), where=w >= OMEGA_STRAIGHT)
 
 
-def compile_path(
-    trace: RecordedTrace,
-    target_speed: float,
-    spacing: float = RECORD_SPACING,
-) -> Route:
+def compile_path(trace: RecordedTrace, target_speed: float) -> Route:
     """Resample a driven trace at 1 m spacing and cap speeds by curvature.
 
     Each waypoint's speed is min(target_speed, sqrt(0.5 * r)) where r is the
@@ -236,7 +236,7 @@ def compile_path(
     if s[-1] <= 0.0:
         raise ValueError("trace has zero length")
 
-    marks = np.arange(0.0, s[-1], spacing)
+    marks = np.arange(0.0, s[-1], RECORD_SPACING)
     if s[-1] - marks[-1] > 1e-9:
         marks = np.append(marks, s[-1])
 
@@ -327,9 +327,11 @@ def save_trace(trace: RecordedTrace, path) -> None:
 
 
 def load_trace(path) -> RecordedTrace:
-    _, rows = _read_rows(path, "t,lat,lon,v,omega", ("#", "t,"), finite=True)
+    linenos, rows = _read_rows(path, "t,lat,lon,v,omega", ("#", "t,"), finite=True)
     t, lat, lon, v, omega = rows.T
     try:
         return RecordedTrace(lat=lat, lon=lon, v=v, omega=omega, t=t)
+    except RowError as exc:
+        raise PathFormatError(f"{path}:{linenos[exc.row]}: {exc}") from exc
     except ValueError as exc:
         raise PathFormatError(f"{path}: {exc}") from exc

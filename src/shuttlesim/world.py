@@ -5,55 +5,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from shuttlesim.bounds import Coordinate, Intensity, Length, check_bounds
+
 
 @dataclass(frozen=True)
 class BoxObstacle:
     """Axis-aligned box sitting on the ground."""
 
-    center: tuple[float, float]
-    size: tuple[float, float]
-    height: float
+    center: tuple[Coordinate, Coordinate]
+    size: tuple[Length, Length]
+    height: Length
 
-    def __post_init__(self):
-        if self.height <= 0 or min(self.size) <= 0:
-            raise ValueError("box dimensions must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class Pedestrian:
     """Cylinder walking in a straight line at constant velocity."""
 
-    position: tuple[float, float]
-    velocity: tuple[float, float] = (0.0, 0.0)
-    height: float = 1.7
-    radius: float = 0.3
+    position: tuple[float, float]  # bounded where a scenario loads: walking may carry it past any bound
+    velocity: tuple[Coordinate, Coordinate] = (0.0, 0.0)
+    height: Length = 1.7
+    radius: Length = 0.3
 
-    def __post_init__(self):
-        if self.height <= 0 or self.radius <= 0:
-            raise ValueError("pedestrian dimensions must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class SignSpec:
     """Flat rectangular sign; the front face returns the retroreflective intensity."""
 
-    center: tuple[float, float, float]
+    center: tuple[Coordinate, Coordinate, Coordinate]
     normal: tuple[float, float, float]
-    width: float = 0.75
-    height: float = 0.75
-    intensity: float = 200.0
+    width: Length = 0.75
+    height: Length = 0.75
+    intensity: Intensity = 200.0
 
     def __post_init__(self):
+        check_bounds(self)
         n = math.hypot(*self.normal)
         if n == 0:
             raise ValueError("sign normal must be non-zero")
         object.__setattr__(self, "normal", tuple(c / n for c in self.normal))
         if abs(self.normal[2]) > 0.99:
             raise ValueError("sign must be close to vertical")
-        if not 0.0 <= self.intensity <= 255.0:
-            raise ValueError("sign intensity must be within [0, 255]")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("sign dimensions must be positive")
 
 
 @dataclass(frozen=True)

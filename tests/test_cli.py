@@ -160,6 +160,15 @@ def test_compile_path_error_names_trace(tmp_path, capsys, lat_b, message):
     assert not list(tmp_path.glob("*.waypoints"))
 
 
+def test_compile_path_rejects_samples_far_apart_naming_the_line(tmp_path, capsys):
+    # one latitude set to 0 asked compile_path for a 6800 km route of 6.8 million waypoints
+    trace = tmp_path / "far.trace"
+    trace.write_text("t,lat,lon,v,omega\n0.0,30.615,-96.34,1.0,0.0\n1.0,0.0,-96.34,1.0,0.0\n2.0,30.615,-96.34,1.0,0.0\n")
+    assert main(["compile-path", str(trace), "--speed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {trace}:3: sample is 3.41e+06 m from the one before, more than 100 m\n"
+    assert not list(tmp_path.glob("*.waypoints"))
+
+
 @pytest.mark.parametrize("samples, message", [
     (["0.0,30.0,-96.0,1.0,0.0"], "trace needs at least two samples"),
     (["0.0,30.0,-96.0,1.0,0.0"] * 2 + ["1.0,30.0001,-96.0,1.0,0.0"], "trace timestamps must be strictly increasing"),
@@ -200,7 +209,7 @@ BAD_SCENARIOS = [
     ("follower: {switch_radius: 0}", "follower: switch_radius must be positive"),
     ("follower: {accel_limit: -1}", "follower: accel_limit must be positive"),
     ("follower: {decel_limit: 0}", "follower: decel_limit must be positive"),
-    ("vehicle: {max_steer: 3.0}", "vehicle: max_steer must be below pi/2"),
+    ("vehicle: {max_steer: 3.0}", "vehicle: max_steer must be within (0, pi/2), got 3.0"),
     ("lidar: {range_jitter: -0.01}", "lidar: range_jitter must be >= 0"),
     ("world: {signs: [{center: [9, -2, 2], normal: [-1, 0, 0], width: .nan}]}",
      "world.signs[0].width: expected a finite number"),
@@ -210,9 +219,31 @@ BAD_SCENARIOS = [
     ("waypoints: nothere.waypoints", "nothere.waypoints: No such file or directory"),
     ("duration: 1e300", "duration: 1e+300 s at 50 Hz is more than 4320000 ticks"),
     ("drive_script: [{duration: 9e4, speed: 1}]", "drive_script: 90000 s at 50 Hz is more than"),
-    ("origin: [95.0, -96.34]", "origin: latitude out of range: 95.0"),
-    ("origin: [30.615, -181]", "origin: longitude out of range: -181.0"),
+    ("origin: [95.0, -96.34]", "origin[0] must be within [-90, 90], got 95.0"),
+    ("origin: [30.615, -181]", "origin[1] must be within [-180, 180], got -181.0"),
     ("start: {speed: -1}", "start: speed must be >= 0, got -1.0"),
+    # unless rejected at load, each of these runs a broken cart or ends in a traceback
+    ("gains: {throttle_filter_tau: -0.02}", "gains: throttle_filter_tau must be >= 0, got -0.02"),
+    ("gains: {accel_filter_tau: -0.02}", "gains: accel_filter_tau must be >= 0, got -0.02"),
+    ("gains: {v_floor: 0}", "gains: v_floor must be positive, got 0.0"),
+    ("sign_filter: {ransac_seed: -1}", "sign_filter: ransac_seed must be >= 0, got -1"),
+    ("lidar: {background_intensity: 300}", "lidar: background_intensity must be within [0, 255], got 300.0"),
+    ("vehicle: {panic_brake_pedal: 0}", "vehicle: panic_brake_pedal must be within (0, 1], got 0.0"),
+    ("grid: {roof_height: -1}", "grid: roof_height must be positive, got -1.0"),
+    ("manual_stops: [{t: 0.1, duration: -5}]", "manual_stops[0]: duration must be positive, got -5.0"),
+    # finite but huge: unless rejected at load, each overflows in lidar.scan
+    ("start: {x: 1e300}", "start: x must be within [-1e8, 1e8], got 1e+300"),
+    ("start: {y: -1e300}", "start: y must be within [-1e8, 1e8], got -1e+300"),
+    ("world: {obstacles: [{center: [40, 4], size: [1e300, 1], height: 1.5}]}",
+     "world.obstacles[0]: size[0] must be within [-1e8, 1e8], got 1e+300"),
+    ("world: {pedestrians: [{position: [-1e300, 6]}]}", "world.pedestrians[0]: position[0] must be within [-1e8, 1e8], got -1e+300"),
+    ("world: {pedestrians: [{position: [30, 6], velocity: [0.3, 1e300]}]}",
+     "world.pedestrians[0]: velocity[1] must be within [-1e8, 1e8], got 1e+300"),
+    ("world: {pedestrians: [{position: [30, 6], height: 1e300}]}",
+     "world.pedestrians[0]: height must be within [-1e8, 1e8], got 1e+300"),
+    ("world: {pedestrians: [{position: [30, 6], radius: 1e300}]}",
+     "world.pedestrians[0]: radius must be within [-1e8, 1e8], got 1e+300"),
+    ("lidar: {range_jitter: 1e300}", "lidar: range_jitter must be within [-1e8, 1e8], got 1e+300"),
 ]
 
 
@@ -325,19 +356,20 @@ def mutated(draw, data: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def shipped_inputs(tmp_path_factory):
-    """{file name: bytes} of demo.yaml cut to 0.2 s, its route and its log."""
+    """{file name: bytes} of demo.yaml cut to 0.2 s, its route and its log, and a recorded figure8_record trace."""
     folder = tmp_path_factory.mktemp("shipped")
     # a flipped digit can make the cut demo at most 0.9 s long
     (folder / "demo.yaml").write_bytes((SCENARIO_DIR / "demo.yaml").read_bytes().replace(b"duration: 40.0", b"duration: .2"))
     (folder / "straight_3mps.waypoints").write_bytes((SCENARIO_DIR / "straight_3mps.waypoints").read_bytes())
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", str(folder / "demo.yaml"), "--log", str(folder / "demo.log")]) == 0
+        assert main(["record", str(SCENARIO_DIR / "figure8_record.yaml"), "--out", str(folder / "figure8.trace")]) == 0
     return {path.name: path.read_bytes() for path in folder.iterdir()}
 
 
 # the command line that reads each file; the route is read through the scenario, which names it
 READERS = {"demo.yaml": ["run", "demo.yaml"], "straight_3mps.waypoints": ["run", "demo.yaml"],
-           "demo.log": ["replay", "demo.log"]}
+           "demo.log": ["replay", "demo.log"], "figure8.trace": ["compile-path", "figure8.trace", "--speed", "3"]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,10 +379,10 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
         folder = Path(folder)
         for file, text in shipped_inputs.items():
             (folder / file).write_bytes(data.draw(mutated(text)) if file == name else text)
-        verb, given_file = READERS[name]
+        verb, given_file, *options = READERS[name]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main([verb, str(folder / given_file)])
+            rc = main([verb, str(folder / given_file), *options])
         err = err.getvalue()
         named = f"error: {folder / given_file}" + (f": waypoints: {(folder / name).resolve()}" if given_file != name else "")
         named += ":"  # then the line number or the message

@@ -1,12 +1,14 @@
+import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shuttlesim.scenario import ScenarioConfig, ScenarioError, load_scenario, scenario_from_dict
+from shuttlesim.bounds import LIMIT
+from shuttlesim.scenario import DEFAULT_ORIGIN, ScenarioConfig, ScenarioError, load_scenario, scenario_from_dict
 from tests.conftest import SCENARIO_DIR
 
 
@@ -149,3 +151,81 @@ def test_sign_normal_normalised_without_overflow(scale):
     sign = {"center": [9.0, -2.0, 2.0], "normal": [-scale, 0.0, 0.0]}
     sc = scenario_from_dict({"world": {"signs": [sign]}})
     assert sc.world.signs[0].normal == (-1.0, 0.0, 0.0)
+
+
+# a valid entry of each list of dataclasses in a scenario
+ENTRIES = {
+    "world.obstacles": {"center": [40, 4], "size": [1, 1], "height": 1.5},
+    "world.pedestrians": {"position": [30, 6]},
+    "world.signs": {"center": [62, -2, 2], "normal": [-1, 0, 0]},
+    "manual_stops": {"t": 1, "duration": 1},
+    "drive_script": {"duration": 1, "speed": 1},
+}
+# numbers that take any finite value; a sign's normal obeys SignSpec's own rules
+ANY_FINITE = {"start.heading", "follower.heading_bias", "drive_script[0].yaw_rate",
+              *(f"world.signs[0].normal[{i}]" for i in range(3))}
+# bounded where a scenario loads, not in the annotation: walking may carry a pedestrian past the bound
+AT_LOAD = {f"world.pedestrians[0].position[{i}]": (float, (LIMIT,)) for i in range(2)}
+
+
+def numbers(cls, where=""):
+    """{key path: (int or float, the bounds in its annotation)} of every number reachable from dataclass ``cls``."""
+    found = {}
+    for name, tp in get_type_hints(cls, include_extras=True).items():
+        path = f"{where}.{name}" if where else name
+        args = get_args(tp)
+        if is_dataclass(tp):
+            found.update(numbers(tp, path))
+        elif get_origin(tp) is tuple and args[-1] is Ellipsis:
+            found.update(numbers(args[0], f"{path}[0]"))
+        else:
+            for key, element in ([(f"{path}[{i}]", a) for i, a in enumerate(args)] if get_origin(tp) is tuple
+                                 else [(path, tp)]):
+                base, *bounds = get_args(element) if get_origin(element) is Annotated else (element,)
+                if base in (int, float):
+                    found[key] = base, tuple(bounds)
+    return found
+
+
+NUMBERS = numbers(ScenarioConfig)
+
+
+def test_every_scenario_number_is_bounded_or_listed_as_any_finite():
+    unbounded = {path for path, (_, bounds) in NUMBERS.items() if not bounds}
+    assert unbounded == ANY_FINITE | set(AT_LOAD)
+
+
+def just_outside():
+    """(key path, value, error) for a value just past each finite end of a bound, where that bound is the first it breaks."""
+    for path, (base, bounds) in {**NUMBERS, **AT_LOAD}.items():
+        where, _, field = path.rpartition(".")
+        name = f"{where}: {field}" if where else field
+        for bound in bounds:
+            for end, away in ((bound.lo, -math.inf), (bound.hi, math.inf)):
+                value = end + (1 if away > 0 else -1) if base is int else math.nextafter(end, away)
+                if math.isfinite(end) and next(b for b in bounds if not b.lo <= value <= b.hi) == bound:
+                    yield pytest.param(path, value, f"{name} must be {bound.text}, got {value!r}", id=f"{path}={value!r}")
+
+
+def scenario_with(path, value) -> dict:
+    """The smallest scenario data that sets the number at ``path`` to ``value``."""
+    data = {}
+    node, keys = data, path.replace("[0].", ".").split(".")
+    for i, key in enumerate(keys[:-1]):
+        entry = ENTRIES.get(".".join(keys[:i + 1]))
+        node[key] = [dict(entry)] if entry else node.get(key, {})
+        node = node[key][0] if entry else node[key]
+    name, _, index = keys[-1].partition("[")
+    if index:
+        node[name] = list(node.get(name) or {"origin": DEFAULT_ORIGIN, "velocity": (0, 0)}[name])
+        node[name][int(index[:-1])] = value
+    else:
+        node[name] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, message", just_outside())
+def test_a_number_just_outside_its_bound_is_rejected_naming_its_key_path(path, value, message):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(scenario_with(path, value))
+    assert str(info.value) == message
