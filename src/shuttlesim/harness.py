@@ -187,9 +187,10 @@ class Simulation:
         except ValueError as exc:
             raise ScenarioError(f"waypoints: {exc}") from exc
         self.target_index, self.finished = 0, False  # the waypoint follower's state
-        self.world = scenario.world
-        start = scenario.start
-        self.state = VehicleState(x=start.x, y=start.y, heading=start.heading, speed=start.speed)
+        peds = scenario.world.pedestrians  # the scene is static; only these positions move
+        self.positions = np.array([p.position for p in peds], dtype=float).reshape(-1, 2)
+        self._velocities = np.array([p.velocity for p in peds], dtype=float).reshape(-1, 2)
+        self.state = VehicleState(**asdict(scenario.start))
         self.controller = TwistController(scenario.vehicle, scenario.gains)
         mount = (scenario.vehicle.lidar_offset_x, 0.0, scenario.vehicle.lidar_mount_height)
         self.detector = SignDetector(scenario.sign_filter, mount)
@@ -206,7 +207,7 @@ class Simulation:
         cfg = self.scenario
         period, latency = cfg.lidar_period_ticks, cfg.perception_latency_ticks
         if tick % period == 0:
-            self._frames.append(scan(self.world, self.state, cfg.vehicle, cfg.lidar, rng=self.rng))
+            self._frames.append(scan(cfg.world, self.state, cfg.vehicle, cfg.lidar, self.rng, self.positions))
         # perception takes each sweep exactly the latency after its scan
         if tick >= latency and (tick - latency) % period == 0:
             # held until the next one replaces it: a sweep freed before the next
@@ -281,7 +282,7 @@ class Simulation:
                 self.state, cfg.vehicle, act.throttle, act.brake,
                 act.steer / cfg.vehicle.steering_ratio, dt,
             )
-            self.world = step_pedestrians(self.world, dt)
+            self.positions = step_pedestrians(self.positions, self._velocities, dt)
 
         return metrics_from_rows(rows), rows
 
@@ -315,8 +316,7 @@ def record_trace(scenario: ScenarioConfig) -> RecordedTrace:
     cfg = scenario
     dt = cfg.dt
     controller = TwistController(cfg.vehicle, cfg.gains)
-    start = cfg.start
-    state = VehicleState(x=start.x, y=start.y, heading=start.heading, speed=start.speed)
+    state = VehicleState(**asdict(cfg.start))
 
     samples = []
 
@@ -327,7 +327,7 @@ def record_trace(scenario: ScenarioConfig) -> RecordedTrace:
     sample(0.0)
     travelled_since = 0.0
     t = 0.0
-    prev_speed, prev_yaw = start.speed, 0.0
+    prev_speed, prev_yaw = cfg.start.speed, 0.0
     for segment in cfg.drive_script:
         seg_ticks = int(round(segment.duration / dt))
         for k in range(seg_ticks):

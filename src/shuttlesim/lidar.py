@@ -154,6 +154,7 @@ def scan(
     params: VehicleParams = VehicleParams(),
     config: LidarConfig = LidarConfig(),
     rng: np.random.Generator | None = None,
+    positions: np.ndarray | None = None,
 ) -> LidarFrame:
     """Cast one full sweep and return the hits in vehicle coordinates.
 
@@ -161,7 +162,8 @@ def scan(
     objects are moved into that frame. Each box, pedestrian and sign is cast
     only against the rays in the azimuth wedge of its bounding circle
     (``_wedge``); every ray gets the same range and intensity as when each
-    object is cast against all rays.
+    object is cast against all rays. The pedestrians stand at ``positions``, (P, 2)
+    in ``world.pedestrians`` order, or at their starts when it is None.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
@@ -201,8 +203,9 @@ def scan(
         hit = (t_far >= t_near) & (t_near > config.min_range)
         _update_hits(t_best, intensity, rows, t_near, hit, config.background_intensity)
 
-    for ped in world.pedestrians:
-        px, py = to_sensor(ped.position[0] - sx, ped.position[1] - sy)
+    walked = [ped.position for ped in world.pedestrians] if positions is None else positions.tolist()
+    for ped, (x, y) in zip(world.pedestrians, walked, strict=True):
+        px, py = to_sensor(x - sx, y - sy)
         rows = wedge((px, py), ped.radius)
         d = dirs[rows]
         # near root of the side surface

@@ -22,7 +22,7 @@ Schema (all sections optional unless noted):
     sign_filter: {min_intensity: 85, ...}
     lidar:     {azimuth_step_deg: 0.2, range_jitter: 0.0, ...}
     lidar_period_ticks: 5     # sweeps arrive every N control ticks
-    perception_latency_ticks: 0
+    perception_latency_ticks: 0  # 0..100
     sign_stop: {latch_distance: 1.5, dwell: 2.0, clear_ticks: 50}
     manual_stops: [{t: 12.0, duration: 3.0}]
     drive_script:             # for `record`
@@ -107,7 +107,7 @@ class ScenarioConfig:
     sign_filter: FilterParams = FilterParams()
     lidar: LidarConfig = LidarConfig()
     lidar_period_ticks: Count = 5
-    perception_latency_ticks: Natural = 0
+    perception_latency_ticks: Annotated[int, Bound(0, 100, "within [0, 100]")] = 0  # at most 101 sweeps queued
     sign_stop: SignStopParams = SignStopParams()
     manual_stops: tuple[ManualStop, ...] = ()
     drive_script: tuple[DriveSegment, ...] = ()
@@ -117,10 +117,9 @@ class ScenarioConfig:
         for name, seconds in (("duration", self.duration), ("drive_script", sum(d.duration for d in self.drive_script))):
             if seconds * self.tick_rate > MAX_TICKS:
                 raise ScenarioError(f"{name}: {seconds:g} s at {self.tick_rate:g} Hz is more than {MAX_TICKS} ticks")
-        for i, ped in enumerate(self.world.pedestrians):  # where each starts: walking may carry it past the bound
-            for j, value in enumerate(ped.position):
-                if not LIMIT.lo <= value <= LIMIT.hi:
-                    raise ScenarioError(f"world.pedestrians[{i}]: position[{j}] must be {LIMIT.text}, got {value!r}")
+        if self.lidar.background_intensity >= self.sign_filter.min_intensity:
+            raise ScenarioError(f"lidar: background_intensity must be below sign_filter.min_intensity "
+                                f"({self.sign_filter.min_intensity!r}), got {self.lidar.background_intensity!r}")
 
     @property
     def dt(self) -> float:

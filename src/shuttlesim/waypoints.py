@@ -306,17 +306,22 @@ def _read_rows(path, fields: str, skip: tuple[str, ...], finite: bool = False):
     return linenos, np.array(rows, dtype=float).reshape(-1, width)
 
 
+def _build_rows(path, linenos, build):
+    """``build()``; a RowError it raises becomes a PathFormatError naming path:line, any other ValueError one naming path."""
+    try:
+        return build()
+    except RowError as exc:
+        raise PathFormatError(f"{path}:{linenos[exc.row]}: {exc}") from exc
+    except ValueError as exc:
+        raise PathFormatError(f"{path}: {exc}") from exc
+
+
 def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
     linenos, rows = _read_rows(path, "lat,lon,speed", ("#",))
     lat, lon, speed = rows.T
     if origin is None and linenos:
         origin = (float(lat[0]), float(lon[0]))
-    try:
-        return Route.build(lat, lon, speed, origin)
-    except RowError as exc:
-        raise PathFormatError(f"{path}:{linenos[exc.row]}: {exc}") from exc
-    except ValueError as exc:
-        raise PathFormatError(f"{path}: {exc}") from exc
+    return _build_rows(path, linenos, lambda: Route.build(lat, lon, speed, origin))
 
 
 def save_trace(trace: RecordedTrace, path) -> None:
@@ -329,9 +334,4 @@ def save_trace(trace: RecordedTrace, path) -> None:
 def load_trace(path) -> RecordedTrace:
     linenos, rows = _read_rows(path, "t,lat,lon,v,omega", ("#", "t,"), finite=True)
     t, lat, lon, v, omega = rows.T
-    try:
-        return RecordedTrace(lat=lat, lon=lon, v=v, omega=omega, t=t)
-    except RowError as exc:
-        raise PathFormatError(f"{path}:{linenos[exc.row]}: {exc}") from exc
-    except ValueError as exc:
-        raise PathFormatError(f"{path}: {exc}") from exc
+    return _build_rows(path, linenos, lambda: RecordedTrace(lat=lat, lon=lon, v=v, omega=omega, t=t))

@@ -1,9 +1,11 @@
-"""Static world description: obstacles, pedestrians and retroreflective signs."""
+"""The static scene of boxes, pedestrians and signs; ``Simulation`` walks the pedestrians' positions as one (P, 2) array."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from shuttlesim.bounds import Coordinate, Intensity, Length, check_bounds
 
@@ -21,9 +23,9 @@ class BoxObstacle:
 
 @dataclass(frozen=True)
 class Pedestrian:
-    """Cylinder walking in a straight line at constant velocity."""
+    """Cylinder walking in a straight line at constant velocity from ``position``."""
 
-    position: tuple[float, float]  # bounded where a scenario loads: walking may carry it past any bound
+    position: tuple[Coordinate, Coordinate]
     velocity: tuple[Coordinate, Coordinate] = (0.0, 0.0)
     height: Length = 1.7
     radius: Length = 0.3
@@ -58,13 +60,8 @@ class WorldModel:
     signs: tuple[SignSpec, ...] = ()
 
 
-def step_pedestrians(world: WorldModel, dt: float) -> WorldModel:
-    """Advance every pedestrian in a straight line."""
+def step_pedestrians(positions: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
+    """Advance (P, 2) pedestrian positions in a straight line at their (P, 2) velocities."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    moved = tuple(
-        replace(p, position=(p.position[0] + p.velocity[0] * dt,
-                             p.position[1] + p.velocity[1] * dt))
-        for p in world.pedestrians
-    )
-    return replace(world, pedestrians=moved)
+    return positions + velocities * dt

@@ -201,7 +201,8 @@ BAD_SCENARIOS = [
     ("seed: -1", "seed must be >= 0"),
     ("manual_stops: {t: 1}", "manual_stops: expected a list"),
     ("lidar_period_ticks: 1.5", "lidar_period_ticks: expected int"),
-    ("perception_latency_ticks: -3", "perception_latency_ticks must be >= 0"),
+    ("perception_latency_ticks: -3", "perception_latency_ticks must be within [0, 100], got -3"),
+    ("perception_latency_ticks: 1000000000", "perception_latency_ticks must be within [0, 100], got 1000000000"),
     ("sign_stop: {latch_distance: 0}", "sign_stop: latch_distance must be positive"),
     ("sign_stop: {dwell: -1}", "sign_stop: dwell must be >= 0"),
     ("sign_stop: {clear_ticks: 0}", "sign_stop: clear_ticks must be >= 1"),
@@ -228,6 +229,8 @@ BAD_SCENARIOS = [
     ("gains: {v_floor: 0}", "gains: v_floor must be positive, got 0.0"),
     ("sign_filter: {ransac_seed: -1}", "sign_filter: ransac_seed must be >= 0, got -1"),
     ("lidar: {background_intensity: 300}", "lidar: background_intensity must be within [0, 255], got 300.0"),
+    ("lidar: {background_intensity: 85}",
+     "lidar: background_intensity must be below sign_filter.min_intensity (85.0), got 85.0"),
     ("vehicle: {panic_brake_pedal: 0}", "vehicle: panic_brake_pedal must be within (0, 1], got 0.0"),
     ("grid: {roof_height: -1}", "grid: roof_height must be positive, got -1.0"),
     ("manual_stops: [{t: 0.1, duration: -5}]", "manual_stops[0]: duration must be positive, got -5.0"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from shuttlesim.scenario import (
     ManualStop,
     ScenarioConfig,
     StartPose,
+    scenario_from_dict,
 )
 from shuttlesim.waypoints import compile_path
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
@@ -192,6 +194,38 @@ def test_pipeline_stage_order(straight_waypoints, monkeypatch):
     assert stages.index("waypoint") < stages.index("obstacle") < stages.index("select")
     assert stages.index("sign") < stages.index("select") < stages.index("control")
     assert stages[-1] == "plant"
+
+
+def test_run_builds_no_pedestrian_or_world_and_keeps_no_world(straight_waypoints, monkeypatch):
+    world = WorldModel(pedestrians=(Pedestrian(position=(30.0, 2.0), velocity=(0.0, -1.0)),
+                                    Pedestrian(position=(20.0, -3.0), velocity=(0.5, 1.0))))
+    sim = Simulation(straight_scenario(straight_waypoints, duration=1.0, world=world))
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+        return lambda self, *args, **kwargs: built.append(cls) or init(self, *args, **kwargs)
+
+    for cls in (Pedestrian, WorldModel):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    sim.run()
+    assert built == []
+    assert not hasattr(sim, "world")
+    np.testing.assert_allclose(sim.positions, [[30.0, 1.0], [20.5, -2.0]])
+    Pedestrian(position=(0.0, 0.0))  # the count sees a pedestrian built
+    assert built == [Pedestrian]
+
+
+def test_a_pedestrian_may_walk_past_the_start_bound(straight_waypoints):
+    # starts within 1e8 m and walks 1e8 m further each second: the run neither fails nor overflows
+    ped = {"position": [1e8, -1e8], "velocity": [1e8, -1e8]}
+    sc = scenario_from_dict({"duration": 2.0, "waypoints": straight_waypoints, "world": {"pedestrians": [ped]}})
+    sim = Simulation(sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rows = sim.run()
+    assert len(rows) == 100
+    assert sim.positions[0, 0] > 2.9e8 and sim.positions[0, 1] < -2.9e8
 
 
 def test_side_logs_only_for_given_sinks(straight_waypoints):

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuttlesim import lidar
 from shuttlesim.lidar import LidarConfig, scan
@@ -16,15 +18,31 @@ DIRS = lidar._ray_table(CONFIG.azimuth_step_deg, PARAMS.lidar_mount_height, CONF
 
 
 def test_pedestrians_advance_linearly():
-    world = WorldModel(pedestrians=(Pedestrian(position=(0.0, 0.0), velocity=(1.4, 0.0)),))
-    out = step_pedestrians(world, 1.0)
-    assert out.pedestrians[0].position == (1.4, 0.0)
+    def step(position, velocity, dt):
+        return tuple(step_pedestrians(np.array([position]), np.array([velocity]), dt)[0].tolist())
 
-    world = WorldModel(pedestrians=(Pedestrian(position=(2.0, 3.0), velocity=(0.0, 0.0)),))
-    assert step_pedestrians(world, 1.0).pedestrians[0].position == (2.0, 3.0)
+    assert step((0.0, 0.0), (1.4, 0.0), 1.0) == (1.4, 0.0)
+    assert step((2.0, 3.0), (0.0, 0.0), 1.0) == (2.0, 3.0)
+    assert step((0.0, 0.0), (0.0, -2.0), 0.5) == (0.0, -1.0)
 
-    world = WorldModel(pedestrians=(Pedestrian(position=(0.0, 0.0), velocity=(0.0, -2.0)),))
-    assert step_pedestrians(world, 0.5).pedestrians[0].position == (0.0, -1.0)
+
+COMPONENT = st.floats(-1e8, 1e8)  # a scenario's bound on a start or velocity component
+
+
+@settings(max_examples=100, deadline=None)
+@given(peds=st.lists(st.tuples(COMPONENT, COMPONENT, COMPONENT, COMPONENT), max_size=30),
+       tick_rate=st.floats(10.0, 200.0), k=st.integers(1, 20))
+def test_array_steps_equal_per_pedestrian_tuple_steps_bit_for_bit(peds, tick_rate, k):
+    dt = 1.0 / tick_rate
+    positions = np.array([p[:2] for p in peds], dtype=float).reshape(-1, 2)
+    velocities = np.array([p[2:] for p in peds], dtype=float).reshape(-1, 2)
+    expected = [p[:2] for p in peds]
+    for _ in range(k):
+        positions = step_pedestrians(positions, velocities, dt)
+        # the oracle: each pedestrian's position tuple advanced on its own
+        expected = [(x + vx * dt, y + vy * dt) for (x, y), (_, _, vx, vy) in zip(expected, peds)]
+    assert positions.shape == (len(peds), 2)
+    assert np.array_equal(positions.view(np.uint64), np.array(expected, dtype=float).reshape(-1, 2).view(np.uint64))
 
 
 def test_empty_world_only_ground_returns():
@@ -140,7 +158,7 @@ def test_validation():
     with pytest.raises(ValueError):
         BoxObstacle(center=(0, 0), size=(1, 1), height=0.0)
     with pytest.raises(ValueError):
-        step_pedestrians(WorldModel(), 0.0)
+        step_pedestrians(np.empty((0, 2)), np.empty((0, 2)), 0.0)
 
 
 def test_min_range_must_be_non_negative():
@@ -234,6 +252,25 @@ def test_sensor_frame_cast_matches_world_frame_cast_on_random_worlds():
         assert frame.points.shape == points.shape
         assert np.array_equal(frame.intensity, intensity)
         assert np.abs(frame.points - points).max(initial=0.0) <= 1e-9
+
+
+def test_scan_at_walked_positions_equals_scan_of_the_world_rebuilt_there():
+    rng = np.random.default_rng(5)
+    walked = 0
+    for i, world, state, config, _ in random_worlds():
+        peds = world.pedestrians
+        positions = np.array([p.position for p in peds], dtype=float).reshape(-1, 2)
+        velocities = rng.uniform(-3.0, 3.0, positions.shape)
+        for _ in range(rng.integers(1, 50)):
+            positions = step_pedestrians(positions, velocities, 0.02)
+        rebuilt = replace(world, pedestrians=tuple(replace(p, position=tuple(xy))
+                                                   for p, xy in zip(peds, positions.tolist())))
+        frame = scan(world, state, PARAMS, config, rng=np.random.default_rng(i), positions=positions)
+        expected = scan(rebuilt, state, PARAMS, config, rng=np.random.default_rng(i))
+        assert np.array_equal(frame.points, expected.points)
+        assert np.array_equal(frame.intensity, expected.intensity)
+        walked += bool(peds)
+    assert walked > 100
 
 
 def test_wedge_keeps_the_rays_tangent_to_its_circle():

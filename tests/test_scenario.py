@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shuttlesim.bounds import LIMIT
 from shuttlesim.scenario import DEFAULT_ORIGIN, ScenarioConfig, ScenarioError, load_scenario, scenario_from_dict
 from tests.conftest import SCENARIO_DIR
 
@@ -164,8 +163,6 @@ ENTRIES = {
 # numbers that take any finite value; a sign's normal obeys SignSpec's own rules
 ANY_FINITE = {"start.heading", "follower.heading_bias", "drive_script[0].yaw_rate",
               *(f"world.signs[0].normal[{i}]" for i in range(3))}
-# bounded where a scenario loads, not in the annotation: walking may carry a pedestrian past the bound
-AT_LOAD = {f"world.pedestrians[0].position[{i}]": (float, (LIMIT,)) for i in range(2)}
 
 
 def numbers(cls, where=""):
@@ -192,12 +189,12 @@ NUMBERS = numbers(ScenarioConfig)
 
 def test_every_scenario_number_is_bounded_or_listed_as_any_finite():
     unbounded = {path for path, (_, bounds) in NUMBERS.items() if not bounds}
-    assert unbounded == ANY_FINITE | set(AT_LOAD)
+    assert unbounded == ANY_FINITE
 
 
 def just_outside():
     """(key path, value, error) for a value just past each finite end of a bound, where that bound is the first it breaks."""
-    for path, (base, bounds) in {**NUMBERS, **AT_LOAD}.items():
+    for path, (base, bounds) in NUMBERS.items():
         where, _, field = path.rpartition(".")
         name = f"{where}: {field}" if where else field
         for bound in bounds:
