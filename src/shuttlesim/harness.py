@@ -193,7 +193,8 @@ class Simulation:
         self.state = VehicleState(**asdict(scenario.start))
         self.controller = TwistController(scenario.vehicle, scenario.gains)
         mount = (scenario.vehicle.lidar_offset_x, 0.0, scenario.vehicle.lidar_mount_height)
-        self.detector = SignDetector(scenario.sign_filter, mount)
+        # without a sign every return is darker than min_intensity: detection could only give None
+        self.detector = SignDetector(scenario.sign_filter, mount) if scenario.world.signs else None
         self.sign_logic = SignStopLogic(scenario.sign_stop, scenario.follower.accel_limit)
         self.display = DisplayTracker()
         self.sign_log = sign_log
@@ -210,11 +211,13 @@ class Simulation:
             self._frames.append(scan(cfg.world, self.state, cfg.vehicle, cfg.lidar, self.rng, self.positions))
         # perception takes each sweep exactly the latency after its scan
         if tick >= latency and (tick - latency) % period == 0:
-            # held until the next one replaces it: a sweep freed before the next
-            # scan lets the allocator return its pages, which that scan faults back in
+            # held until the next one replaces it: freed in its own tick, a sweep and its temporaries
+            # leave more free atop glibc's heap than its trim threshold (twice the largest block it
+            # has mmapped and freed), so the heap is trimmed and the next sweep faults it back in
             self._sweep = self._frames.popleft()
             self._grid = build_grid(self._sweep, cfg.grid)
-            self._detection = self.detector.detect(self._sweep)
+            if self.detector is not None:
+                self._detection = self.detector.detect(self._sweep)
 
     def run(self) -> tuple[RunMetrics, list[LogRow]]:
         cfg = self.scenario

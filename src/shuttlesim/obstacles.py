@@ -65,10 +65,20 @@ def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> Occupanc
     """
     n = int(round(2 * params.extent / params.cell_size))
     x, y, z = frame.points.T
-    i = np.floor((x + params.extent) / params.cell_size).astype(int)
-    j = np.floor((y + params.extent) / params.cell_size).astype(int)
+    # row and column as whole floats, in place, so that the sweep's temporaries
+    # stay under glibc's trim threshold (see ``Simulation._sense``)
+    i = x + params.extent
+    i /= params.cell_size
+    np.floor(i, out=i)
+    j = y + params.extent
+    j /= params.cell_size
+    np.floor(j, out=j)
     binned = (z <= params.roof_height) & (i >= 0) & (i < n) & (j >= 0) & (j < n)
-    cell, z = (i * n + j)[binned], z[binned]
+    i *= n
+    i += j  # a binned cell's row-major index, below n * n, so exact
+    del j
+    cell, z = i[binned].astype(int), z[binned]
+    del i
     tall = np.zeros(n * n, dtype=bool)
     tall[cell[z - z.min(initial=np.inf) > params.height_threshold]] = True
     maybe = tall[cell]

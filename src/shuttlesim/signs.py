@@ -12,11 +12,11 @@ it until the cart has stopped and dwelt.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from shuttlesim.bounds import Bound, Count, Fraction, Intensity, Natural, NonNegative, Positive, check_bounds
 from shuttlesim.lidar import LidarFrame
@@ -24,7 +24,9 @@ from shuttlesim.twist import TwistCommand
 
 STOP_SPEED = 0.05  # below this the cart counts as stopped
 MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
-_RANSAC_BLOCK = 1 << 16  # distance-matrix entries scored at a time
+# distance-matrix entries scored at a time; a block's 128 KB temporaries stay under glibc's
+# trim threshold, where 1 << 16 had each call hand its pages back and fault them in again
+_RANSAC_BLOCK = 1 << 14
 _COLLINEAR = 1e-12  # a triple whose cross product is shorter spans no plane
 
 
@@ -69,6 +71,8 @@ def radius_outlier_removal(
     points: np.ndarray, radius: float = 0.5, min_neighbors: int = 3
 ) -> np.ndarray:
     """Stage 3: keep points with at least ``min_neighbors`` others inside ``radius``."""
+    from scipy.spatial import cKDTree  # at the first tree: a world without a sign never builds one
+
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         return points
@@ -82,6 +86,8 @@ def statistical_outlier_removal(
     points: np.ndarray, k: int = 8, stddev_mult: float = 1.0
 ) -> np.ndarray:
     """Stage 4: drop points whose mean kNN distance exceeds mu + mult * sigma."""
+    from scipy.spatial import cKDTree
+
     points = np.asarray(points, dtype=float)
     if len(points) <= k:
         return points
@@ -224,6 +230,7 @@ class SignDetector:
                  sensor_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)):
         self.params = params
         self.sensor_origin = sensor_origin
+        importlib.import_module("scipy.spatial")  # at set-up, not in the first tick with a bright cloud
 
     def detect(self, frame: LidarFrame) -> SignDetection | None:
         p = self.params

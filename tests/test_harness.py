@@ -380,14 +380,29 @@ def test_each_sweep_is_perceived_exactly_latency_ticks_after_its_scan(
     for name, fn in (("follow_step", ticking), ("scan", scanning), ("build_grid", gridding)):
         monkeypatch.setattr(harness, name, fn)
     monkeypatch.setattr(SignDetector, "detect", detecting)
+    # a sign far down the route, so that every sweep also reaches the detector
+    world = WorldModel(signs=(SignSpec(center=(70.0, -2.0, 2.0), normal=(-1.0, 0.0, 0.0)),))
     sc = straight_scenario(straight_waypoints, duration=2.0, lidar_period_ticks=period,
-                           perception_latency_ticks=latency)
+                           perception_latency_ticks=latency, world=world)
     Simulation(sc).run()
     assert tick == 99
     assert [t for _, t in frames] == list(range(0, 100, period))
     expected = [(s + latency, s) for s in range(0, 100 - latency, period)]
     assert grids == expected
     assert detections == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(world=SMALL_WORLDS.map(lambda w: WorldModel(w.obstacles, w.pedestrians)))
+def test_a_sign_free_world_skips_detection_and_logs_what_detecting_every_sweep_logs(straight_waypoints, world):
+    from shuttlesim.signs import SignDetector
+
+    sc = straight_scenario(straight_waypoints, duration=2.0, world=world, lidar=LidarConfig(range_jitter=0.01))
+    skipping = Simulation(sc)
+    assert skipping.detector is None
+    detecting = Simulation(sc)
+    detecting.detector = SignDetector(sc.sign_filter, (sc.vehicle.lidar_offset_x, 0.0, sc.vehicle.lidar_mount_height))
+    assert skipping.run()[1] == detecting.run()[1]
 
 
 def test_record_circle_trace():

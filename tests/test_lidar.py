@@ -244,6 +244,62 @@ def test_scan_matches_all_rays_reference_on_random_worlds():
     assert seen == 150  # every object placed across a seam was in view (beyond the blind spot)
 
 
+def ahead(x, y, intensity=200.0, normal=(-1.0, 0.0, 0.0)):
+    """A sign ``x`` m ahead of the sensor and ``y`` m to its left, at mount height."""
+    return SignSpec(center=(PARAMS.lidar_offset_x + x, y, PARAMS.lidar_mount_height), normal=normal,
+                    intensity=intensity)
+
+
+# ``scan`` gives intensity only to the rays it keeps, from the rays each sign
+# took. In each case another cast takes some of a sign's rays: (world, config,
+# the intensities the frame shows, the sign partly hidden or None).
+TAKEN_RAYS = {
+    "the later of two overlapping signs is nearer": (
+        WorldModel(signs=(ahead(12.0, 0.0, 200.0), ahead(11.9, 0.4, 150.0))), CONFIG, {20.0, 150.0, 200.0}, 0),
+    "the later of two overlapping signs is farther": (
+        WorldModel(signs=(ahead(11.9, 0.4, 150.0), ahead(12.0, 0.0, 200.0))), CONFIG, {20.0, 150.0, 200.0}, 1),
+    "a nearer sign's back over a sign's front": (
+        WorldModel(signs=(ahead(12.0, 0.0, 200.0), ahead(11.9, 0.4, 150.0, normal=(1.0, 0.0, 0.0)))), CONFIG,
+        {20.0, 200.0}, 0),
+    "a box in front of a sign": (
+        WorldModel(obstacles=(BoxObstacle(center=(PARAMS.lidar_offset_x + 8.0, 0.2), size=(0.3, 0.3),
+                                          height=3.0),),
+                   signs=(ahead(12.0, 0.0),)), CONFIG, {20.0, 200.0}, 0),
+    "a sign seen from behind": (WorldModel(signs=(ahead(10.0, 0.0, normal=(1.0, 0.0, 0.0)),)), CONFIG, {20.0}, None),
+    "a sign at the maximum range": (WorldModel(signs=(ahead(12.0, 0.0),)), replace(CONFIG, max_range=12.004),
+                                    {20.0, 200.0}, None),
+}
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.01])
+@pytest.mark.parametrize("name", TAKEN_RAYS)
+def test_scan_intensity_of_rays_another_cast_takes_matches_reference(name, jitter):
+    world, config, shown, hidden = TAKEN_RAYS[name]
+    config = replace(config, range_jitter=jitter)
+    for seed in range(3):
+        frame = assert_scan_matches_reference(world, VehicleState(), config, seed=seed)
+        assert set(frame.intensity.tolist()) == shown
+    if hidden is not None:
+        sign = world.signs[hidden]
+        alone = scan(WorldModel(signs=(sign,)), VehicleState(), PARAMS, replace(config, range_jitter=0.0))
+        frame = scan(world, VehicleState(), PARAMS, replace(config, range_jitter=0.0))
+        assert 0 < np.count_nonzero(frame.intensity == sign.intensity) < np.count_nonzero(
+            alone.intensity == sign.intensity)
+
+
+def test_successive_scans_share_no_memory():
+    world, config, _, _ = TAKEN_RAYS["a box in front of a sign"]
+    config = replace(config, range_jitter=0.01)
+    rng = np.random.default_rng(3)
+    first = scan(world, VehicleState(), PARAMS, config, rng)
+    kept = first.points.copy(), first.intensity.copy()
+    second = scan(world, VehicleState(x=0.5), PARAMS, config, rng)
+    for a in (first.points, first.intensity):
+        for b in (second.points, second.intensity):
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(first.points, kept[0]) and np.array_equal(first.intensity, kept[1])
+
+
 def test_sensor_frame_cast_matches_world_frame_cast_on_random_worlds():
     for _, world, state, config, _ in random_worlds():
         config = replace(config, range_jitter=0.0)
