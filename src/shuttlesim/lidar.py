@@ -123,11 +123,10 @@ def _wedge(center, radius, n_az, step) -> np.ndarray:
 
 def _update_hits(t_best, rows, t_new, hit_mask) -> np.ndarray:
     """Keep the closer of each ray's best hit and its hit in ``t_new`` (given
-    for ``rows``); return the rows whose hit ``t_new`` took."""
+    for ``rows``); return the mask, over ``rows``, of the hits ``t_new`` took."""
     closer = hit_mask & (t_new < t_best[rows])
-    won = rows[closer]
-    t_best[won] = t_new[closer]
-    return won
+    t_best[rows[closer]] = t_new[closer]
+    return closer
 
 
 def _sign_hits(sign: SignSpec, center, normal, dirs, denom, min_range):
@@ -135,9 +134,9 @@ def _sign_hits(sign: SignSpec, center, normal, dirs, denom, min_range):
     ``normal`` are given in the sensor frame, and which of the rays lie within
     rounding of the sign's edge.
 
-    ``denom`` is ``dirs @ normal`` taken over the whole sweep. The face test's
-    matrix products may round a row differently when it sits elsewhere in a
-    smaller array, by far less than the edge slack.
+    ``denom`` is ``dirs @ normal``. The face test's matrix products may round
+    a row differently when it sits elsewhere in a smaller array, by far less
+    than the edge slack.
     """
     valid = np.abs(denom) > 1e-12
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -241,15 +240,16 @@ def scan(
         cx, cy = to_sensor(sign.center[0] - sx, sign.center[1] - sy)
         center = np.array([cx, cy, sign.center[2] - h])
         normal = np.array([*to_sensor(sign.normal[0], sign.normal[1]), sign.normal[2]])
-        denom = dirs @ normal
         rows = wedge((cx, cy), math.hypot(sign.width, sign.height) / 2)
-        t_pl, hit, edge = _sign_hits(sign, center, normal, dirs[rows], denom[rows], config.min_range)
+        d = dirs[rows]
+        denom = d @ normal  # each row as the whole sweep's product rounds it
+        t_pl, hit, edge = _sign_hits(sign, center, normal, d, denom, config.min_range)
         if edge.any():  # a ray on the edge: decide it with the whole sweep's rounding
-            rows = np.arange(len(dirs))
+            rows, denom = np.arange(len(dirs)), dirs @ normal
             t_pl, hit, _ = _sign_hits(sign, center, normal, dirs, denom, config.min_range)
         won = _update_hits(t_best, rows, t_pl, hit)
         # retroreflective sheeting only on the front face
-        lit.append((won, np.where(denom[won] < 0.0, sign.intensity, config.background_intensity)))
+        lit.append((rows[won], np.where(denom[won] < 0.0, sign.intensity, config.background_intensity)))
 
     np.isfinite(t_best, out=kept)
     if config.range_jitter > 0.0:

@@ -4,10 +4,12 @@ Five filter stages run in order: minimum-intensity threshold, field-of-view
 crop, radius outlier removal, statistical outlier removal, and RANSAC plane
 segmentation with a facing check on the plane normal. The threshold and the
 crop are per-point masks, so they commute; thresholding first leaves the crop
-the few bright returns of a sweep instead of all its ground. A detected sign
-yields a stop command whose deceleration limit is v^2 / (2 d) for the speed
-and distance at detection; ``SignStopLogic`` latches that command and holds
-it until the cart has stopped and dwelt.
+the few bright returns of a sweep instead of all its ground. The two outlier
+filters share one KD-tree and one k-nearest query over the cropped cloud; SOR
+queries again only when ROR has dropped points. A detected sign yields a stop
+command whose deceleration limit is v^2 / (2 d) for the speed and distance at
+detection; ``SignStopLogic`` latches that command and holds it until the cart
+has stopped and dwelt.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class FilterParams:
 @dataclass(frozen=True)
 class SignDetection:
     plane: tuple[float, float, float, float]  # ax + by + cz + d = 0, unit (a, b, c)
-    inlier_points: np.ndarray
     distance: float  # range from the sensor to the nearest inlier, m
     point_count: int
 
@@ -67,33 +68,54 @@ def intensity_filter(frame: LidarFrame, min_intensity: float = 85.0) -> LidarFra
     return LidarFrame(frame.points[mask], frame.intensity[mask])
 
 
-def radius_outlier_removal(
-    points: np.ndarray, radius: float = 0.5, min_neighbors: int = 3
-) -> np.ndarray:
-    """Stage 3: keep points with at least ``min_neighbors`` others inside ``radius``."""
+def _neighbors(points: np.ndarray, k: int) -> tuple:
+    """A KD-tree over ``points`` and, row by row, each point's distances to
+    its ``k`` nearest points (fewer when there are fewer points), itself first."""
     from scipy.spatial import cKDTree  # at the first tree: a world without a sign never builds one
 
+    tree = cKDTree(points)
+    dists, _ = tree.query(points, k=min(k, len(points)))
+    return tree, dists.reshape(len(points), -1)
+
+
+def radius_outlier_removal(
+    points: np.ndarray, radius: float = 0.5, min_neighbors: int = 3, neighbors: tuple | None = None
+) -> np.ndarray:
+    """Stage 3: keep points with at least ``min_neighbors`` others inside ``radius``.
+
+    ``neighbors`` is ``_neighbors(points, k)`` for some ``k > min_neighbors``,
+    when the caller has it. A point is kept when its ``min_neighbors``-th
+    other neighbour lies within ``radius``. That distance is a square root,
+    where a ball count compares squared distances, so the points within
+    rounding of ``radius`` are recounted with the tree's ball count.
+    """
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         return points
-    tree = cKDTree(points)
-    # counts include the query point itself
-    neighbor_counts = tree.query_ball_point(points, r=radius, return_length=True)
-    return points[neighbor_counts - 1 >= min_neighbors]
+    tree, dists = _neighbors(points, min_neighbors + 1) if neighbors is None else neighbors
+    if dists.shape[1] <= min_neighbors:  # fewer other points than it needs
+        return points[:0]
+    reach = dists[:, min_neighbors]  # column 0 is the point itself
+    keep = reach <= radius
+    unsure = np.flatnonzero(np.abs(reach - radius) <= 1e-9 * radius)
+    if len(unsure):  # counts include the query point itself
+        keep[unsure] = tree.query_ball_point(points[unsure], r=radius, return_length=True) > min_neighbors
+    return points[keep]
 
 
 def statistical_outlier_removal(
-    points: np.ndarray, k: int = 8, stddev_mult: float = 1.0
+    points: np.ndarray, k: int = 8, stddev_mult: float = 1.0, neighbors: tuple | None = None
 ) -> np.ndarray:
-    """Stage 4: drop points whose mean kNN distance exceeds mu + mult * sigma."""
-    from scipy.spatial import cKDTree
+    """Stage 4: drop points whose mean kNN distance exceeds mu + mult * sigma.
 
+    ``neighbors`` is ``_neighbors(points, j)`` for some ``j > k``, when the
+    caller has it.
+    """
     points = np.asarray(points, dtype=float)
     if len(points) <= k:
         return points
-    tree = cKDTree(points)
-    dists, _ = tree.query(points, k=k + 1)  # first neighbour is the point itself
-    mean_dist = dists[:, 1:].mean(axis=1)
+    _, dists = _neighbors(points, k + 1) if neighbors is None else neighbors
+    mean_dist = dists[:, 1:k + 1].mean(axis=1)  # first neighbour is the point itself
     threshold = mean_dist.mean() + stddev_mult * mean_dist.std()
     return points[mean_dist <= threshold]
 
@@ -211,7 +233,6 @@ def plane_segment(
             accepted.append(
                 SignDetection(
                     plane=(float(normal[0]), float(normal[1]), float(normal[2]), offset),
-                    inlier_points=support,
                     distance=float(ranges.min()),
                     point_count=int(len(support)),
                 )
@@ -236,8 +257,13 @@ class SignDetector:
         p = self.params
         stage = intensity_filter(frame, p.min_intensity)
         stage = fov_filter(stage, p.fov_side)
-        pts = radius_outlier_removal(stage.points, p.ror_radius, p.ror_min_neighbors)
-        pts = statistical_outlier_removal(pts, p.sor_k, p.sor_stddev_mult)
+        pts = stage.points
+        # one tree and one k-nearest table for both filters
+        neighbors = _neighbors(pts, max(p.ror_min_neighbors, p.sor_k) + 1) if len(pts) else None
+        kept = radius_outlier_removal(pts, p.ror_radius, p.ror_min_neighbors, neighbors)
+        # the table is the survivors' own only when ROR dropped nothing
+        pts = statistical_outlier_removal(kept, p.sor_k, p.sor_stddev_mult,
+                                          neighbors if len(kept) == len(pts) else None)
         if len(pts) < p.min_sign_points:
             return None
         return plane_segment(pts, p, self.sensor_origin)

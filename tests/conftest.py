@@ -79,6 +79,20 @@ def brute_sor(points, k=8, stddev_mult=1.0):
     return points[means <= thresh]
 
 
+def two_tree_ror_sor(points, radius=0.5, min_neighbors=3, k=8, stddev_mult=1.0):
+    """ROR by a KD-tree ball count, then SOR on a second tree over the survivors."""
+    from scipy.spatial import cKDTree
+
+    if len(points):
+        counts = cKDTree(points).query_ball_point(points, r=radius, return_length=True)
+        points = points[counts - 1 >= min_neighbors]
+    if len(points) <= k:
+        return points
+    dists, _ = cKDTree(points).query(points, k=k + 1)
+    means = dists[:, 1:].mean(axis=1)
+    return points[means <= means.mean() + stddev_mult * means.std()]
+
+
 def reference_xy(route):
     """The route projected on every call, point by point in scalar math, independent of to_local."""
     lat0, lon0 = route.origin
@@ -277,7 +291,12 @@ def reference_scan_world(world, state, params, config):
 
 
 def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
-    """RANSAC scoring one candidate plane at a time; returns what ``plane_segment`` returns."""
+    """RANSAC scoring one candidate plane at a time.
+
+    Returns None where ``plane_segment`` does, and otherwise the detection
+    ``plane_segment`` returns, with the points left at its extraction and its
+    inliers among them.
+    """
     points = np.asarray(points, dtype=float)
     rng = np.random.default_rng(params.ransac_seed)
     origin = np.asarray(sensor_origin, dtype=float)
@@ -313,11 +332,10 @@ def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
             normal, offset = -normal, -offset
         support = remaining[inliers]
         if len(support) >= params.min_sign_points and normal[0] >= params.normal_min_a:
-            accepted.append(SignDetection(
+            accepted.append((SignDetection(
                 plane=(float(normal[0]), float(normal[1]), float(normal[2]), offset),
-                inlier_points=support,
                 distance=float(np.linalg.norm(support - origin, axis=1).min()),
                 point_count=int(len(support)),
-            ))
+            ), remaining, support))
         remaining = remaining[~inliers]
-    return min(accepted, key=lambda d: d.distance) if accepted else None
+    return min(accepted, key=lambda found: found[0].distance) if accepted else None

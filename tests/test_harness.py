@@ -21,11 +21,12 @@ from shuttlesim.scenario import (
     ManualStop,
     ScenarioConfig,
     StartPose,
+    load_scenario,
     scenario_from_dict,
 )
 from shuttlesim.waypoints import compile_path
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
-from tests.conftest import SMALL_WORLDS
+from tests.conftest import SCENARIO_DIR, SMALL_WORLDS
 
 
 BOX_AND_SIGN = WorldModel(
@@ -262,6 +263,23 @@ def test_bench_layer_counts_read_results(straight_waypoints, monkeypatch):
     counted = [layer.name for layer in LAYERS if layer.count is not None]
     assert {name: len(tracer.counts[name]) > 0 for name in counted} == dict.fromkeys(counted, True)
     assert {name: tracer.counts[name].count({}) for name in counted} == dict.fromkeys(counted, 0)
+
+
+def test_traced_demo_run_records_both_outlier_filters_on_every_detect(monkeypatch):
+    # ROR and SOR share one neighbour table inside detect, yet each is still
+    # reached by its name in the signs module, where the benchmark wraps it
+    from bench.spans import LAYERS, Tracer, resolve
+
+    layers = [layer for layer in LAYERS if layer.module == "shuttlesim.signs"]
+    for layer in layers:
+        monkeypatch.setattr(*resolve(layer.module, layer.attr))
+    tracer = Tracer()
+    tracer.install(layers)
+    Simulation(load_scenario(SCENARIO_DIR / "demo.yaml")).run()
+    calls = {layer.name: len(tracer.counts[layer.name]) for layer in layers}
+    assert calls["signs.detect"] > 0
+    assert calls["signs.radius_outlier_removal"] == calls["signs.statistical_outlier_removal"] == calls["signs.detect"]
+    assert any(c["points_out"] > 0 for c in tracer.counts["signs.statistical_outlier_removal"])
 
 
 def test_obstacle_standoff_at_static_wall(straight_waypoints):

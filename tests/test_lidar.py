@@ -350,6 +350,23 @@ def test_wedge_keeps_the_rays_tangent_to_its_circle():
                 assert column % n_az in columns
 
 
+@pytest.mark.parametrize("step_deg", [0.2, 0.1, 0.25, 1.0, 3.3])
+def test_wedge_rows_product_equals_the_whole_sweeps_rows_bit_for_bit(step_deg):
+    # scan takes a sign's ray-normal products over its wedge rows alone, and
+    # ranges and the front-face test read them, so every row must round as it
+    # does in the product over the whole sweep
+    dirs = lidar._ray_table(step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0]
+    n_az, step = len(dirs) // 16, math.radians(step_deg)
+    rng = np.random.default_rng(int(step_deg * 10))
+    for _ in range(400):
+        normal = rng.normal(size=3)
+        normal[2] *= rng.integers(0, 2)  # half of them vertical, as a sign's usually is
+        normal /= np.linalg.norm(normal)
+        d, bearing = rng.uniform(0.5, 60.0), rng.uniform(-math.pi, math.pi)
+        rows = lidar._wedge((d * math.cos(bearing), d * math.sin(bearing)), rng.uniform(0.1, 3.0), n_az, step)
+        assert np.array_equal(dirs[rows] @ normal, (dirs @ normal)[rows])
+
+
 def test_scan_sign_ray_on_the_edge_recast_on_whole_sweep(monkeypatch):
     # a sign whose top edge passes through the +1 degree ring's ray dead ahead
     d = 10.0

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shuttlesim.signs as signs
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.signs import (
@@ -23,7 +26,7 @@ from shuttlesim.signs import (
     statistical_outlier_removal,
 )
 from shuttlesim.world import SignSpec, WorldModel
-from tests.conftest import brute_ror, brute_sor, reference_plane_segment
+from tests.conftest import brute_ror, brute_sor, reference_plane_segment, two_tree_ror_sor
 
 PARAMS = VehicleParams()
 SENSOR = (PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height)
@@ -114,6 +117,92 @@ def test_sor_passthrough_when_too_few():
     pts = np.random.default_rng(0).normal(size=(5, 3))
     out = statistical_outlier_removal(pts, k=8)
     np.testing.assert_array_equal(out, pts)
+
+
+@st.composite
+def outlier_clouds(draw):
+    """(points, radius, min_neighbors, k) of a random, grid-tied, spherical, repeated, tiny or straggling cloud."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "grid", "sphere", "repeated", "tiny", "stragglers"]))
+    radius = draw(st.sampled_from([0.5, 0.25, 0.375, 1.0]))  # a grid of them is exact
+    min_neighbors, k = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    box = ([5.0, -1.0, 1.0], [7.0, 1.0, 3.0])
+    if kind == "random":
+        points = rng.uniform(*box, (rng.integers(1, 120), 3))
+    elif kind == "grid":  # spacing equal to the radius: rows of exact ties
+        points = 6.0 + radius * rng.integers(-3, 4, (rng.integers(1, 120), 3)).astype(float)
+    elif kind == "sphere":  # points a radius from a few centres, within rounding of it
+        radius = draw(st.sampled_from([0.3, 0.5, 0.1, 0.7]))
+        centres = rng.uniform(*box, (rng.integers(1, 4), 3))
+        u = rng.normal(size=(len(centres), rng.integers(1, 14), 3))
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+        points = np.concatenate([centres, (centres[:, None] + radius * u).reshape(-1, 3)])
+    elif kind == "repeated":
+        points = np.repeat(rng.uniform(*box, (rng.integers(1, 20), 3)), rng.integers(1, 8), axis=0)
+    elif kind == "tiny":  # no more points than either filter's count
+        points = rng.uniform([5.0, -0.2, 1.8], [5.4, 0.2, 2.2], (rng.integers(1, min(min_neighbors, k) + 1), 3))
+    else:  # a tight plate and points far from it, which ROR drops
+        plate = rng.uniform([8.0, -0.4, 1.6], [8.05, 0.4, 2.4], (rng.integers(10, 200), 3))
+        points = np.concatenate([plate, rng.uniform([5.0, -9.0, -2.0], [40.0, 9.0, 5.0], (rng.integers(1, 10), 3))])
+    return kind, rng.permutation(points), radius, min_neighbors, k
+
+
+def detect_filtered(points, params):
+    """The cloud ``SignDetector.detect`` hands RANSAC for bright points in view."""
+    seen = [points[:0]]
+
+    def spy(pts, *_):
+        seen.append(pts)
+
+    real, signs.plane_segment = signs.plane_segment, spy
+    try:
+        SignDetector(params, SENSOR).detect(make_frame(points, np.full(len(points), 200.0)))
+    finally:
+        signs.plane_segment = real
+    return seen[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(outlier_clouds(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_detect_outlier_filters_equal_two_trees_and_brute_force_bit_for_bit(cloud, mult):
+    kind, points, radius, min_neighbors, k = cloud
+    params = FilterParams(ror_radius=radius, ror_min_neighbors=min_neighbors, sor_k=k,
+                          sor_stddev_mult=mult, min_sign_points=1)
+    got = detect_filtered(points, params)
+    assert np.array_equal(got, two_tree_ror_sor(points, radius, min_neighbors, k, mult))
+    if kind != "sphere":  # brute_ror compares the root, a ball count the square: they part within rounding
+        assert np.array_equal(got, brute_sor(brute_ror(points, radius, min_neighbors), k, mult))
+
+
+@pytest.mark.parametrize("cloud", ["scanned", "grid"])
+def test_detect_builds_one_tree_and_ball_counts_only_the_unsure_band(cloud, monkeypatch):
+    import scipy.spatial
+
+    if cloud == "scanned":
+        frame = scan(full_pipeline_world(10.0), VehicleState(), PARAMS, LidarConfig())
+        points = intensity_filter(frame).points
+    else:  # every point's third neighbour exactly a radius away
+        points = 6.0 + 0.5 * np.mgrid[0:3, 0:4, 0:5].reshape(3, -1).T
+        frame = make_frame(points, np.full(len(points), 200.0))
+    params = FilterParams()
+    assert len(radius_outlier_removal(points, params.ror_radius, params.ror_min_neighbors)) == len(points)
+    reach = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)[:, params.ror_min_neighbors]
+    unsure = np.count_nonzero(np.abs(reach - params.ror_radius) <= 1e-9 * params.ror_radius)
+    assert unsure == (0 if cloud == "scanned" else len(points))
+    work = {"trees": 0, "ball_points": 0}
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            work["trees"] += 1
+            super().__init__(*args, **kwargs)
+
+        def query_ball_point(self, x, *args, **kwargs):
+            work["ball_points"] += len(x)
+            return super().query_ball_point(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    assert SignDetector(params, SENSOR).detect(frame) is not None
+    assert work == {"trees": 1, "ball_points": unsure}
 
 
 def plane_points(n=50, a=1.0, seed=0, offset=10.0):
@@ -234,24 +323,23 @@ def test_pipeline_throughput_measured_not_asserted():
 
 def test_sign_speed_command_law():
     # distance is the nearest-inlier range, so pin it via a synthetic detection
-    det = SignDetection(plane=(1, 0, 0, -10), inlier_points=np.zeros((1, 3)), distance=10.0, point_count=40)
+    det = SignDetection(plane=(1, 0, 0, -10), distance=10.0, point_count=40)
     cmd = sign_speed_command(det, 3.0)
     assert cmd.linear_v == 0.0
     assert cmd.decel_limit == pytest.approx(0.45)
 
-    det5 = SignDetection(plane=(1, 0, 0, -5), inlier_points=np.zeros((1, 3)), distance=5.0, point_count=40)
+    det5 = SignDetection(plane=(1, 0, 0, -5), distance=5.0, point_count=40)
     assert sign_speed_command(det5, 3.0).decel_limit == pytest.approx(0.9)
     # zero approach speed asks for (effectively) no deceleration
     assert sign_speed_command(det, 0.0).decel_limit <= 1e-9
 
-    bad = SignDetection(plane=(1, 0, 0, 0), inlier_points=np.zeros((1, 3)), distance=0.0, point_count=40)
+    bad = SignDetection(plane=(1, 0, 0, 0), distance=0.0, point_count=40)
     with pytest.raises(ValueError):
         sign_speed_command(bad, 3.0)
 
 
 def detection_at(distance):
-    return SignDetection(plane=(1, 0, 0, -distance), inlier_points=np.zeros((1, 3)),
-                         distance=distance, point_count=40)
+    return SignDetection(plane=(1, 0, 0, -distance), distance=distance, point_count=40)
 
 
 STOP_PARAMS = SignStopParams(latch_distance=1.5, dwell=2.0, clear_ticks=5)
@@ -336,7 +424,6 @@ def random_cloud(rng, kind):
 
 
 def test_plane_segment_matches_candidate_by_candidate_reference(monkeypatch):
-    import shuttlesim.signs as signs
     calls = {"inliers": 0, "winners": 0}
     real_inliers, real_best = signs._plane_inliers, signs._best_triple
 
@@ -364,9 +451,13 @@ def test_plane_segment_matches_candidate_by_candidate_reference(monkeypatch):
         want = reference_plane_segment(points, params, SENSOR)
         assert (got is None) == (want is None), i
         if want is not None:
+            want, remaining, support = want
             found += 1
             assert got.plane == want.plane
-            assert np.array_equal(got.inlier_points, want.inlier_points)
+            # the inliers of the returned plane, among the points left at its extraction
+            a, b, c, d = got.plane
+            assert np.array_equal(remaining[np.abs(remaining @ np.array([a, b, c]) + d) <= params.plane_dist_tol],
+                                  support)
             assert (got.distance, got.point_count) == (want.distance, want.point_count)
     assert 50 < found < 200
     # the grid clouds put points at exactly the tolerance, so some candidates
