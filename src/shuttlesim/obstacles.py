@@ -2,14 +2,16 @@
 
 Each sweep is binned into a vehicle-centred grid; a cell counts as occupied
 when the vertical spread of its points exceeds the height threshold. A cell's
-lowest point is no lower than the sweep's lowest binned point ``z_lo``, and
-rounded subtraction is monotone, so an occupied cell always holds a point more
-than the threshold above ``z_lo``. Only the cells holding such a tall point
-are grouped, with all of their points; bare ground is never sorted, and the
-grid is the one grouping every point gives, at any threshold. The
-vehicle's expected corridor is projected from the current steering angle with
-a bicycle model, and the closest occupied cell along it caps the commanded
-speed at d/5 - 1 (full stop at maximum deceleration inside 5 m).
+lowest point is no lower than the sweep's lowest point ``z_lo``, and rounded
+subtraction is monotone, so an occupied cell always holds a tall point, one
+more than the threshold above ``z_lo``. Only the tall points are binned at
+first; then only the points near the cells they fall in, and the cells holding
+a tall point are grouped with all of their points. A sweep of bare ground
+bins no point, and the grid is the one grouping every point gives, at any
+threshold. The vehicle's expected corridor is projected from the current
+steering angle with a bicycle model, and the closest occupied cell along it
+caps the commanded speed at d/5 - 1 (full stop at maximum deceleration inside
+5 m).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from shuttlesim.twist import TwistCommand
 PEDESTRIAN_SPEED = 1.4  # m/s, design walking speed for clearance analysis
 SLOWDOWN_STOP_DISTANCE = 5.0  # m, commanded speed is zero inside this range
 SLOWDOWN_SLOPE = 5.0  # v = d/SLOWDOWN_SLOPE - 1
-MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates two n x n bool tables
+MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates one n x n bool table
 
 
 @dataclass(frozen=True)
@@ -56,45 +58,66 @@ class OccupancyGrid:
     max_z: np.ndarray  # (K,) highest point in each occupied cell
 
 
-def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:
-    """Bin a sweep into min/max height cells and flag tall spreads.
-
-    Only the points of cells that hold a tall point are grouped (see the
-    module docstring). They are grouped by their row-major cell index, so the
-    groups come out in the order of the occupied cells.
-    """
-    n = int(round(2 * params.extent / params.cell_size))
-    x, y, z = frame.points.T
-    # row and column as whole floats, in place, so that the sweep's temporaries
-    # stay under glibc's trim threshold (see ``Simulation._sense``)
-    i = x + params.extent
+def _cells(x: np.ndarray, y: np.ndarray, z: np.ndarray, which: np.ndarray,
+           params: GridParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major cell index and height of each binned point, one below the roof
+    and inside the n x n grid, among the points ``which`` picks."""
+    # row and column as whole floats, in place in the picked copies, so that
+    # binning a whole sweep makes few temporaries (see ``Simulation._sense``)
+    i = x[which]
+    i += params.extent
     i /= params.cell_size
     np.floor(i, out=i)
-    j = y + params.extent
+    j = y[which]
+    j += params.extent
     j /= params.cell_size
     np.floor(j, out=j)
+    z = z[which]
     binned = (z <= params.roof_height) & (i >= 0) & (i < n) & (j >= 0) & (j < n)
     i *= n
     i += j  # a binned cell's row-major index, below n * n, so exact
     del j
-    cell, z = i[binned].astype(int), z[binned]
-    del i
-    tall = np.zeros(n * n, dtype=bool)
-    tall[cell[z - z.min(initial=np.inf) > params.height_threshold]] = True
-    maybe = tall[cell]
+    return i[binned].astype(int), z[binned]
+
+
+def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:
+    """Bin a sweep into min/max height cells and flag tall spreads.
+
+    Only the tall points are binned first (see the module docstring); a sweep
+    with none in the grid is empty. Otherwise only the points near the cells
+    they fall in are binned, and those cells' points are grouped by their
+    row-major cell index, so the groups come out in the order of the occupied
+    cells.
+    """
+    n = int(round(2 * params.extent / params.cell_size))
+    x, y, z = frame.points.T
+    tall = np.flatnonzero(z - z.min(initial=np.inf) > params.height_threshold)
+    tall_cell, _ = _cells(x, y, z, tall, params, n)
+    occupied = np.zeros(n * n, dtype=bool)
+    if len(tall_cell) == 0:
+        return OccupancyGrid(occupied.reshape(n, n), np.empty((0, 2)), np.empty(0), np.empty(0))
+    # the cells' bounding box grown by half a cell, far wider than any rounding
+    # of the cell formula, holds every point that falls in one of them
+    rows, cols = np.divmod(tall_cell, n)
+    size, extent = params.cell_size, params.extent
+    x_lo, x_hi = (rows.min() - 0.5) * size - extent, (rows.max() + 1.5) * size - extent
+    y_lo, y_hi = (cols.min() - 0.5) * size - extent, (cols.max() + 1.5) * size - extent
+    near = (x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi)
+    cell, z = _cells(x, y, z, near, params, n)
+    occupied[tall_cell] = True  # every cell holding a tall point, until the spreads are known
+    maybe = occupied[cell]
     cell, z = cell[maybe], z[maybe]
     order = np.argsort(cell, kind="stable")
     cell, z = cell[order], z[order]
-    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    starts = np.concatenate(([True], cell[1:] != cell[:-1])).nonzero()[0]  # each cell's first point
     cell = cell[starts]
     min_z = np.minimum.reduceat(z, starts)
     max_z = np.maximum.reduceat(z, starts)
-    count = np.diff(starts, append=len(z))
+    count = np.concatenate((starts[1:], [len(z)])) - starts
     keep = (count >= params.min_cell_points) & (max_z - min_z > params.height_threshold)
+    occupied[cell[~keep]] = False
     cell = cell[keep]
-    occupied = np.zeros(n * n, dtype=bool)
-    occupied[cell] = True
-    centers = (np.stack([cell // n, cell % n], axis=1) + 0.5) * params.cell_size - params.extent
+    centers = (cell[:, None] // (n, 1) % n + 0.5) * size - extent  # row and column
     return OccupancyGrid(occupied.reshape(n, n), centers, min_z[keep], max_z[keep])
 
 

@@ -60,7 +60,9 @@ def brute_ror(points, radius=0.5, min_neighbors=3):
     for i, p in enumerate(points):
         n = 0
         for j, q in enumerate(points):
-            if i != j and np.linalg.norm(p - q) <= radius:
+            dx, dy, dz = p - q
+            # squared, summed in the order of a KD-tree's ball count, so ties at the radius agree
+            if i != j and (dx * dx + dy * dy) + dz * dz <= radius * radius:
                 n += 1
         if n >= min_neighbors:
             keep.append(i)

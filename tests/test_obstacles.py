@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shuttlesim import obstacles
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.obstacles import (
     MAX_GRID_CELLS,
@@ -19,7 +20,7 @@ from shuttlesim.obstacles import (
 )
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import TwistCommand
-from shuttlesim.world import WorldModel
+from shuttlesim.world import Pedestrian, WorldModel
 from tests.conftest import SMALL_WORLDS, reference_grid
 
 PARAMS = VehicleParams()
@@ -240,6 +241,28 @@ def assert_grid_matches_reference(frame, params):
 # nothing above the ground, at threshold zero
 @example(points=[(1.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 2.0, -0.3), (2.0, 2.0, -0.3),
                  (3.0, 3.0, -0.2), (3.0, 3.0, 0.0)], params=GridParams(height_threshold=0.0))
+# the sweep's lowest point outside the grid, which lifts a flat cell's points above the threshold
+@example(points=[(-25.0, 0.0, -1.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.05), (2.0, 2.0, 0.0), (2.0, 2.0, 0.5)],
+         params=GridParams())
+# every point above the roof, the lowest one too
+@example(points=[(1.0, 1.0, 2.2), (1.0, 1.0, 3.0), (2.0, 2.0, 2.5)], params=GridParams())
+# tall cells in opposite corners, so the box around them spans the whole grid, and a flat cell between
+@example(points=[(-20.0, -20.0, 0.0), (-20.0, -20.0, 0.5), (19.99, 19.99, 0.0), (19.99, 19.99, 0.5),
+                 (0.0, 0.0, 0.0), (0.0, 0.0, 0.03)], params=GridParams(cell_size=2 * GRID.extent / MAX_GRID_CELLS))
+# a tall corner cell of the grid (row 0, last column) with its far corner; points just outside the
+# grid; and in the next row and column, flat points on the box's half-cell margin and just across it
+@example(points=[(-20.0, 19.75, 0.0), (-20.0, 19.75, 0.5),
+                 (math.nextafter(-19.75, -1e9), math.nextafter(20.0, 0.0), 0.2),
+                 (math.nextafter(-20.0, -1e9), 19.9, 0.9), (-19.9, 20.0, 0.9),
+                 (-19.625, 19.9, 0.0), (math.nextafter(-19.625, 0.0), 19.9, 0.05),
+                 (-19.9, 19.625, 0.0), (-19.9, math.nextafter(19.625, 0.0), 0.05)], params=GridParams())
+# a point below a tall cell's lower edge that the cell formula rounds up into it
+@example(points=[(-7.75, 0.0, 0.5), (-7.75, 0.0, 0.0), (-7.750000000000001, 0.0, -0.1)], params=GridParams())
+# the only tall point above the roof, over a cell whose binned points stay flat
+@example(points=[(1.0, 1.0, 0.0), (1.0, 1.0, 0.05), (1.0, 1.0, 2.5), (2.0, 2.0, 0.0)], params=GridParams())
+# at threshold zero, the smallest spread counts, and equal heights above the lowest do not
+@example(points=[(1.0, 1.0, 0.0), (1.0, 1.0, 5e-324), (2.0, 2.0, 0.3), (2.0, 2.0, 0.3), (3.0, 3.0, 0.0)],
+         params=GridParams(height_threshold=0.0))
 def test_build_grid_matches_per_point_binning(points, params):
     assert_grid_matches_reference(frame_from_points(np.array(points).reshape(-1, 3)), params)
 
@@ -251,3 +274,30 @@ def test_build_grid_matches_per_point_binning_on_scanned_sweeps(world, x, headin
     frame = scan(world, VehicleState(x=x, heading=heading), PARAMS, LidarConfig(range_jitter=jitter),
                  rng=np.random.default_rng(seed))
     assert_grid_matches_reference(frame, params)
+
+
+def test_build_grid_bins_no_bare_ground_and_only_points_near_tall_ones(monkeypatch):
+    binned = []
+    cells = obstacles._cells
+
+    def counting(x, y, z, which, params, n):
+        binned.append(np.column_stack([x[which], y[which], z[which]]))
+        return cells(x, y, z, which, params, n)
+
+    monkeypatch.setattr(obstacles, "_cells", counting)
+    config = LidarConfig(range_jitter=0.01)
+    ground = scan(WorldModel(), VehicleState(), PARAMS, config, rng=np.random.default_rng(1))
+    assert not build_grid(ground, GRID).occupied.any()
+    assert sum(map(len, binned)) == 0
+
+    binned.clear()
+    ped = Pedestrian(position=(8.0, 1.0))
+    frame = scan(WorldModel(pedestrians=(ped,)), VehicleState(), PARAMS, config, rng=np.random.default_rng(1))
+    grid = build_grid(frame, GRID)
+    assert np.array_equal(grid.centers, reference_grid(frame.points, GRID)[1]) and len(grid.centers) > 0
+    tall, near = binned
+    z = frame.points[:, 2]
+    assert len(tall) == np.count_nonzero(z - z.min() > GRID.height_threshold)
+    # within the box of the pedestrian's cells grown by half a cell
+    assert np.all(np.abs(near[:, :2] - ped.position) <= ped.radius + 1.5 * GRID.cell_size)
+    assert len(near) < len(frame) / 20

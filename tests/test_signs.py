@@ -144,7 +144,7 @@ def outlier_clouds(draw):
     else:  # a tight plate and points far from it, which ROR drops
         plate = rng.uniform([8.0, -0.4, 1.6], [8.05, 0.4, 2.4], (rng.integers(10, 200), 3))
         points = np.concatenate([plate, rng.uniform([5.0, -9.0, -2.0], [40.0, 9.0, 5.0], (rng.integers(1, 10), 3))])
-    return kind, rng.permutation(points), radius, min_neighbors, k
+    return rng.permutation(points), radius, min_neighbors, k
 
 
 def detect_filtered(points, params):
@@ -165,13 +165,12 @@ def detect_filtered(points, params):
 @settings(max_examples=300, deadline=None)
 @given(outlier_clouds(), st.sampled_from([0.5, 1.0, 2.0]))
 def test_detect_outlier_filters_equal_two_trees_and_brute_force_bit_for_bit(cloud, mult):
-    kind, points, radius, min_neighbors, k = cloud
+    points, radius, min_neighbors, k = cloud
     params = FilterParams(ror_radius=radius, ror_min_neighbors=min_neighbors, sor_k=k,
                           sor_stddev_mult=mult, min_sign_points=1)
     got = detect_filtered(points, params)
     assert np.array_equal(got, two_tree_ror_sor(points, radius, min_neighbors, k, mult))
-    if kind != "sphere":  # brute_ror compares the root, a ball count the square: they part within rounding
-        assert np.array_equal(got, brute_sor(brute_ror(points, radius, min_neighbors), k, mult))
+    assert np.array_equal(got, brute_sor(brute_ror(points, radius, min_neighbors), k, mult))
 
 
 @pytest.mark.parametrize("cloud", ["scanned", "grid"])
