@@ -8,7 +8,7 @@ modifies speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from shuttlesim.twist import TwistCommand
@@ -41,6 +41,8 @@ class SpeedCommand:
 
 def select(commands: list[SpeedCommand]) -> SpeedCommand:
     """Pick the winning command: lowest speed, then strongest braking, then priority."""
+    if len(commands) == 1:
+        return commands[0]
     if not commands:
         raise ValueError("arbiter needs at least one command")
     winner = min(
@@ -49,9 +51,9 @@ def select(commands: list[SpeedCommand]) -> SpeedCommand:
     )
     waypoint = next((c for c in commands if c.source is Source.WAYPOINT), None)
     if waypoint is not None and winner is not waypoint:
-        winner = SpeedCommand(
-            replace(winner.twist, angular_w=waypoint.twist.angular_w), winner.source
-        )
+        w = winner.twist  # built directly: ``dataclasses.replace`` costs twice the constructor
+        winner = SpeedCommand(TwistCommand(w.linear_v, waypoint.twist.angular_w, w.accel_limit, w.decel_limit),
+                              winner.source)
     return winner
 
 

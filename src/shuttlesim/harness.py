@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from shuttlesim.arbiter import DisplayTracker, Source, SpeedCommand, select
+from shuttlesim.arbiter import DisplayTracker, Message, Source, SpeedCommand, select
 from shuttlesim.lidar import LidarFrame, scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
@@ -72,6 +72,7 @@ class LogRow:
 
 
 _SOURCES = tuple(Source)
+_DISPLAYS = tuple(m.value for m in Message)
 
 
 def _parse_source(text: str) -> Source:
@@ -257,7 +258,7 @@ class Simulation:
                 commands.append(SpeedCommand(sign_cmd, Source.SIGN))
                 sign_stop_d = self.sign_logic.hold_distance
 
-            if any(w.t <= t <= w.t + w.duration for w in cfg.manual_stops):
+            if cfg.manual_stops and any(w.t <= t <= w.t + w.duration for w in cfg.manual_stops):
                 commands.append(manual_stop)
 
             selected = select(commands)
@@ -299,14 +300,22 @@ def write_log(rows: list[LogRow], path) -> None:
 
 
 def read_log(path) -> list[LogRow]:
+    """The log's rows; a row the harness never writes is an error that names its line."""
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line or line.startswith("t,") or line.startswith("#"):
             continue
         try:
-            rows.append(LogRow.parse(line))
+            row = LogRow.parse(line)
+            if row.display not in _DISPLAYS:
+                raise ValueError(f"display {row.display!r} is not one of {', '.join(_DISPLAYS)}")
+            if negative := [name for name in ("t", "v", "cte", "sign_n") if getattr(row, name) < 0]:
+                raise ValueError(f"{negative[0]} {getattr(row, negative[0])!r} is negative")
+            if rows and row.t <= rows[-1].t:
+                raise ValueError(f"t {row.t!r} does not rise past the previous row's {rows[-1].t!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no log rows")
     return rows

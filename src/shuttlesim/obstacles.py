@@ -11,13 +11,15 @@ bins no point, and the grid is the one grouping every point gives, at any
 threshold. The vehicle's expected corridor is projected from the current
 steering angle with a bicycle model, and the closest occupied cell along it
 caps the commanded speed at d/5 - 1 (full stop at maximum deceleration inside
-5 m).
+5 m). A grid changes once per sweep and the corridor only when the steering
+does, so each obstacle report is computed once per grid and corridor and kept
+in the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +52,13 @@ class GridParams:
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """A sweep's height map: the cell mask and its K occupied cells, in row-major order."""
+    """A sweep's height map: cell mask, K occupied cells (row-major) and a report per corridor, computed once."""
 
     occupied: np.ndarray  # (n, n) bool
     centers: np.ndarray  # (K, 2) vehicle-frame cell centres
     min_z: np.ndarray  # (K,) lowest point in each occupied cell
     max_z: np.ndarray  # (K,) highest point in each occupied cell
+    reports: dict[Corridor, ObstacleReport] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _cells(x: np.ndarray, y: np.ndarray, z: np.ndarray, which: np.ndarray,
@@ -184,14 +187,15 @@ class ObstacleReport:
 
 
 def closest_in_corridor(grid: OccupancyGrid, corridor: Corridor) -> ObstacleReport:
-    """Closest occupied cell along the corridor, measured from the bumper."""
+    """Closest occupied cell along the corridor, from the bumper; computed once per grid and corridor."""
     if len(grid.centers) == 0:
         return ObstacleReport(present=False)
-    inside, s = corridor_membership(corridor, grid.centers)
-    if not inside.any():
-        return ObstacleReport(present=False)
-    d = np.maximum(s[inside] - corridor.front_overhang, 0.0)
-    return ObstacleReport(True, float(d.min()))
+    if (report := grid.reports.get(corridor)) is None:
+        inside, s = corridor_membership(corridor, grid.centers)
+        d = np.maximum(s[inside] - corridor.front_overhang, 0.0)
+        report = ObstacleReport(True, float(d.min())) if inside.any() else ObstacleReport(present=False)
+        grid.reports[corridor] = report
+    return report
 
 
 def speed_limit_for_distance(d: float, check_range: float = 15.0) -> float | None:
@@ -215,10 +219,10 @@ def modify_speed(
         return cmd, report
     limit = speed_limit_for_distance(report.closest_distance, corridor.length)
     if limit is None:
-        return cmd, replace(report, present=False)
+        return cmd, ObstacleReport(False, report.closest_distance)
     if report.closest_distance <= SLOWDOWN_STOP_DISTANCE:
-        return replace(cmd, linear_v=0.0, decel_limit=max_decel), report
-    return replace(cmd, linear_v=min(cmd.linear_v, max(0.0, limit))), report
+        return TwistCommand(0.0, cmd.angular_w, cmd.accel_limit, max_decel), report
+    return TwistCommand(min(cmd.linear_v, max(0.0, limit)), cmd.angular_w, cmd.accel_limit, cmd.decel_limit), report
 
 
 def required_side_clearance(

@@ -91,7 +91,7 @@ def step_plant(
     """
     inputs = (state.x, state.y, state.heading, state.speed, state.accel,
               state.brake_force, throttle, brake, steer_cmd, dt)
-    if not all(math.isfinite(v) for v in inputs):
+    if not all(map(math.isfinite, inputs)):
         raise ValueError("non-finite plant input")
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must be in (0, 0.1], got {dt}")

@@ -88,7 +88,7 @@ def speed_step(
     gains: ControllerGains = ControllerGains(),
 ) -> tuple[float, float, ControllerState]:
     """One speed-control step. Returns (throttle, brake, next_state)."""
-    if not all(math.isfinite(v) for v in (cmd.linear_v, v_meas, a_meas, dt)):
+    if not all(map(math.isfinite, (cmd.linear_v, v_meas, a_meas, dt))):
         raise ValueError("non-finite controller input")
 
     a_filt = lowpass(state.filtered_accel, a_meas, dt, gains.accel_filter_tau)

@@ -1,11 +1,20 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from shuttlesim.arbiter import _PRIORITY, Source, SpeedCommand
 from shuttlesim.lidar import _ray_table
+from shuttlesim.obstacles import (
+    SLOWDOWN_STOP_DISTANCE,
+    ObstacleReport,
+    corridor_membership,
+    speed_limit_for_distance,
+)
+from shuttlesim.plant import VehicleParams
 from shuttlesim.scenario import DEFAULT_ORIGIN
 from shuttlesim.signs import SignDetection
 from shuttlesim.waypoints import EARTH_RADIUS, Route, from_local, save_waypoints
@@ -141,6 +150,41 @@ def reference_grid(points, params):
     centers = np.array([[(k + 0.5) * params.cell_size - params.extent for k in cell] for cell in kept])
     return (occupied, centers.reshape(-1, 2), np.array([min(cells[c]) for c in kept]),
             np.array([max(cells[c]) for c in kept]))
+
+
+def reference_report(grid, corridor):
+    """The grid's obstacle report for the corridor, computed afresh from
+    ``corridor_membership`` without the grid's table of reports."""
+    if len(grid.centers) == 0:
+        return ObstacleReport(present=False)
+    inside, s = corridor_membership(corridor, grid.centers)
+    if not inside.any():
+        return ObstacleReport(present=False)
+    return ObstacleReport(True, float(np.maximum(s[inside] - corridor.front_overhang, 0.0).min()))
+
+
+def replace_select(commands):
+    """``arbiter.select`` as written with ``dataclasses.replace`` and no lone-command return."""
+    if not commands:
+        raise ValueError("arbiter needs at least one command")
+    winner = min(commands, key=lambda c: (c.twist.linear_v, -c.twist.decel_limit, -_PRIORITY[c.source]))
+    waypoint = next((c for c in commands if c.source is Source.WAYPOINT), None)
+    if waypoint is not None and winner is not waypoint:
+        winner = SpeedCommand(replace(winner.twist, angular_w=waypoint.twist.angular_w), winner.source)
+    return winner
+
+
+def replace_modify_speed(cmd, grid, corridor, max_decel=VehicleParams().max_decel):
+    """``obstacles.modify_speed`` as written with ``dataclasses.replace``, on a fresh report."""
+    report = reference_report(grid, corridor)
+    if not report.present:
+        return cmd, report
+    limit = speed_limit_for_distance(report.closest_distance, corridor.length)
+    if limit is None:
+        return cmd, replace(report, present=False)
+    if report.closest_distance <= SLOWDOWN_STOP_DISTANCE:
+        return replace(cmd, linear_v=0.0, decel_limit=max_decel), report
+    return replace(cmd, linear_v=min(cmd.linear_v, max(0.0, limit))), report
 
 
 def reference_scan(world, state, params, config, rng=None):

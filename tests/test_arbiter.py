@@ -12,6 +12,7 @@ from shuttlesim.arbiter import (
     select,
 )
 from shuttlesim.twist import TwistCommand
+from tests.conftest import replace_select
 
 
 def cmd(v, source, w=0.0, decel=1.2):
@@ -120,3 +121,37 @@ def test_display_transitions_at_exact_thresholds():
     # ramp up: switches at 0.2
     assert tracker.update(0.1999) is Message.STOPPED
     assert tracker.update(0.2) is Message.MOVING
+
+
+# every order of every set of sources, a lone command included; speeds and
+# braking drawn from few values so that ties are common
+ORDERED = st.permutations(list(Source)).flatmap(lambda order: st.integers(1, len(order)).map(lambda k: order[:k]))
+
+
+def tied(source):
+    return st.builds(
+        cmd,
+        v=st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 1e6),
+        source=st.just(source),
+        w=st.sampled_from([0.0, -0.0, 0.3]) | st.floats(-1e6, 1e6),
+        decel=st.sampled_from([1.2, 5.0]) | st.floats(1e-3, 1e3),
+    )
+
+
+@given(sources=ORDERED, data=st.data())
+def test_select_matches_the_replace_form(sources, data):
+    cmds = [data.draw(tied(source)) for source in sources]
+    out, want = select(cmds), replace_select(cmds)
+    assert out == want
+    assert repr(out) == repr(want)  # field by field, the sign of a zero too
+    if len(cmds) == 1:
+        assert out is cmds[0]
+
+
+def test_select_still_rejects_a_winner_the_twist_check_rejects():
+    bad = TwistCommand(1.0, 0.0, 1.0, 1.2)
+    object.__setattr__(bad, "accel_limit", 0.0)  # past __post_init__
+    cmds = [cmd(3.0, Source.WAYPOINT, w=0.2), SpeedCommand(bad, Source.OBSTACLE)]
+    for arbitrate in (select, replace_select):
+        with pytest.raises(ValueError, match="acceleration limits must be positive"):
+            arbitrate(cmds)

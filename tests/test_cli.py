@@ -390,3 +390,24 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
         named = f"error: {folder / given_file}" + (f": waypoints: {(folder / name).resolve()}" if given_file != name else "")
         named += ":"  # then the line number or the message
         assert rc == 0 and err == "" or rc == 1 and err.count("\n") == 1 and err.startswith(named), err
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("display", "BANANA", "display 'BANANA' is not one of MOVING, STOPPED"),
+    ("display", "", "display '' is not one of MOVING, STOPPED"),
+    ("sign_n", "-5", "sign_n -5 is negative"),
+    ("v", "-0.5", "v -0.5 is negative"),
+    ("cte", "-3.0", "cte -3.0 is negative"),
+    ("t", "-7.0", "t -7.0 is negative"),
+    ("t", "0.06", "t 0.06 does not rise past the previous row's 0.06"),  # the previous row's time
+])
+def test_replay_rejects_a_row_the_harness_never_writes(shipped_inputs, tmp_path, capsys, column, value, message):
+    lines = shipped_inputs["demo.log"].decode().splitlines()
+    fields = lines[5].split(",")  # line 6, the fifth row, at t = 0.08
+    fields[lines[0].split(",").index(column)] = value
+    lines[5] = ",".join(fields)
+    log, metrics = tmp_path / "demo.log", tmp_path / "metrics.yaml"
+    log.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(log), "--metrics", str(metrics)]) == 1
+    assert capsys.readouterr().err == f"error: {log}:6: {message}\n"
+    assert not metrics.exists()

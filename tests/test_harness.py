@@ -484,3 +484,30 @@ def test_figure8_trace_compiles_with_curvature_limits():
     runs = np.flatnonzero(np.diff(limited.astype(int)) == 1)
     assert len(runs) >= 2
     assert route.speed.min() > 2.0  # r = 10 m allows sqrt(5) = 2.24 m/s
+
+
+def test_modify_speed_still_runs_every_perceived_tick_of_a_crossing(straight_waypoints, monkeypatch):
+    import shuttlesim.harness as harness
+    from shuttlesim import obstacles
+
+    calls = {"modify_speed": 0, "corridor_membership": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(harness, "modify_speed")
+    counted(obstacles, "corridor_membership")
+    world = WorldModel(pedestrians=(Pedestrian(position=(16.0, 3.0), velocity=(0.0, -1.4)),))
+    sc = straight_scenario(straight_waypoints, duration=5.0, world=world, perception_latency_ticks=2,
+                           lidar=LidarConfig(range_jitter=0.01))
+    _, rows = Simulation(sc).run()
+    assert any(r.source is Source.OBSTACLE for r in rows)  # the crossing slows the cart
+    # once a tick from the first perceived sweep on, while the grid's table answers the calls
+    # after the first of each sweep, since the cart drives straight
+    assert calls["modify_speed"] == len(rows) - sc.perception_latency_ticks
+    assert 0 < calls["corridor_membership"] <= math.ceil(calls["modify_speed"] / sc.lidar_period_ticks)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from shuttlesim import obstacles
 from shuttlesim.lidar import LidarConfig, LidarFrame, scan
 from shuttlesim.obstacles import (
     MAX_GRID_CELLS,
+    Corridor,
     GridParams,
     build_grid,
     closest_in_corridor,
@@ -21,7 +23,7 @@ from shuttlesim.obstacles import (
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import TwistCommand
 from shuttlesim.world import Pedestrian, WorldModel
-from tests.conftest import SMALL_WORLDS, reference_grid
+from tests.conftest import SMALL_WORLDS, reference_grid, reference_report, replace_modify_speed
 
 PARAMS = VehicleParams()
 GRID = GridParams()
@@ -301,3 +303,75 @@ def test_build_grid_bins_no_bare_ground_and_only_points_near_tall_ones(monkeypat
     # within the box of the pedestrian's cells grown by half a cell
     assert np.all(np.abs(near[:, :2] - ped.position) <= ped.radius + 1.5 * GRID.cell_size)
     assert len(near) < len(frame) / 20
+
+
+# columns of points in front of and around the cart, where corridors reach
+NEAR_CLOUD = st.lists(
+    st.builds(lambda x, y, zs: [(x, y, z) for z in zs], st.floats(-4.0, 20.0), st.floats(-6.0, 6.0),
+              st.lists(st.sampled_from([0.0, 0.5, 1.5]) | st.floats(-0.2, 2.0), max_size=4)),
+    max_size=12,
+).map(lambda columns: [p for column in columns for p in column])
+# straight corridors, both signs of radius, radii near and far beyond the steering limit
+STEER = st.sampled_from([0.0, 0.005, -0.005, 0.3, -0.3, 0.55, -0.55]) | st.floats(-0.55, 0.55)
+CORRIDORS = (st.builds(corridor_from_steering, STEER)
+             | st.builds(Corridor, st.none() | st.sampled_from([-1.0, 1.0, -50.0, 1e3]) | st.floats(-200.0, 200.0),
+                         st.sampled_from([15.0, 0.5]), st.sampled_from([1.15, 0.2]), st.sampled_from([3.2, 0.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=NEAR_CLOUD | CLOUD, pool=st.lists(CORRIDORS, min_size=1, max_size=4), data=st.data())
+def test_closest_in_corridor_matches_a_fresh_computation(points, pool, data):
+    grid = build_grid(frame_from_points(np.array(points).reshape(-1, 3)), GRID)
+    # repeats of each corridor, as the same object and as an equal copy
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    for corridor in picks + [replace(c) for c in reversed(picks)]:
+        assert closest_in_corridor(grid, corridor) == reference_report(grid, corridor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=NEAR_CLOUD, corridor=CORRIDORS, v=st.sampled_from([0.0, 3.0]) | st.floats(0.0, 1e6),
+       w=st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0), accel=st.floats(1e-3, 5.0),
+       decel=st.floats(1e-3, 5.0), max_decel=st.sampled_from([5.0, 1e-3]))
+@example(points=[(7.2, 0.0, 0.0), (7.2, 0.0, 0.5)], corridor=corridor_from_steering(0.0, PARAMS), v=3.0, w=-0.0,
+         accel=1.0, decel=1.2, max_decel=5.0)  # a stop
+@example(points=[(13.2, 0.0, 0.0), (13.2, 0.0, 0.5)], corridor=corridor_from_steering(0.0, PARAMS), v=3.0, w=0.3,
+         accel=1.0, decel=1.2, max_decel=5.0)  # a slowdown
+def test_modify_speed_matches_the_replace_form(points, corridor, v, w, accel, decel, max_decel):
+    grid = build_grid(frame_from_points(np.array(points).reshape(-1, 3)), GRID)
+    cmd = TwistCommand(v, w, accel, decel)
+    for _ in range(2):  # the second call reads the grid's table
+        out, report = modify_speed(cmd, grid, corridor, max_decel)
+        want, want_report = replace_modify_speed(cmd, grid, corridor, max_decel)
+        assert (out, report) == (want, want_report)
+        assert repr(out) == repr(want)  # field by field, the sign of a zero too
+
+
+@pytest.mark.parametrize("max_decel", [0.0, -1.0])
+def test_modify_speed_still_rejects_a_command_the_twist_check_rejects(max_decel):
+    grid = grid_with_cell_at(PARAMS.front_overhang + 2.0, 0.0)
+    corridor = corridor_from_steering(0.0, PARAMS)
+    for modify in (modify_speed, replace_modify_speed):
+        with pytest.raises(ValueError, match="acceleration limits must be positive"):
+            modify(TwistCommand(3.0), grid, corridor, max_decel)
+
+
+def test_corridor_membership_runs_once_per_grid_and_corridor(monkeypatch):
+    seen = []
+    membership = obstacles.corridor_membership
+
+    def counting(corridor, points):
+        seen.append(corridor)
+        return membership(corridor, points)
+
+    monkeypatch.setattr(obstacles, "corridor_membership", counting)
+    straight, left, right = (corridor_from_steering(a, PARAMS) for a in (0.0, 0.2, -0.2))
+    asked = (straight, left, straight, right, left, corridor_from_steering(0.0, PARAMS), replace(right))
+    for grid in (grid_with_cell_at(PARAMS.front_overhang + 8.0, 0.0) for _ in range(2)):
+        reports = [modify_speed(TwistCommand(3.0), grid, c)[1] for c in asked]
+        assert reports == [reference_report(grid, c) for c in asked]
+        assert reports[0].present and not reports[1].present
+        assert set(grid.reports) == {straight, left, right}
+    # reference_report holds its own name for corridor_membership, so only the table's misses count
+    assert seen == [straight, left, right] * 2
+    # a grid made from another by ``replace`` starts with an empty table
+    assert replace(grid).reports == {}
