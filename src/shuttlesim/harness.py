@@ -73,6 +73,7 @@ class LogRow:
 
 _SOURCES = tuple(Source)
 _DISPLAYS = tuple(m.value for m in Message)
+_NON_NEGATIVE = ("t", "v", "cte", "sign_n", "obstacle_d", "sign_d", "sign_stop_d")
 
 
 def _parse_source(text: str) -> Source:
@@ -309,8 +310,12 @@ def read_log(path) -> list[LogRow]:
             row = LogRow.parse(line)
             if row.display not in _DISPLAYS:
                 raise ValueError(f"display {row.display!r} is not one of {', '.join(_DISPLAYS)}")
-            if negative := [name for name in ("t", "v", "cte", "sign_n") if getattr(row, name) < 0]:
+            if negative := [name for name in _NON_NEGATIVE if (getattr(row, name) or 0) < 0]:  # a blank is None
                 raise ValueError(f"{negative[0]} {getattr(row, negative[0])!r} is negative")
+            if outside := [name for name in ("throttle", "brake") if not 0.0 <= getattr(row, name) <= 1.0]:
+                raise ValueError(f"{outside[0]} {getattr(row, outside[0])!r} is outside [0, 1]")
+            if row.throttle > 0.0 and row.brake > 0.0:
+                raise ValueError(f"throttle {row.throttle!r} and brake {row.brake!r} are both on")
             if rows and row.t <= rows[-1].t:
                 raise ValueError(f"t {row.t!r} does not rise past the previous row's {rows[-1].t!r}")
         except ValueError as exc:

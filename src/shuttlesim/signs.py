@@ -6,10 +6,12 @@ segmentation with a facing check on the plane normal. The threshold and the
 crop are per-point masks, so they commute; thresholding first leaves the crop
 the few bright returns of a sweep instead of all its ground. The two outlier
 filters share one KD-tree and one k-nearest query over the cropped cloud; SOR
-queries again only when ROR has dropped points. A detected sign yields a stop
-command whose deceleration limit is v^2 / (2 d) for the speed and distance at
-detection; ``SignStopLogic`` latches that command and holds it until the cart
-has stopped and dwelt.
+queries again only when ROR has dropped points. RANSAC scores its triples in
+draw order, a chunk at a time, and stops after the first chunk with a plane
+that takes every point, since no later triple can beat it. A detected sign
+yields a stop command whose deceleration limit is v^2 / (2 d) for the speed
+and distance at detection; ``SignStopLogic`` latches that command and holds it
+until the cart has stopped and dwelt.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
 # trim threshold, where 1 << 16 had each call hand its pages back and fault them in again
 _RANSAC_BLOCK = 1 << 14
 _COLLINEAR = 1e-12  # a triple whose cross product is shorter spans no plane
+_YZX, _ZXY = [1, 2, 0], [2, 0, 1]  # cross product (a x b)_i = a_YZX[i] b_ZXY[i] - a_ZXY[i] b_YZX[i]
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,16 @@ def statistical_outlier_removal(
 def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     centroid = points.mean(axis=0)
     _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    normal = vt[-1] / np.linalg.norm(vt[-1])
+    normal = vt[-1] / np.sqrt(vt[-1].dot(vt[-1]))  # np.linalg.norm's formula
     return normal, float(-normal @ centroid)
 
 
 def _plane_inliers(points: np.ndarray, triple: np.ndarray, tol: float) -> np.ndarray | None:
     """Inlier mask of the plane through three of the points; None when they are collinear."""
     p0, p1, p2 = points[triple]
-    normal = np.cross(p1 - p0, p2 - p0)
-    norm = np.linalg.norm(normal)
+    (a0, a1, a2), (b0, b1, b2) = (p1 - p0).tolist(), (p2 - p0).tolist()
+    normal = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])  # np.cross's components
+    norm = np.sqrt(normal.dot(normal))  # np.linalg.norm's formula
     if norm < _COLLINEAR:
         return None
     return np.abs((points - p0) @ (normal / norm)) <= tol
@@ -146,7 +150,7 @@ def _distinct_triples(draws: np.ndarray) -> np.ndarray:
     """
     triples = draws.copy()
     triples[:, 1] += triples[:, 1] >= triples[:, 0]
-    lo, hi = np.sort(triples[:, :2], axis=1).T
+    lo, hi = np.minimum(triples[:, 0], triples[:, 1]), np.maximum(triples[:, 0], triples[:, 1])
     triples[:, 2] += triples[:, 2] >= lo
     triples[:, 2] += triples[:, 2] >= hi
     return triples
@@ -155,38 +159,38 @@ def _distinct_triples(draws: np.ndarray) -> np.ndarray:
 def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> int | None:
     """Index of the first triple whose plane has the most inliers; None if all are collinear.
 
-    Scores every candidate with one (points x triples) distance matrix, in
-    blocks of rows. A batched count can differ from ``_plane_inliers``' only
-    for a triple within rounding of the collinearity cut or a point within
-    rounding of ``tol``; such candidates are recounted with ``_plane_inliers``,
-    so the winner is the one a candidate-by-candidate loop would keep.
+    Scores the triples in order with one (chunk x points) distance matrix per
+    chunk; chunks start at 16 triples and double up to ``_RANSAC_BLOCK``
+    entries. A batched count can differ from ``_plane_inliers``' only for a
+    triple within rounding of the collinearity cut or a point within rounding
+    of ``tol``; such candidates are recounted with ``_plane_inliers``, so every
+    count is exact. Scoring stops after a chunk whose best plane takes every
+    point, since no later triple can have more inliers.
     """
-    p0 = points[triples[:, 0]]
-    a = points[triples[:, 1]] - p0
-    b = points[triples[:, 2]] - p0
-    # the components np.cross computes, for all triples at once
-    normal = np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                       a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                       a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
-    norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
-    usable = norm >= _COLLINEAR
-    unsure = np.abs(norm - _COLLINEAR) <= 1e-9 * _COLLINEAR
-    unit = normal / np.where(usable, norm, 1.0)[:, None]
-    offset = np.einsum("ij,ij->i", p0, unit)
-    # rounding of either distance formula stays far below this
-    slack = 1e-9 * (1.0 + np.abs(points).max())
-    counts = np.zeros(len(triples), dtype=np.int64)
-    rows = max(1, _RANSAC_BLOCK // len(triples))
-    for start in range(0, len(points), rows):
-        dist = np.abs(points[start:start + rows] @ unit.T - offset)
-        counts += np.count_nonzero(dist <= tol, axis=0)
-        unsure |= (np.abs(dist - tol) <= slack).any(axis=0)
-    counts[~usable] = -1
-    for k in np.flatnonzero(unsure):
-        inliers = _plane_inliers(points, triples[k], tol)
-        counts[k] = -1 if inliers is None else np.count_nonzero(inliers)
-    best = int(np.argmax(counts))
-    return best if counts[best] >= 0 else None
+    slack = 1e-9 * (1.0 + np.abs(points).max())  # rounding of either distance formula stays far below this
+    cap = max(1, _RANSAC_BLOCK // len(points))
+    best, best_count, start, size = None, -1, 0, min(16, cap)
+    while start < len(triples) and best_count < len(points):
+        chunk = triples[start:start + size]
+        p0, p1, p2 = points[chunk.T]
+        a, b = p1 - p0, p2 - p0
+        normal = a[:, _YZX] * b[:, _ZXY] - a[:, _ZXY] * b[:, _YZX]  # np.cross's components, chunk-wide
+        norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
+        usable = norm >= _COLLINEAR
+        unit = normal / np.where(usable, norm, 1.0)[:, None]
+        dist = np.abs(unit @ points.T - np.einsum("ij,ij->i", p0, unit)[:, None])
+        counts = np.where(usable, (dist < tol - slack).sum(axis=1), -1)
+        # a count is sure when no point lies within slack of tol
+        unsure = usable & ((dist <= tol + slack).sum(axis=1) > counts)
+        unsure |= np.abs(norm - _COLLINEAR) <= 1e-9 * _COLLINEAR
+        for k in unsure.nonzero()[0]:
+            inliers = _plane_inliers(points, chunk[k], tol)
+            counts[k] = -1 if inliers is None else np.count_nonzero(inliers)
+        k = int(counts.argmax())
+        if counts[k] > best_count:  # a tie keeps the earlier triple
+            best, best_count = start + k, counts[k]
+        start, size = start + size, min(2 * size, cap)
+    return best
 
 
 def plane_segment(
@@ -229,11 +233,11 @@ def plane_segment(
 
         support = remaining[inliers]
         if len(support) >= params.min_sign_points and normal[0] >= params.normal_min_a:
-            ranges = np.linalg.norm(support - origin, axis=1)
+            offsets = support - origin  # sqrt is monotone: the root of the least square is the least range
             accepted.append(
                 SignDetection(
                     plane=(float(normal[0]), float(normal[1]), float(normal[2]), offset),
-                    distance=float(ranges.min()),
+                    distance=float(np.sqrt((offsets * offsets).sum(axis=1).min())),
                     point_count=int(len(support)),
                 )
             )

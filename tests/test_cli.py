@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import re
 import tempfile
@@ -400,6 +401,15 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
     ("cte", "-3.0", "cte -3.0 is negative"),
     ("t", "-7.0", "t -7.0 is negative"),
     ("t", "0.06", "t 0.06 does not rise past the previous row's 0.06"),  # the previous row's time
+    # the harness clamps both pedals to [0, 1], never presses both, and logs only non-negative distances
+    ("throttle", "-1.0", "throttle -1.0 is outside [0, 1]"),
+    ("throttle", "1.5", "throttle 1.5 is outside [0, 1]"),
+    ("brake", "7.0", "brake 7.0 is outside [0, 1]"),
+    ("brake", "-0.25", "brake -0.25 is outside [0, 1]"),
+    ("brake", "0.5", "throttle 0.12681941427917184 and brake 0.5 are both on"),  # the row's own throttle
+    ("obstacle_d", "-2.0", "obstacle_d -2.0 is negative"),
+    ("sign_d", "-1.5", "sign_d -1.5 is negative"),
+    ("sign_stop_d", "-0.5", "sign_stop_d -0.5 is negative"),
 ])
 def test_replay_rejects_a_row_the_harness_never_writes(shipped_inputs, tmp_path, capsys, column, value, message):
     lines = shipped_inputs["demo.log"].decode().splitlines()
@@ -411,3 +421,33 @@ def test_replay_rejects_a_row_the_harness_never_writes(shipped_inputs, tmp_path,
     assert main(["replay", str(log), "--metrics", str(metrics)]) == 1
     assert capsys.readouterr().err == f"error: {log}:6: {message}\n"
     assert not metrics.exists()
+
+
+def test_replay_accepts_the_extremes_the_harness_can_write(shipped_inputs, tmp_path):
+    lines = shipped_inputs["demo.log"].decode().splitlines()
+    header = lines[0].split(",")
+    for k, (throttle, brake, distance) in enumerate([("1.0", "0.0", "0.0"), ("0.0", "1.0", "-0.0"), ("0.0", "0.0", "")],
+                                                     start=5):
+        fields = lines[k].split(",")
+        for column, value in (("throttle", throttle), ("brake", brake), ("obstacle_d", distance),
+                              ("sign_d", distance), ("sign_stop_d", distance)):
+            fields[header.index(column)] = value
+        lines[k] = ",".join(fields)
+    log = tmp_path / "demo.log"
+    log.write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["replay", str(log)]) == 0
+
+
+def test_shipped_demo_writes_its_recorded_bytes(tmp_path, capsys):
+    # sha256 of the three outputs, recorded with Python 3.11, numpy 2.4.6, scipy 1.17.1 and
+    # PyYAML 6.0.3 (the versions CI pins); numpy does not promise the same Generator draws across releases
+    outputs = {"log": tmp_path / "demo.log", "sign-log": tmp_path / "signs.csv", "grid-dump": tmp_path / "grid.csv"}
+    options = [arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))]
+    assert main(["run", str(SCENARIO_DIR / "demo.yaml"), *options]) == 0
+    digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in outputs.items()}
+    assert digests == {
+        "log": "8d1fe62784baf8548269270a2ee92c57c7ecde4c82cbab23a49a5173c3c0ed54",
+        "sign-log": "522c8565630b638e712fcebe23315195cded1c68e2f882201827a2e9069dc2a0",
+        "grid-dump": "11cc5db7e0b6ebd95236bcfdc464557a1eb256da3baff1af011fa57ea0a1400f",
+    }

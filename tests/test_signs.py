@@ -471,3 +471,123 @@ def test_distinct_triples_maps_every_draw_to_its_own_triple(m):
     distinct = set(itertools.permutations(range(m), 3))
     assert set(map(tuple, triples.tolist())) == distinct
     assert len(triples) == len(distinct)
+
+
+def one_by_one_best(points, triples, tol):
+    """The first triple with the most ``_plane_inliers``, counted one triple at a time; None if all are collinear."""
+    counts = [-1 if (inliers := signs._plane_inliers(points, t, tol)) is None else int(inliers.sum())
+              for t in triples]
+    best = int(np.argmax(counts))
+    return best if counts[best] >= 0 else None
+
+
+def random_triples(rng, m, count):
+    return _distinct_triples(rng.integers(0, [m, m - 1, m - 2], size=(count, 3)))
+
+
+def test_plane_inliers_equals_the_np_cross_plane():
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        points = random_cloud(rng, i % 5)
+        for triple in random_triples(rng, len(points), 5):
+            p0, p1, p2 = points[triple]
+            normal = np.cross(p1 - p0, p2 - p0)
+            norm = np.linalg.norm(normal)
+            got = signs._plane_inliers(points, triple, 0.05)
+            if norm < signs._COLLINEAR:
+                assert got is None
+            else:
+                assert np.array_equal(got, np.abs((points - p0) @ (normal / norm)) <= 0.05)
+
+
+def grid_plane(rng, n):
+    """``n`` distinct points of the plane x = 8 on a 1/16 grid: three points of
+    one grid row are exactly collinear, and any other three span the plane exactly."""
+    cells = rng.permutation(13 * 13)[:n]
+    return np.column_stack([np.full(n, 8.0), (cells // 13 - 6) / 16.0, (cells % 13 - 6) / 16.0])
+
+
+def collinear_triples(rng, points, count):
+    """``count`` triples of three distinct points on one grid row (equal z)."""
+    rows = [np.flatnonzero(points[:, 2] == z) for z in np.unique(points[:, 2])]
+    rows = [row for row in rows if len(row) >= 3]
+    return np.array([rng.permutation(rows[rng.integers(len(rows))])[:3] for _ in range(count)])
+
+
+@pytest.mark.parametrize("first_full", [0, 5, 15, 16, 40, 47, 48, 111, 199, None])
+def test_best_triple_stops_at_the_first_plane_that_takes_every_point(first_full):
+    rng = np.random.default_rng(first_full or 0)
+    for n in (20, 150, 169):
+        points = grid_plane(rng, n)
+        if first_full is None:  # one point off the plane: no triple takes every point
+            points = np.vstack([points, [9.0, 0.03, 0.01]])
+            triples = random_triples(rng, len(points), 200)
+        else:
+            triples = collinear_triples(rng, points, 200)
+            # collinear triples before, any triples after
+            triples[first_full:] = random_triples(rng, n, 200 - first_full)
+            while one_by_one_best(points, triples[first_full:first_full + 1], 0.05) is None:
+                triples[first_full] = random_triples(rng, n, 1)[0]
+        want = one_by_one_best(points, triples, 0.05)
+        assert signs._best_triple(points, triples, 0.05) == want
+        if first_full is not None:
+            assert want == first_full
+
+
+def test_best_triple_recounts_an_unsure_full_count_before_stopping():
+    # triple 0 spans x = 8: every point lies within rounding of tol = 1/16 of
+    # it, but the last one lies 2^-31 beyond, so it takes all but one point;
+    # triple 40 spans x = 8 + 2^-30 and takes every point
+    tol = 1 / 16
+    grid = grid_plane(np.random.default_rng(3), 60)
+    lifted = grid[:3] + [2.0**-30, 0.0, 0.0]
+    points = np.vstack([grid, lifted, [8.0 + tol + 2.0**-31, 0.0, 0.0]])
+    triples = collinear_triples(np.random.default_rng(4), grid, 200)
+    triples[0] = next(t for t in random_triples(np.random.default_rng(5), 60, 50)
+                      if one_by_one_best(points, [t], tol) is not None)
+    triples[40] = [60, 61, 62]
+    assert np.count_nonzero(signs._plane_inliers(points, triples[0], tol)) == len(points) - 1
+    assert np.count_nonzero(signs._plane_inliers(points, triples[0], tol + 1e-9)) == len(points)
+    assert np.count_nonzero(signs._plane_inliers(points, triples[40], tol)) == len(points)
+    assert one_by_one_best(points, triples, tol) == 40
+    assert signs._best_triple(points, triples, tol) == 40
+
+
+def test_best_triple_matches_one_triple_at_a_time_on_random_clouds():
+    rng = np.random.default_rng(17)
+    stopped_early = 0
+    for i in range(300):
+        points = random_cloud(rng, i % 5)
+        if i % 7 == 0:  # a clean plane, which the first triples already span
+            points = grid_plane(rng, int(rng.integers(10, 170)))
+        tol = 0.0625 if i % 5 == 4 else 0.05
+        triples = random_triples(rng, len(points), int(rng.choice([1, 10, 16, 17, 50, 200])))
+        want = one_by_one_best(points, triples, tol)
+        assert signs._best_triple(points, triples, tol) == want, i
+        stopped_early += want is not None and want < len(triples) - 1 and np.count_nonzero(
+            signs._plane_inliers(points, triples[want], tol)) == len(points)
+    assert stopped_early >= 40  # most clean planes, and some random clouds
+
+
+def test_a_clean_plane_is_scored_with_fewer_than_ransac_iters_triples(monkeypatch):
+    rows_read = set()
+
+    class RowSpy(np.ndarray):
+        """Triples that note which of their rows are read."""
+
+        def __getitem__(self, key):
+            rows = key[0] if isinstance(key, tuple) else key
+            rows_read.update(np.arange(len(self))[rows].ravel().tolist())
+            return np.asarray(self)[key]
+
+    real = signs._best_triple
+    monkeypatch.setattr(signs, "_best_triple", lambda points, triples, tol: real(points, triples.view(RowSpy), tol))
+    params = FilterParams()
+    frame = scan(full_pipeline_world(10.0), VehicleState(), PARAMS, LidarConfig(range_jitter=0.01),
+                 rng=np.random.default_rng(12))
+    for points in (plane_points(200), detect_filtered(intensity_filter(frame).points, params)):
+        rows_read.clear()
+        got = plane_segment(points, params, SENSOR)
+        assert got is not None and got.point_count == len(points)
+        assert got == reference_plane_segment(points, params, SENSOR)[0]
+        assert 0 < len(rows_read) < params.ransac_iters
