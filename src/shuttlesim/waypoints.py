@@ -83,10 +83,10 @@ def _segment_distances(x, y, ax, ay, dx, dy, len2) -> np.ndarray:
 
 
 def _cte_index(segments):
-    """Every grid cell that a segment's box, grown by half a cell, overlaps, with the ids of all such segments.
+    """Every grid cell that a segment's box, grown by half a cell, overlaps, with the rows of all such segments.
 
-    A segment within half a cell of a point is listed in the point's cell. Returns
-    the grid's corner, (nx, ny), {cell id i * ny + j: slice of ids} and the ids, cell after cell.
+    A segment within half a cell of a point is listed in the point's cell. Returns the grid's corner, (nx, ny),
+    {cell id i * ny + j: rows} and the rows, one tuple (ax, ay, dx, dy, len2) per segment, shared by its cells.
     """
     ends = segments[:2], segments[:2] + segments[2:4]
     lo, hi, grow = np.minimum(*ends), np.maximum(*ends), CTE_CELL / 2 + 1e-6  # 1e-6 m takes up rounding
@@ -95,14 +95,29 @@ def _cte_index(segments):
     w, h = last - first + 1
     n = w * h
     if n.sum() > 64 * len(n):
-        return (0.0, 0.0), (0, 0), {}, np.empty(0, np.intp)  # boxes too large to list their cells
+        return (0.0, 0.0), (0, 0), {}, ()  # boxes too large to list their cells
     nx, ny = (last.max(axis=1) + 1).tolist()
     i, j = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), np.repeat(h, n))  # cells within each box
     cell = np.repeat(first[0] * ny + first[1], n) + i * ny + j
     order = np.argsort(cell, kind="stable")
-    cells, start, count = np.unique(cell[order], return_index=True, return_counts=True)
-    spans = dict(zip(cells.tolist(), map(slice, start.tolist(), (start + count).tolist())))
-    return corner.ravel().tolist(), (nx, ny), spans, np.repeat(np.arange(len(n)), n)[order]
+    keys, start, count = np.unique(cell[order], return_index=True, return_counts=True)
+    rows = tuple(zip(*segments.tolist()))
+    listed = [rows[k] for k in np.repeat(np.arange(len(n)), n)[order].tolist()]  # cell after cell
+    cells = {c: tuple(listed[a:a + k]) for c, a, k in zip(keys.tolist(), start.tolist(), count.tolist())}
+    return corner.ravel().tolist(), (nx, ny), cells, rows
+
+
+def _nearest(x, y, rows) -> float:
+    """``_segment_distances(x, y, *np.transpose(rows)).min()`` bit for bit for a finite point, inf for no rows.
+    u is numpy's clamped dot / len2 (0 for 0 / 0, 1 for overflow) but for a zero's sign; abs(complex) is libm's hypot."""
+    best = math.inf
+    for ax, ay, dx, dy, len2 in rows:
+        dot = (x - ax) * dx + (y - ay) * dy
+        u = 0.0 if dot <= 0.0 else 1.0 if dot >= len2 else dot / len2
+        d = abs(complex(x - (ax + u * dx), y - (ay + u * dy)))
+        if d < best:
+            best = d
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +131,7 @@ class Route:
     xy: np.ndarray  # (N, 2) waypoint positions, m east/north of origin
     remaining: np.ndarray  # (N,) path length from each waypoint to the last, m
     segments: np.ndarray  # (5, N-1) rows: start x and y, vector x and y, squared length
-    cte_index: tuple  # grid corner, (nx, ny), {cell id: slice of ids}, ids of the segments near each cell
+    cte_index: tuple  # grid corner, (nx, ny), {cell id: rows of the segments near it}, one shared float row per segment
 
     @classmethod
     def build(cls, lat, lon, speed, origin: tuple[float, float]) -> "Route":
@@ -134,11 +149,10 @@ class Route:
         remaining = np.zeros(len(xy))
         remaining[:-1] = np.cumsum(np.hypot(dx, dy)[::-1])[::-1]
         segments = np.stack((*xy[:-1].T, dx, dy, dx * dx + dy * dy))
-        index = _cte_index(segments)
-        columns = (lat, lon, speed, xy, remaining, segments, index[3])
+        columns = (lat, lon, speed, xy, remaining, segments)
         for a in columns:
             a.flags.writeable = False
-        return cls(*columns[:3], origin, *columns[3:6], index)
+        return cls(*columns[:3], origin, *columns[3:], _cte_index(segments))
 
 
 @dataclass(frozen=True)
@@ -254,19 +268,17 @@ def cross_track_error(route: Route, state: VehicleState) -> float:
     """Unsigned perpendicular distance from the vehicle to the nearest path segment.
 
     The search is global, not local to the target, because a path may cross
-    itself. It first reads the segments ``Route.build`` listed for the
-    vehicle's grid cell. If the nearest of them is within half a cell, it is
+    itself. It first reads, in scalar math, the rows ``Route.build`` listed for
+    the vehicle's grid cell. If the nearest of them is within half a cell, it is
     the nearest of all, since every segment that close is listed there.
-    Otherwise, and for a point in no listed cell or not finite, it scans every segment.
+    Otherwise, and for a point in no listed cell or not finite, numpy scans every segment.
     """
     x, y = state.x, state.y
-    (x0, y0), (nx, ny), spans, ids = route.cte_index
+    (x0, y0), (nx, ny), cells, _ = route.cte_index
     i, j = (x - x0) / CTE_CELL, (y - y0) / CTE_CELL
-    span = spans.get(int(i) * ny + int(j)) if 0.0 <= i < nx and 0.0 <= j < ny else None
-    if span is not None:
-        d = float(_segment_distances(x, y, *route.segments.take(ids[span], axis=1)).min())
-        if d <= CTE_CELL / 2:
-            return d
+    d = _nearest(x, y, cells.get(int(i) * ny + int(j), ()) if 0.0 <= i < nx and 0.0 <= j < ny else ())
+    if d <= CTE_CELL / 2:
+        return d
     return float(_segment_distances(x, y, *route.segments).min())
 
 

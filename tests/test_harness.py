@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from shuttlesim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from shuttlesim.waypoints import compile_path
+from shuttlesim.waypoints import compile_path, load_trace, save_trace, save_waypoints
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
 from tests.conftest import SCENARIO_DIR, SMALL_WORLDS
 
@@ -484,6 +485,19 @@ def test_figure8_trace_compiles_with_curvature_limits():
     runs = np.flatnonzero(np.diff(limited.astype(int)) == 1)
     assert len(runs) >= 2
     assert route.speed.min() > 2.0  # r = 10 m allows sqrt(5) = 2.24 m/s
+
+
+def test_compiled_figure8_drive_writes_its_recorded_log(tmp_path):
+    # sha256 of the log of a 60 s drive of the figure-8 scenarios/figure8_record.yaml records, compiled at 3 m/s and
+    # passed through the files `shuttlesim record`, `compile-path` and `run` write; recorded with the versions CI
+    # pins. The shipped demo's route is straight; this one curves and crosses itself, where the CTE search is global.
+    save_trace(record_trace(load_scenario(SCENARIO_DIR / "figure8_record.yaml")), tmp_path / "fig8.trace")
+    save_waypoints(compile_path(load_trace(tmp_path / "fig8.trace"), 3.0), tmp_path / "fig8.waypoints")
+    metrics, rows = Simulation(ScenarioConfig(duration=60.0, waypoint_file=tmp_path / "fig8.waypoints")).run()
+    write_log(rows, tmp_path / "fig8.csv")
+    assert (metrics.ticks, round(metrics.peak_cte, 2)) == (3000, 0.17)
+    assert hashlib.sha256((tmp_path / "fig8.csv").read_bytes()).hexdigest() == (
+        "d5a114c72e7b612fa5756fd538714ad24daa4803d366a293852a8903617ef9ff")
 
 
 def test_modify_speed_still_runs_every_perceived_tick_of_a_crossing(straight_waypoints, monkeypatch):

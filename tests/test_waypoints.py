@@ -302,10 +302,11 @@ def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
 
 def test_route_arrays_are_read_only():
     route = straight_route(n=10)
-    for a in (route.lat, route.lon, route.speed, route.xy, route.remaining, route.segments,
-              route.cte_index[3]):
+    for a in (route.lat, route.lon, route.speed, route.xy, route.remaining, route.segments):
         with pytest.raises(ValueError):
             a[0] = 1.0
+    with pytest.raises(TypeError):  # the index's segment rows are tuples
+        route.cte_index[3][0][0] = 1.0
     with pytest.raises(FrozenInstanceError):
         route.xy = np.zeros((10, 2))
 
@@ -322,7 +323,7 @@ def test_cross_track_matches_brute_force():
 
 
 def full_scan_cte(route, state):
-    """The cross-track error over every segment, the expression ``cross_track_error`` applies to a cell's slice."""
+    """The cross-track error over every segment, in the numpy expression ``_nearest`` equals on a cell's rows."""
     return float(waypoints._segment_distances(state.x, state.y, *route.segments).min())
 
 
@@ -357,10 +358,10 @@ ROUTES = (st.builds(walk_route, st.lists(STEPS, min_size=1, max_size=60))
 def query_points(draw, route):
     """A point in an indexed cell (on its edges and corners too), near the route, just over half a cell
     to the side of a segment, around or beyond the grid."""
-    (x0, y0), (nx, ny), spans, _ = route.cte_index
+    (x0, y0), (nx, ny), cells, _ = route.cte_index
     kind = draw(st.sampled_from(["cell", "near", "beyond", "around", "far"]))
     if kind == "cell":
-        i, j = divmod(draw(st.sampled_from(sorted(spans))), ny)
+        i, j = divmod(draw(st.sampled_from(sorted(cells))), ny)
         u, v = (draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(2))
         x, y = x0 + (i + u) * CTE_CELL, y0 + (j + v) * CTE_CELL
         nudge = draw(st.sampled_from([-math.inf, 0.0, math.inf]))  # one ulp either way off an edge
@@ -410,23 +411,35 @@ def reference_cte_cells(route):
 @settings(max_examples=60, deadline=None)
 @given(route=ROUTES)
 def test_cte_index_holds_what_its_definition_says(route):
-    _, _, spans, ids = route.cte_index
+    _, _, cells, rows = route.cte_index
+    segment = {id(row): s for s, row in enumerate(rows)}
     reference = reference_cte_cells(route)
-    assert sorted(spans) == sorted(reference)
-    for cell, span in spans.items():
-        assert sorted(ids[span].tolist()) == reference[cell]
-    assert sum(len(v) for v in reference.values()) == len(ids)
+    assert sorted(cells) == sorted(reference)
+    for cell, listed in cells.items():
+        assert sorted(segment[id(row)] for row in listed) == reference[cell]
+    assert [list(row) for row in rows] == route.segments.T.tolist()  # one row per segment, holding its floats
+
+
+@settings(max_examples=30, deadline=None)
+@given(route=ROUTES)
+def test_every_cell_listing_a_segment_holds_its_one_shared_row(route):
+    # copying each row into every cell that lists it took 13 % more peak memory on the 5 km benchmark loop
+    _, _, cells, rows = route.cte_index
+    shared = {id(row) for row in rows}
+    assert len(shared) == len(rows)
+    assert all(id(row) in shared for listed in cells.values() for row in listed)
+    assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
 
 
 def test_nearest_listed_segment_beyond_half_a_cell_sends_the_query_to_a_full_scan():
     # the point is 2.5 m above the listed y = 3.4 leg and 2.2 m below the y = 8.1 leg,
     # whose grown box stops 0.1 m short of the point's cell
     route = route_through([40.0, 40.0, -20.0, -20.0, 20.0], [-10.0, 3.4, 3.4, 8.1, 8.1])
-    (x0, y0), (nx, ny), spans, ids = route.cte_index
+    (x0, y0), (nx, ny), cells, rows = route.cte_index
     state = VehicleState(x=1.0, y=5.9)
-    listed = ids[spans[int((state.x - x0) / CTE_CELL) * ny + int((state.y - y0) / CTE_CELL)]]
-    assert listed.tolist() == [1]
-    assert float(waypoints._segment_distances(state.x, state.y, *route.segments[:, listed]).min()) == pytest.approx(2.5)
+    listed = cells[int((state.x - x0) / CTE_CELL) * ny + int((state.y - y0) / CTE_CELL)]
+    assert len(listed) == 1 and listed[0] is rows[1]
+    assert waypoints._nearest(state.x, state.y, listed) == pytest.approx(2.5)
     assert cross_track_error(route, state) == full_scan_cte(route, state) == pytest.approx(2.2)
 
 
@@ -438,8 +451,9 @@ def divide_and_clip_distances(x, y, ax, ay, dx, dy, len2):
     return np.hypot(x - (ax + t * dx), y - (ay + t * dy))
 
 
-def test_segment_distances_equal_the_divide_and_clip_form_bit_for_bit():
-    # finite values whose products neither overflow nor underflow, with segments of length 0 and signed zeros
+def adversarial_segments():
+    """Points and segments, one of each per index: finite values whose products neither overflow nor underflow,
+    with segments of length 0 and signed zeros."""
     rng = np.random.default_rng(13)
     n = 6000
     x, y, ax, ay, dx, dy = rng.choice([-1.0, 1.0], (6, n)) * 10.0 ** rng.uniform(-6.0, 4.0, (6, n))
@@ -449,7 +463,12 @@ def test_segment_distances_equal_the_divide_and_clip_form_bit_for_bit():
     ax[::5], ay[::5] = x[::5], y[::5]  # the point on the start, where the dot product is a zero
     ax[1::7] *= 0.0
     x[2::9] *= -0.0
-    len2 = dx * dx + dy * dy
+    return x, y, ax, ay, dx, dy, dx * dx + dy * dy
+
+
+def test_segment_distances_equal_the_divide_and_clip_form_bit_for_bit():
+    x, y, ax, ay, dx, dy, len2 = adversarial_segments()
+    n = len(x)
     got = waypoints._segment_distances(x, y, ax, ay, dx, dy, len2)
     want = divide_and_clip_distances(x, y, ax, ay, dx, dy, len2)
     assert got.tobytes() == want.tobytes()
@@ -458,18 +477,49 @@ def test_segment_distances_equal_the_divide_and_clip_form_bit_for_bit():
         assert one.tobytes() == divide_and_clip_distances(x[k], y[k], ax, ay, dx, dy, len2).tobytes()
 
 
+def underflowing_segments():
+    """Points and segments, one of each per index, whose squared length underflows to 0 while the dot product is
+    positive, negative or 0: |d| is near 1e-170 with the point 1e18 |d| away, or near 1e-162 with the point a few |d|
+    away, where the segment's two ends lie at different distances from the point."""
+    rng = np.random.default_rng(14)
+    n = 3000
+    scale = np.where(np.arange(n) % 2, 1e-170, 1e-162)
+    dx, dy = rng.uniform(-1.0, 1.0, (2, n)) * scale
+    px, py = rng.uniform(-8.0, 8.0, (2, n)) * np.where(np.arange(n) % 2, 1e18, 1.0) * scale
+    px[::3], py[::3] = dy[::3], -dx[::3]  # square to the segment, so the dot product is 0 or nearly
+    ax, ay = rng.choice([0.0, -0.0, 1e-160, 3.0], (2, n))
+    return ax + px, ay + py, ax, ay, dx, dy, dx * dx + dy * dy
+
+
+@pytest.mark.parametrize("segments", [adversarial_segments, underflowing_segments])
+def test_nearest_equals_segment_distances_bit_for_bit(segments):
+    x, y, ax, ay, dx, dy, len2 = segments()
+    rows = list(map(tuple, np.stack((ax, ay, dx, dy, len2)).T.tolist()))
+    want = waypoints._segment_distances(x, y, ax, ay, dx, dy, len2)
+    got = [waypoints._nearest(x[k], y[k], [row]) for k, row in enumerate(rows)]
+    assert np.array(got).tobytes() == want.tobytes()
+    for k in range(0, len(x), 7):  # the least of a cell's rows, for a point near one of them
+        cell = rows[k:k + 9]
+        one = waypoints._segment_distances(x[k], y[k], *np.transpose(cell)).min()
+        assert np.float64(waypoints._nearest(x[k], y[k], cell)).tobytes() == one.tobytes()
+    assert waypoints._nearest(x[0], y[0], ()) == math.inf
+    if segments is underflowing_segments:  # numpy's dot / 0 is then +inf, -inf and nan, taken to 1, 0 and 0
+        dot = (x - ax) * dx + (y - ay) * dy
+        assert (len2 == 0).all() and all(case.any() for case in (dot > 0, dot < 0, dot == 0))
+
+
 def test_indexed_cross_track_on_a_long_route_reads_few_segments():
     rng = np.random.default_rng(12)
     route = walk_route(zip(np.ones(3000), np.cumsum(rng.normal(0.0, 0.2, 3000))))
-    (x0, y0), (nx, ny), spans, ids = route.cte_index
-    sizes = [s.stop - s.start for s in spans.values()]
-    assert len(ids) == sum(sizes) and max(sizes) <= 40
+    (x0, y0), (nx, ny), cells, rows = route.cte_index
+    sizes = [len(listed) for listed in cells.values()]
+    assert len(rows) == 3000 and max(sizes) <= 40
     near = route.xy[rng.integers(0, len(route.xy), 2000)] + rng.uniform(-1.0, 1.0, (2000, 2))
     indexed = 0
     for x, y in near.tolist():
         state = VehicleState(x=x, y=y)
         assert cross_track_error(route, state) == full_scan_cte(route, state)
-        indexed += int((x - x0) / CTE_CELL) * ny + int((y - y0) / CTE_CELL) in spans
+        indexed += int((x - x0) / CTE_CELL) * ny + int((y - y0) / CTE_CELL) in cells
     assert indexed >= 0.95 * len(near)
 
 
