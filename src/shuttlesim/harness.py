@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ SIGN_LOG_HEADER = "t,d,n,a,b,c"
 GRID_DUMP_HEADER = "t,x,y,min_z,max_z"
 
 
-@dataclass(frozen=True)
-class LogRow:
+class LogRow(NamedTuple):
     """One tick of the log; the CSV columns are these fields, in this order."""
 
     t: float
@@ -89,7 +89,7 @@ def _parse_finite(text: str) -> float:
     raise ValueError(f"non-finite value {text!r}")
 
 
-# (format, parse) by field annotation; every column but ``display`` is numeric
+# (format, parse) by the text of the field's annotation; every column but ``display`` is numeric
 _CODECS = {
     "float": (lambda v: repr(float(v)), _parse_finite),
     "float | None": (lambda v: "" if v is None else repr(float(v)),
@@ -98,7 +98,7 @@ _CODECS = {
     "str": (str, str),
     "Source": (lambda v: str(_SOURCES.index(v)), _parse_source),
 }
-_COLUMNS = tuple((f.name, *_CODECS[f.type]) for f in fields(LogRow))
+_COLUMNS = tuple((name, *_CODECS[ref.__forward_arg__]) for name, ref in LogRow.__annotations__.items())
 LOG_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 

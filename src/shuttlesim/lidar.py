@@ -13,7 +13,11 @@ each sweep moves the few objects into the sensor frame instead of turning
 every ray into the world, draws range jitter only for the rays that return,
 and its points come out as ``mount + t * direction``, one contiguous row per
 axis, so that the height map and the sign crop read x, y or z without
-striding.
+striding. Each object is cast only on the rays that can reach it: the
+azimuth wedge of its bounding circle, and of that only the 8 downward rings
+for a box or pedestrian whose top is below the mount. Every cast is
+elementwise arithmetic on the rays' direction components, so a ray's range
+and intensity do not depend on which rays are cast with it.
 """
 
 from __future__ import annotations
@@ -58,13 +62,12 @@ class LidarFrame:
 
 
 @functools.lru_cache(maxsize=4)
-def _ray_table(azimuth_step_deg: float, mount_height: float,
-               min_range: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -> tuple[np.ndarray, np.ndarray]:
     """The sweep's rays in sensor frame, ring by ring, each ring from azimuth
-    0 in steps of ``azimuth_step_deg``: (N, 3) unit directions, the same
-    directions as a contiguous (3, N) array of x, y and z rows, and each ray's
-    range to the ground (``inf`` for a ray that never reaches it, or reaches
-    it within ``min_range``).
+    0 in steps of ``azimuth_step_deg``: their unit directions as a contiguous
+    (3, N) array of x, y and z rows, and each ray's range to the ground
+    (``inf`` for a ray that never reaches it, or reaches it within
+    ``min_range``).
 
     The arrays are read-only: every sweep with these settings shares them.
     """
@@ -72,23 +75,15 @@ def _ray_table(azimuth_step_deg: float, mount_height: float,
     elevations = np.deg2rad(np.asarray(RING_ELEVATIONS_DEG, dtype=float))
     cos_e = np.cos(elevations)[:, None]
     sin_e = np.sin(elevations)[:, None]
-    dirs = np.stack(
-        [
-            np.broadcast_to(cos_e * np.cos(azimuths), (16, len(azimuths))),
-            np.broadcast_to(cos_e * np.sin(azimuths), (16, len(azimuths))),
-            np.broadcast_to(sin_e, (16, len(azimuths))),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    dirs = np.ascontiguousarray(dirs)
-    dz = dirs[:, 2]
+    columns = np.stack([np.broadcast_to(c, (16, len(azimuths))).ravel()
+                        for c in (cos_e * np.cos(azimuths), cos_e * np.sin(azimuths), sin_e)])
+    dz = columns[2]
     with np.errstate(divide="ignore"):
         ground = np.where(dz < 0.0, mount_height / -dz, np.inf)
     ground[ground <= min_range] = np.inf
-    columns = np.ascontiguousarray(dirs.T)
-    for table in (dirs, columns, ground):
+    for table in (columns, ground):
         table.flags.writeable = False
-    return dirs, columns, ground
+    return columns, ground
 
 
 @functools.lru_cache(maxsize=4)
@@ -97,17 +92,18 @@ def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(n), np.empty(n, dtype=bool)
 
 
-def _wedge(center, radius, n_az, step) -> np.ndarray:
-    """Indices of the rays aimed within two azimuth steps of the wedge that a
-    circle on the ground, centred at ``center`` in the sensor frame, subtends
-    from the sensor; every ray when the sensor is inside the circle.
+def _wedge(center, radius, n_az, step, rings=16) -> np.ndarray:
+    """Indices of the rays of the first ``rings`` rings aimed within two
+    azimuth steps of the wedge that a circle on the ground, centred at
+    ``center`` in the sensor frame, subtends from the sensor; every ray of
+    those rings when the sensor is inside the circle.
 
     Rays outside the wedge cannot reach anything inside the circle, so
     casting only these gives every ray the hit a cast of all rays gives it.
     """
     d = math.hypot(center[0], center[1])
     if d <= radius:
-        return np.arange(16 * n_az)
+        return np.arange(rings * n_az)
     bearing = math.atan2(center[1], center[0])
     half = math.asin(radius / d) + 2.0 * step
     # the azimuths k * step in [bearing - half, bearing + half] modulo a turn;
@@ -117,7 +113,7 @@ def _wedge(center, radius, n_az, step) -> np.ndarray:
                   min(n_az, math.floor((bearing + half + turn) / step) + 1))
         for turn in (0.0, 2.0 * math.pi)
     ])
-    return (np.arange(0, 16 * n_az, n_az)[:, None] + columns).ravel()
+    return (np.arange(0, rings * n_az, n_az)[:, None] + columns).ravel()
 
 
 def _update_hits(t_best, rows, t_new, hit_mask) -> np.ndarray:
@@ -128,30 +124,23 @@ def _update_hits(t_best, rows, t_new, hit_mask) -> np.ndarray:
     return closer
 
 
-def _sign_hits(sign: SignSpec, center, normal, dirs, denom, min_range):
-    """Range and hit mask of the rays ``dirs`` on a sign whose ``center`` and
-    ``normal`` are given in the sensor frame, and which of the rays lie within
-    rounding of the sign's edge.
-
-    ``denom`` is ``dirs @ normal``. The face test's matrix products may round
-    a row differently when it sits elsewhere in a smaller array, by far less
-    than the edge slack.
-    """
+def _sign_hits(sign: SignSpec, center, normal, dx, dy, dz, min_range):
+    """Range, hit mask and ray-normal product of the rays ``(dx, dy, dz)`` on
+    a sign whose ``center`` and ``normal`` are given, as tuples of floats, in
+    the sensor frame. Every dot product is written out elementwise, so a ray's
+    result does not depend on which other rays are cast with it."""
+    (cx, cy, cz), (nx, ny, nz) = center, normal
+    denom = dx * nx + dy * ny + dz * nz
     valid = np.abs(denom) > 1e-12
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_pl = np.where(valid, center @ normal / denom, np.inf)
-    p = np.where(valid, t_pl, 0.0)[:, None] * dirs
-    nx, ny, nz = normal
+        t_pl = np.where(valid, (cx * nx + cy * ny + cz * nz) / denom, np.inf)
+    s = np.where(valid, t_pl, 0.0)
+    rx, ry, rz = s * dx - cx, s * dy - cy, s * dz - cz
     horizontal = math.hypot(nx, ny)
-    u = np.array([-ny / horizontal, nx / horizontal, 0.0])  # horizontal, along the face
-    v = np.array([-nz * u[1], nz * u[0], nx * u[1] - ny * u[0]])  # normal x u, up the face
-    rel = p - center
-    across, up = np.abs(rel @ u), np.abs(rel @ v)
-    on_face = (across <= sign.width / 2) & (up <= sign.height / 2)
-    in_front = valid & (t_pl > min_range)
-    margin = np.maximum(across - sign.width / 2, up - sign.height / 2)
-    edge = in_front & (np.abs(margin) <= 1e-9 * np.abs(rel).sum(axis=1))
-    return t_pl, in_front & on_face, edge
+    ux, uy = -ny / horizontal, nx / horizontal  # horizontal, along the face
+    vx, vy, vz = -nz * uy, nz * ux, nx * uy - ny * ux  # normal x u, up the face
+    across, up = np.abs(rx * ux + ry * uy), np.abs(rx * vx + ry * vy + rz * vz)
+    return t_pl, valid & (t_pl > min_range) & (across <= sign.width / 2) & (up <= sign.height / 2), denom
 
 
 def scan(
@@ -167,16 +156,20 @@ def scan(
     Rays are cast in the sensor frame, from the sensor at the origin, and the
     objects are moved into that frame. Each box, pedestrian and sign is cast
     only against the rays in the azimuth wedge of its bounding circle
-    (``_wedge``); every ray gets the same range and intensity as when each
-    object is cast against all rays. The pedestrians stand at ``positions``, (P, 2)
-    in ``world.pedestrians`` order, or at their starts when it is None. Sweeps
-    of one ray count share their scratch arrays (``_scratch``), so two threads
-    must not scan at once; the returned frame is always new.
+    (``_wedge``), and a box or pedestrian whose top is below the mount only
+    against the 8 downward rings of that wedge, since an upward ray stays
+    above the mount. Every ray gets the same range and intensity as when each
+    object is cast against all rays: the casts are elementwise, so a ray's
+    bits do not depend on the rays cast with it. The pedestrians stand at
+    ``positions``, (P, 2) in ``world.pedestrians`` order, or at their starts
+    when it is None. Sweeps of one ray count share their scratch arrays
+    (``_scratch``), so two threads must not scan at once; the returned frame
+    is always new.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
     h = params.lidar_mount_height
-    dirs, columns, ground = _ray_table(config.azimuth_step_deg, h, config.min_range)
+    columns, ground = _ray_table(config.azimuth_step_deg, h, config.min_range)
     step = math.radians(config.azimuth_step_deg)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     # the sensor's world position on the ground plane
@@ -187,48 +180,49 @@ def scan(
         """Turn a horizontal world-frame vector into the sensor frame."""
         return cos_h * x + sin_h * y, cos_h * y - sin_h * x
 
-    def wedge(center, radius):
-        return _wedge(center, radius, len(dirs) // 16, step)
+    def wedge(center, radius, top=math.inf):
+        """The wedge's rows, and their x, y and z direction components; only
+        the downward rings (the first 8) for an object whose top is below the mount."""
+        rows = _wedge(center, radius, len(ground) // 16, step, 8 if top < h else 16)
+        return rows, *(column[rows] for column in columns)
 
-    t_best, kept = _scratch(len(dirs))
+    t_best, kept = _scratch(len(ground))
     np.copyto(t_best, ground)
 
     for box in world.obstacles:
-        rows = wedge(to_sensor(box.center[0] - sx, box.center[1] - sy), math.hypot(*box.size) / 2)
-        d = dirs[rows]
+        rows, x, y, z = wedge(to_sensor(box.center[0] - sx, box.center[1] - sy), math.hypot(*box.size) / 2,
+                              box.height)
         # the box stays axis-aligned in the world: turn its rays there instead
-        ray = np.stack([cos_h * d[:, 0] - sin_h * d[:, 1], sin_h * d[:, 0] + cos_h * d[:, 1], d[:, 2]],
-                       axis=1)
-        lo = np.array([box.center[0] - box.size[0] / 2 - sx, box.center[1] - box.size[1] / 2 - sy, -h])
-        hi = np.array([box.center[0] + box.size[0] / 2 - sx, box.center[1] + box.size[1] / 2 - sy,
-                       box.height - h])
-        # a ray component that is 0 or subnormal puts that slab at +-inf
+        (bx, by), (wx, wy) = box.center, (box.size[0] / 2, box.size[1] / 2)
+        slabs = ((cos_h * x - sin_h * y, bx - wx - sx, bx + wx - sx),
+                 (sin_h * x + cos_h * y, by - wy - sy, by + wy - sy),
+                 (z, -h, box.height - h))
+        # a ray component that is 0 or subnormal puts that slab at +-inf, or at
+        # NaN for 0 / 0, which fmax and fmin skip
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t1 = lo / ray
-            t2 = hi / ray
-        t_near = np.nanmax(np.minimum(t1, t2), axis=1)
-        t_far = np.nanmin(np.maximum(t1, t2), axis=1)
+            t1, t2 = zip(*((lo / ray, hi / ray) for ray, lo, hi in slabs))
+        t_near = functools.reduce(np.fmax, map(np.minimum, t1, t2))
+        t_far = functools.reduce(np.fmin, map(np.maximum, t1, t2))
         hit = (t_far >= t_near) & (t_near > config.min_range)
         _update_hits(t_best, rows, t_near, hit)
 
     walked = [ped.position for ped in world.pedestrians] if positions is None else positions.tolist()
-    for ped, (x, y) in zip(world.pedestrians, walked, strict=True):
-        px, py = to_sensor(x - sx, y - sy)
-        rows = wedge((px, py), ped.radius)
-        d = dirs[rows]
+    for ped, (px, py) in zip(world.pedestrians, walked, strict=True):
+        px, py = to_sensor(px - sx, py - sy)
+        rows, x, y, z = wedge((px, py), ped.radius, ped.height)
         # near root of the side surface
-        a = d[:, 0] ** 2 + d[:, 1] ** 2
-        b = -2.0 * (px * d[:, 0] + py * d[:, 1])
+        a = x**2 + y**2
+        b = -2.0 * (px * x + py * y)
         c = px * px + py * py - ped.radius**2
         disc = b * b - 4.0 * a * c
         with np.errstate(divide="ignore", invalid="ignore"):
             t_side = np.where(disc >= 0, (-b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a), np.inf)
-            t_top = (ped.height - h) / d[:, 2]
-        z_side = h + t_side * d[:, 2]
+            t_top = (ped.height - h) / z
+        z_side = h + t_side * z
         side = (t_side > config.min_range) & (z_side >= 0.0) & (z_side <= ped.height)
         # the top cap, entered from above
-        ex, ey = t_top * d[:, 0] - px, t_top * d[:, 1] - py
-        top = (d[:, 2] < 0.0) & (t_top > config.min_range) & (ex * ex + ey * ey <= ped.radius**2)
+        ex, ey = t_top * x - px, t_top * y - py
+        top = (z < 0.0) & (t_top > config.min_range) & (ex * ex + ey * ey <= ped.radius**2)
         t_cyl = np.minimum(np.where(side, t_side, np.inf), np.where(top, t_top, np.inf))
         _update_hits(t_best, rows, t_cyl, side | top)
 
@@ -237,15 +231,9 @@ def scan(
     lit = []
     for sign in world.signs:
         cx, cy = to_sensor(sign.center[0] - sx, sign.center[1] - sy)
-        center = np.array([cx, cy, sign.center[2] - h])
-        normal = np.array([*to_sensor(sign.normal[0], sign.normal[1]), sign.normal[2]])
-        rows = wedge((cx, cy), math.hypot(sign.width, sign.height) / 2)
-        d = dirs[rows]
-        denom = d @ normal  # each row as the whole sweep's product rounds it
-        t_pl, hit, edge = _sign_hits(sign, center, normal, d, denom, config.min_range)
-        if edge.any():  # a ray on the edge: decide it with the whole sweep's rounding
-            rows, denom = np.arange(len(dirs)), dirs @ normal
-            t_pl, hit, _ = _sign_hits(sign, center, normal, dirs, denom, config.min_range)
+        normal = (*to_sensor(sign.normal[0], sign.normal[1]), sign.normal[2])
+        rows, x, y, z = wedge((cx, cy), math.hypot(sign.width, sign.height) / 2)
+        t_pl, hit, denom = _sign_hits(sign, (cx, cy, sign.center[2] - h), normal, x, y, z, config.min_range)
         won = _update_hits(t_best, rows, t_pl, hit)
         # retroreflective sheeting only on the front face
         lit.append((rows[won], np.where(denom[won] < 0.0, sign.intensity, config.background_intensity)))

@@ -156,16 +156,18 @@ def _distinct_triples(draws: np.ndarray) -> np.ndarray:
     return triples
 
 
-def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> int | None:
-    """Index of the first triple whose plane has the most inliers; None if all are collinear.
+def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> tuple[int, np.ndarray] | None:
+    """Index of the first triple whose plane has the most inliers, and its
+    ``_plane_inliers`` mask; None if all are collinear.
 
     Scores the triples in order with one (chunk x points) distance matrix per
     chunk; chunks start at 16 triples and double up to ``_RANSAC_BLOCK``
     entries. A batched count can differ from ``_plane_inliers``' only for a
     triple within rounding of the collinearity cut or a point within rounding
     of ``tol``; such candidates are recounted with ``_plane_inliers``, so every
-    count is exact. Scoring stops after a chunk whose best plane takes every
-    point, since no later triple can have more inliers.
+    count is exact, and so is a sure count's mask, its row of the matrix.
+    Scoring stops after a chunk whose best plane takes every point, since no
+    later triple can have more inliers.
     """
     slack = 1e-9 * (1.0 + np.abs(points).max())  # rounding of either distance formula stays far below this
     cap = max(1, _RANSAC_BLOCK // len(points))
@@ -183,12 +185,13 @@ def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> int | N
         # a count is sure when no point lies within slack of tol
         unsure = usable & ((dist <= tol + slack).sum(axis=1) > counts)
         unsure |= np.abs(norm - _COLLINEAR) <= 1e-9 * _COLLINEAR
-        for k in unsure.nonzero()[0]:
-            inliers = _plane_inliers(points, chunk[k], tol)
+        recounted = {k: _plane_inliers(points, chunk[k], tol) for k in unsure.nonzero()[0].tolist()}
+        for k, inliers in recounted.items():
             counts[k] = -1 if inliers is None else np.count_nonzero(inliers)
         k = int(counts.argmax())
         if counts[k] > best_count:  # a tie keeps the earlier triple
-            best, best_count = start + k, counts[k]
+            best = start + k, recounted[k] if k in recounted else dist[k] < tol - slack
+            best_count = counts[k]
         start, size = start + size, min(2 * size, cap)
     return best
 
@@ -219,13 +222,10 @@ def plane_segment(
         m = len(remaining)
         triples = _distinct_triples(rng.integers(0, [m, m - 1, m - 2], size=(params.ransac_iters, 3)))
         best = _best_triple(remaining, triples, params.plane_dist_tol)
-        if best is None:
-            break
-        best_inliers = _plane_inliers(remaining, triples[best], params.plane_dist_tol)
-        if best_inliers.sum() < 3:
+        if best is None or best[1].sum() < 3:
             break
 
-        normal, offset = _fit_plane(remaining[best_inliers])
+        normal, offset = _fit_plane(remaining[best[1]])
         dist = np.abs(remaining @ normal + offset)
         inliers = dist <= params.plane_dist_tol
         if normal[0] < 0.0:

@@ -187,10 +187,15 @@ def replace_modify_speed(cmd, grid, corridor, max_decel=VehicleParams().max_dece
     return replace(cmd, linear_v=min(cmd.linear_v, max(0.0, limit))), report
 
 
+def dot(a, b):
+    """The dot product over the last axis, summed elementwise in x, y, z order."""
+    return a[..., 0] * b[0] + a[..., 1] * b[1] + a[..., 2] * b[2]
+
+
 def reference_scan(world, state, params, config, rng=None):
     """Cast every object against every ray of the sweep in the sensor frame; return (points, intensity)."""
     h = params.lidar_mount_height
-    dirs = _ray_table(config.azimuth_step_deg, h, config.min_range)[0]
+    dirs = _ray_table(config.azimuth_step_deg, h, config.min_range)[0].T
     n = len(dirs)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     sx = state.x + cos_h * params.lidar_offset_x
@@ -244,16 +249,16 @@ def reference_scan(world, state, params, config, rng=None):
         cx, cy = rotate(sign.center[0] - sx, sign.center[1] - sy, -sin_h)
         center = np.array([cx, cy, sign.center[2] - h])
         normal = np.array([*rotate(sign.normal[0], sign.normal[1], -sin_h), sign.normal[2]])
-        denom = dirs @ normal
+        denom = dot(dirs, normal)
         valid = np.abs(denom) > 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_pl = np.where(valid, center @ normal / denom, np.inf)
+            t_pl = np.where(valid, dot(center, normal) / denom, np.inf)
         p = np.where(valid, t_pl, 0.0)[:, None] * dirs
         horizontal = math.hypot(normal[0], normal[1])
         u = np.array([-normal[1] / horizontal, normal[0] / horizontal, 0.0])
         v = np.array([-normal[2] * u[1], normal[2] * u[0], normal[0] * u[1] - normal[1] * u[0]])
         rel = p - center
-        on_face = (np.abs(rel @ u) <= sign.width / 2) & (np.abs(rel @ v) <= sign.height / 2)
+        on_face = (np.abs(dot(rel, u)) <= sign.width / 2) & (np.abs(dot(rel, v)) <= sign.height / 2)
         update(t_pl, valid & on_face & (t_pl > config.min_range),
                np.where(denom < 0.0, sign.intensity, config.background_intensity))
 
@@ -268,7 +273,7 @@ def reference_scan(world, state, params, config, rng=None):
 def reference_scan_world(world, state, params, config):
     """Cast every object against every ray turned into the world frame, and
     turn the hits back; return (points, intensity). No range jitter."""
-    dirs_sensor = _ray_table(config.azimuth_step_deg, params.lidar_mount_height, config.min_range)[0]
+    dirs_sensor = _ray_table(config.azimuth_step_deg, params.lidar_mount_height, config.min_range)[0].T
     n = len(dirs_sensor)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     rot = np.array([[cos_h, -sin_h, 0.0], [sin_h, cos_h, 0.0], [0.0, 0.0, 1.0]])

@@ -14,7 +14,7 @@ from tests.conftest import reference_scan, reference_scan_world
 
 PARAMS = VehicleParams()
 CONFIG = LidarConfig()
-DIRS = lidar._ray_table(CONFIG.azimuth_step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0]
+DIRS = lidar._ray_table(CONFIG.azimuth_step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0].T
 
 
 def test_pedestrians_advance_linearly():
@@ -350,36 +350,91 @@ def test_wedge_keeps_the_rays_tangent_to_its_circle():
                 assert column % n_az in columns
 
 
+def sign_hits_on(rows, sign, center, normal, columns):
+    return lidar._sign_hits(sign, center, normal, *(column[rows] for column in columns), CONFIG.min_range)
+
+
 @pytest.mark.parametrize("step_deg", [0.2, 0.1, 0.25, 1.0, 3.3])
-def test_wedge_rows_product_equals_the_whole_sweeps_rows_bit_for_bit(step_deg):
-    # scan takes a sign's ray-normal products over its wedge rows alone, and
-    # ranges and the front-face test read them, so every row must round as it
-    # does in the product over the whole sweep
-    dirs = lidar._ray_table(step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0]
-    n_az, step = len(dirs) // 16, math.radians(step_deg)
+def test_sign_cast_on_wedge_rows_equals_the_whole_sweeps_rows_bit_for_bit(step_deg):
+    # scan casts a sign on its wedge rows alone, so every row's range, hit and
+    # ray-normal product must come out as in a cast of the whole sweep
+    columns = lidar._ray_table(step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0]
+    n_az, step = columns.shape[1] // 16, math.radians(step_deg)
+    every = np.arange(columns.shape[1])
     rng = np.random.default_rng(int(step_deg * 10))
-    for _ in range(400):
-        normal = rng.normal(size=3)
-        normal[2] *= rng.integers(0, 2)  # half of them vertical, as a sign's usually is
-        normal /= np.linalg.norm(normal)
+    hits = 0
+    for _ in range(200):
+        facing, tilt = rng.uniform(-math.pi, math.pi), rng.uniform(-0.6, 0.6) * rng.integers(0, 2)
+        # half of them vertical, as a sign's usually is
+        sign = SignSpec(center=(0.0, 0.0, 0.0), width=rng.uniform(0.3, 1.5), height=rng.uniform(0.3, 1.5),
+                        normal=(math.cos(facing) * math.cos(tilt), math.sin(facing) * math.cos(tilt), math.sin(tilt)))
         d, bearing = rng.uniform(0.5, 60.0), rng.uniform(-math.pi, math.pi)
-        rows = lidar._wedge((d * math.cos(bearing), d * math.sin(bearing)), rng.uniform(0.1, 3.0), n_az, step)
-        assert np.array_equal(dirs[rows] @ normal, (dirs @ normal)[rows])
+        center = (d * math.cos(bearing), d * math.sin(bearing), rng.uniform(-1.5, 1.5))
+        rows = lidar._wedge(center[:2], math.hypot(sign.width, sign.height) / 2, n_az, step)
+        whole = sign_hits_on(every, sign, center, sign.normal, columns)
+        for part, full in zip(sign_hits_on(rows, sign, center, sign.normal, columns), whole):
+            assert part.tobytes() == full[rows].tobytes()
+        hits += int(whole[1].any())
+    assert hits > 20
 
 
-def test_scan_sign_ray_on_the_edge_recast_on_whole_sweep(monkeypatch):
+def test_sign_ray_on_the_edge_gets_the_same_hit_in_its_wedge_as_in_the_whole_sweep():
     # a sign whose top edge passes through the +1 degree ring's ray dead ahead
     d = 10.0
     ray_z = PARAMS.lidar_mount_height + d * math.tan(math.radians(1.0))
     center_z = 2.5
     sign = SignSpec(center=(PARAMS.lidar_offset_x + d, 0.0, center_z), normal=(-1.0, 0.0, 0.0),
                     height=2 * abs(ray_z - center_z) + 1e-13)
-    calls = []
-    real = lidar._sign_hits
-    monkeypatch.setattr(lidar, "_sign_hits", lambda *a: calls.append(len(a[3])) or real(*a))
     frame = assert_scan_matches_reference(WorldModel(signs=(sign,)), VehicleState(), CONFIG)
-    assert calls[-1] == len(DIRS) and len(calls) == 2
     assert (frame.intensity == sign.intensity).any()
+    n_az = len(DIRS) // 16
+    edge_ray = 8 * n_az  # the +1 degree ring at azimuth 0
+    center = (d, 0.0, center_z - PARAMS.lidar_mount_height)
+    rows = lidar._wedge(center[:2], math.hypot(sign.width, sign.height) / 2, n_az,
+                        math.radians(CONFIG.azimuth_step_deg))
+    assert edge_ray in rows
+    columns = DIRS.T
+    t_pl, hit, _ = sign_hits_on(rows, sign, center, (-1.0, 0.0, 0.0), columns)
+    whole_t, whole_hit, _ = sign_hits_on(np.arange(len(DIRS)), sign, center, (-1.0, 0.0, 0.0), columns)
+    at = np.flatnonzero(rows == edge_ray)[0]
+    # the ray passes within rounding of the edge: the face test decides it, the same way both times
+    rel_z = t_pl[at] * DIRS[edge_ray, 2] - center[2]
+    assert abs(abs(rel_z) - sign.height / 2) < 1e-12
+    assert (t_pl[at], hit[at]) == (whole_t[edge_ray], whole_hit[edge_ray])
+    assert np.array_equal(hit, whole_hit[rows]) and np.array_equal(t_pl, whole_t[rows])
+
+
+# --- the elevation cull: a box or pedestrian below the mount gets only the downward rings ---
+
+MOUNT_H = PARAMS.lidar_mount_height
+BELOW = math.nextafter(MOUNT_H, 0.0)
+
+
+def box_at(x, y, height):
+    return BoxObstacle(center=(PARAMS.lidar_offset_x + x, y), size=(0.8, 0.6), height=height)
+
+
+def pedestrian_at(x, y, height):
+    return Pedestrian(position=(PARAMS.lidar_offset_x + x, y), height=height, radius=0.4)
+
+
+@pytest.mark.parametrize("height, rings", [(MOUNT_H, 16), (BELOW, 8), (MOUNT_H + 1e-9, 16), (1.0, 8)])
+@pytest.mark.parametrize("kind", ["obstacles", "pedestrians"])
+def test_elevation_cull_lists_the_upward_rings_only_for_a_top_at_or_above_the_mount(monkeypatch, kind, height,
+                                                                                      rings):
+    make = box_at if kind == "obstacles" else pedestrian_at
+    listed = []
+    real = lidar._wedge
+    monkeypatch.setattr(lidar, "_wedge", lambda *a: listed.append(a[4]) or real(*a))
+    # near and far, to either side, across the first and last azimuth, and around the sensor
+    spots = [(3.0, 0.0), (9.0, 2.5), (-6.0, -4.0), (25.0, -0.3), (0.0, 0.1)]
+    world = replace(WorldModel(), **{kind: tuple(make(x, y, height) for x, y in spots)})
+    for heading in (0.0, 0.7):
+        for jitter in (0.0, 0.01):
+            config = replace(CONFIG, range_jitter=jitter)
+            frame = assert_scan_matches_reference(world, VehicleState(heading=heading), config)
+            assert (frame.points[:, 2] > 0.5).any()
+    assert listed == [rings] * (4 * len(spots))
 
 
 # --- per-primitive ray-hit oracles: march each ray in 1 cm steps through the solid ---
@@ -512,3 +567,27 @@ def test_scan_hits_agree_with_marching_along_the_ray(name):
     for k in rng.choice(missed, size=100, replace=False):
         _, q = march(DIRS[k], CONFIG.max_range)
         assert not inside(q, 2 * STEP if world.signs else 0.0).any(), DIRS[k]
+
+
+@pytest.mark.parametrize("kind", ["obstacles", "pedestrians"])
+def test_upward_rays_the_cull_drops_never_enter_the_solid_when_marched(kind):
+    # tops a rounding step below the mount, close by and straddling the sensor's side
+    make, inside = (box_at, in_box) if kind == "obstacles" else (pedestrian_at, in_cylinder)
+    objects = [make(1.5, 0.0, BELOW), make(4.0, -1.0, BELOW), make(0.0, 0.45, BELOW)]
+    n_az, step = len(DIRS) // 16, math.radians(CONFIG.azimuth_step_deg)
+    marched = 0
+    for obj in objects:
+        if kind == "obstacles":
+            center, radius = np.subtract(obj.center, MOUNT[:2]), math.hypot(*obj.size) / 2
+        else:
+            center, radius = np.subtract(obj.position, MOUNT[:2]), obj.radius
+        every = lidar._wedge(center, radius, n_az, step)
+        dropped = np.setdiff1d(every, lidar._wedge(center, radius, n_az, step, 8))
+        assert len(dropped) and (DIRS[dropped, 2] > 0.0).all()
+        for k in dropped[:: max(1, len(dropped) // 40)]:
+            _, q = march(DIRS[k], 5.0)
+            assert not inside(q, obj).any(), DIRS[k]
+            marched += 1
+        frame = scan(replace(WorldModel(), **{kind: (obj,)}), VehicleState(), PARAMS, CONFIG)
+        assert (frame.points[:, 2] <= BELOW).all() and (frame.points[:, 2] > 0.5).any()
+    assert marched > 100
