@@ -74,6 +74,7 @@ class LogRow(NamedTuple):
 _SOURCES = tuple(Source)
 _DISPLAYS = tuple(m.value for m in Message)
 _NON_NEGATIVE = ("t", "v", "cte", "sign_n", "obstacle_d", "sign_d", "sign_stop_d")
+_TRIGGER = {Source.OBSTACLE: "obstacle_d", Source.SIGN: "sign_stop_d"}  # the column a source's stop triggered at
 
 
 def _parse_source(text: str) -> Source:
@@ -142,7 +143,7 @@ def metrics_from_rows(rows: list[LogRow]) -> RunMetrics:
     ctes = [r.cte for r in rows]
 
     def stop_event(row: LogRow, t_end: float) -> StopEvent:
-        trigger = {Source.OBSTACLE: row.obstacle_d, Source.SIGN: row.sign_stop_d}.get(row.source)
+        trigger = getattr(row, _TRIGGER[row.source]) if row.source in _TRIGGER else None
         return StopEvent(row.t, row.source.value, trigger, t_end - row.t)
 
     events = []
@@ -316,6 +317,11 @@ def read_log(path) -> list[LogRow]:
                 raise ValueError(f"{outside[0]} {getattr(row, outside[0])!r} is outside [0, 1]")
             if row.throttle > 0.0 and row.brake > 0.0:
                 raise ValueError(f"throttle {row.throttle!r} and brake {row.brake!r} are both on")
+            if (row.sign_d is None) != (row.sign_n == 0):  # a detection has a distance and at least one point
+                raise ValueError(f"sign_n {row.sign_n!r} with "
+                                 + ("a blank sign_d" if row.sign_d is None else f"sign_d {row.sign_d!r}"))
+            if row.source in _TRIGGER and getattr(row, _TRIGGER[row.source]) is None:
+                raise ValueError(f"source {row.source.value} with a blank {_TRIGGER[row.source]}")
             if rows and row.t <= rows[-1].t:
                 raise ValueError(f"t {row.t!r} does not rise past the previous row's {rows[-1].t!r}")
         except ValueError as exc:

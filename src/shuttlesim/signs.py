@@ -32,7 +32,6 @@ MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
 # trim threshold, where 1 << 16 had each call hand its pages back and fault them in again
 _RANSAC_BLOCK = 1 << 14
 _COLLINEAR = 1e-12  # a triple whose cross product is shorter spans no plane
-_YZX, _ZXY = [1, 2, 0], [2, 0, 1]  # cross product (a x b)_i = a_YZX[i] b_ZXY[i] - a_ZXY[i] b_YZX[i]
 
 
 @dataclass(frozen=True)
@@ -130,15 +129,10 @@ def _fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, float(-normal @ centroid)
 
 
-def _plane_inliers(points: np.ndarray, triple: np.ndarray, tol: float) -> np.ndarray | None:
-    """Inlier mask of the plane through three of the points; None when they are collinear."""
-    p0, p1, p2 = points[triple]
-    (a0, a1, a2), (b0, b1, b2) = (p1 - p0).tolist(), (p2 - p0).tolist()
-    normal = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])  # np.cross's components
-    norm = np.sqrt(normal.dot(normal))  # np.linalg.norm's formula
-    if norm < _COLLINEAR:
-        return None
-    return np.abs((points - p0) @ (normal / norm)) <= tol
+def _plane_distances(points: np.ndarray, a, b, c, d) -> np.ndarray:
+    """``|x a + y b + z c + d|`` of each point, elementwise on the point
+    columns; the plane is scalars or (K, 1) columns, one plane per row."""
+    return np.abs(points[:, 0] * a + points[:, 1] * b + points[:, 2] * c + d)
 
 
 def _distinct_triples(draws: np.ndarray) -> np.ndarray:
@@ -158,40 +152,32 @@ def _distinct_triples(draws: np.ndarray) -> np.ndarray:
 
 def _best_triple(points: np.ndarray, triples: np.ndarray, tol: float) -> tuple[int, np.ndarray] | None:
     """Index of the first triple whose plane has the most inliers, and its
-    ``_plane_inliers`` mask; None if all are collinear.
+    inlier mask; None if all are collinear.
 
     Scores the triples in order with one (chunk x points) distance matrix per
     chunk; chunks start at 16 triples and double up to ``_RANSAC_BLOCK``
-    entries. A batched count can differ from ``_plane_inliers``' only for a
-    triple within rounding of the collinearity cut or a point within rounding
-    of ``tol``; such candidates are recounted with ``_plane_inliers``, so every
-    count is exact, and so is a sure count's mask, its row of the matrix.
-    Scoring stops after a chunk whose best plane takes every point, since no
-    later triple can have more inliers.
+    entries. A triple's plane passes through its first point, normal to the
+    cross product of its edges from there. Every step is elementwise
+    arithmetic, so a triple's count and mask do not depend on the chunk it
+    is scored in. Scoring stops after a chunk whose best plane takes every
+    point, since no later triple can have more inliers.
     """
-    slack = 1e-9 * (1.0 + np.abs(points).max())  # rounding of either distance formula stays far below this
     cap = max(1, _RANSAC_BLOCK // len(points))
     best, best_count, start, size = None, -1, 0, min(16, cap)
     while start < len(triples) and best_count < len(points):
-        chunk = triples[start:start + size]
-        p0, p1, p2 = points[chunk.T]
-        a, b = p1 - p0, p2 - p0
-        normal = a[:, _YZX] * b[:, _ZXY] - a[:, _ZXY] * b[:, _YZX]  # np.cross's components, chunk-wide
-        norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
+        # corner, axis, triple: each coordinate a (chunk, 1) column
+        p0, p1, p2 = points[triples[start:start + size].T].transpose(0, 2, 1)[..., None]
+        (ax, ay, az), (bx, by, bz), (x0, y0, z0) = p1 - p0, p2 - p0, p0
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
         usable = norm >= _COLLINEAR
-        unit = normal / np.where(usable, norm, 1.0)[:, None]
-        dist = np.abs(unit @ points.T - np.einsum("ij,ij->i", p0, unit)[:, None])
-        counts = np.where(usable, (dist < tol - slack).sum(axis=1), -1)
-        # a count is sure when no point lies within slack of tol
-        unsure = usable & ((dist <= tol + slack).sum(axis=1) > counts)
-        unsure |= np.abs(norm - _COLLINEAR) <= 1e-9 * _COLLINEAR
-        recounted = {k: _plane_inliers(points, chunk[k], tol) for k in unsure.nonzero()[0].tolist()}
-        for k, inliers in recounted.items():
-            counts[k] = -1 if inliers is None else np.count_nonzero(inliers)
+        norm = np.where(usable, norm, 1.0)
+        ux, uy, uz = nx / norm, ny / norm, nz / norm
+        inliers = _plane_distances(points, ux, uy, uz, -(x0 * ux + y0 * uy + z0 * uz)) <= tol
+        counts = np.where(usable[:, 0], inliers.sum(axis=1), -1)
         k = int(counts.argmax())
         if counts[k] > best_count:  # a tie keeps the earlier triple
-            best = start + k, recounted[k] if k in recounted else dist[k] < tol - slack
-            best_count = counts[k]
+            best, best_count = (start + k, inliers[k]), counts[k]
         start, size = start + size, min(2 * size, cap)
     return best
 
@@ -226,8 +212,7 @@ def plane_segment(
             break
 
         normal, offset = _fit_plane(remaining[best[1]])
-        dist = np.abs(remaining @ normal + offset)
-        inliers = dist <= params.plane_dist_tol
+        inliers = _plane_distances(remaining, *normal, offset) <= params.plane_dist_tol
         if normal[0] < 0.0:
             normal, offset = -normal, -offset
 

@@ -16,7 +16,7 @@ from shuttlesim.obstacles import (
 )
 from shuttlesim.plant import VehicleParams
 from shuttlesim.scenario import DEFAULT_ORIGIN
-from shuttlesim.signs import SignDetection
+from shuttlesim.signs import _COLLINEAR, SignDetection
 from shuttlesim.waypoints import EARTH_RADIUS, Route, from_local, save_waypoints
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
 
@@ -341,6 +341,30 @@ def reference_scan_world(world, state, params, config):
     return (pts_world - np.array([state.x, state.y, 0.0])) @ rot, intensity[keep]
 
 
+def reference_plane_distances(points, triple):
+    """Each point's distance from the plane through three of the points, worked
+    out for that triple alone on Python floats; None when they are collinear.
+
+    The plane is the unit cross product through the first point, and a point's
+    distance is ``|x a + y b + z c + d|``, each step rounded on its own.
+    """
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = points[list(triple)].tolist()
+    ax, ay, az, bx, by, bz = x1 - x0, y1 - y0, z1 - z0, x2 - x0, y2 - y0, z2 - z0
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if norm < _COLLINEAR:
+        return None
+    a, b, c = nx / norm, ny / norm, nz / norm
+    d = -(x0 * a + y0 * b + z0 * c)
+    return np.abs(points[:, 0] * a + points[:, 1] * b + points[:, 2] * c + d)
+
+
+def reference_plane_inliers(points, triple, tol):
+    """Inlier mask of the plane through three of the points; None when they are collinear."""
+    dist = reference_plane_distances(points, triple)
+    return None if dist is None else dist <= tol
+
+
 def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
     """RANSAC scoring one candidate plane at a time.
 
@@ -361,14 +385,9 @@ def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
         for draw in rng.integers(0, [m, m - 1, m - 2], size=(params.ransac_iters, 3)):
             # each index picks among the ones the earlier picks left
             left = list(range(m))
-            idx = [left.pop(k) for k in draw]
-            p0, p1, p2 = remaining[idx]
-            normal = np.cross(p1 - p0, p2 - p0)
-            norm = np.linalg.norm(normal)
-            if norm < 1e-12:
+            inliers = reference_plane_inliers(remaining, [left.pop(k) for k in draw], params.plane_dist_tol)
+            if inliers is None:
                 continue
-            normal = normal / norm
-            inliers = np.abs((remaining - p0) @ normal) <= params.plane_dist_tol
             if best_inliers is None or inliers.sum() > best_inliers.sum():
                 best_inliers = inliers
         if best_inliers is None or best_inliers.sum() < 3:
@@ -378,7 +397,9 @@ def reference_plane_segment(points, params, sensor_origin=(0.0, 0.0, 0.0)):
         normal = np.linalg.svd(support - centroid, full_matrices=False)[2][-1]
         normal = normal / np.linalg.norm(normal)
         offset = float(-normal @ centroid)
-        inliers = np.abs(remaining @ normal + offset) <= params.plane_dist_tol
+        a, b, c = normal.tolist()
+        dist = np.abs(remaining[:, 0] * a + remaining[:, 1] * b + remaining[:, 2] * c + offset)
+        inliers = dist <= params.plane_dist_tol
         if normal[0] < 0.0:
             normal, offset = -normal, -offset
         support = remaining[inliers]

@@ -410,6 +410,11 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
     ("obstacle_d", "-2.0", "obstacle_d -2.0 is negative"),
     ("sign_d", "-1.5", "sign_d -1.5 is negative"),
     ("sign_stop_d", "-0.5", "sign_stop_d -0.5 is negative"),
+    # a detection has both a distance and a point count; a stop's winner has the distance it triggered at
+    ("sign_n", "5", "sign_n 5 with a blank sign_d"),
+    ("sign_d", "21.27", "sign_n 0 with sign_d 21.27"),
+    ("source", "1", "source obstacle with a blank obstacle_d"),
+    ("source", "2", "source sign with a blank sign_stop_d"),
 ])
 def test_replay_rejects_a_row_the_harness_never_writes(shipped_inputs, tmp_path, capsys, column, value, message):
     lines = shipped_inputs["demo.log"].decode().splitlines()
@@ -426,11 +431,11 @@ def test_replay_rejects_a_row_the_harness_never_writes(shipped_inputs, tmp_path,
 def test_replay_accepts_the_extremes_the_harness_can_write(shipped_inputs, tmp_path):
     lines = shipped_inputs["demo.log"].decode().splitlines()
     header = lines[0].split(",")
-    for k, (throttle, brake, distance) in enumerate([("1.0", "0.0", "0.0"), ("0.0", "1.0", "-0.0"), ("0.0", "0.0", "")],
-                                                     start=5):
+    for k, (throttle, brake, distance, points) in enumerate(
+            [("1.0", "0.0", "0.0", "1"), ("0.0", "1.0", "-0.0", "1"), ("0.0", "0.0", "", "0")], start=5):
         fields = lines[k].split(",")
         for column, value in (("throttle", throttle), ("brake", brake), ("obstacle_d", distance),
-                              ("sign_d", distance), ("sign_stop_d", distance)):
+                              ("sign_d", distance), ("sign_n", points), ("sign_stop_d", distance)):
             fields[header.index(column)] = value
         lines[k] = ",".join(fields)
     log = tmp_path / "demo.log"

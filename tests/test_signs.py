@@ -26,7 +26,14 @@ from shuttlesim.signs import (
     statistical_outlier_removal,
 )
 from shuttlesim.world import SignSpec, WorldModel
-from tests.conftest import brute_ror, brute_sor, reference_plane_segment, two_tree_ror_sor
+from tests.conftest import (
+    brute_ror,
+    brute_sor,
+    reference_plane_distances,
+    reference_plane_inliers,
+    reference_plane_segment,
+    two_tree_ror_sor,
+)
 
 PARAMS = VehicleParams()
 SENSOR = (PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height)
@@ -433,7 +440,7 @@ def test_plane_segment_matches_candidate_by_candidate_reference():
                               plane_dist_tol=0.0625 if i % 5 == 4 else 0.05)
         points = random_cloud(rng, i % 5)
         # the grid clouds put points exactly the tolerance off the plane x = 8, which
-        # their triples span, so the batched counts of those candidates are unsure
+        # their triples span, so those candidates' counts hinge on the last bit
         at_tol += (np.count_nonzero(points[:, 0] == 8.0) >= 3
                    and bool((np.abs(points[:, 0] - 8.0) == params.plane_dist_tol).any()))
         got = plane_segment(points, params, SENSOR)
@@ -445,8 +452,8 @@ def test_plane_segment_matches_candidate_by_candidate_reference():
             assert got.plane == want.plane
             # the inliers of the returned plane, among the points left at its extraction
             a, b, c, d = got.plane
-            assert np.array_equal(remaining[np.abs(remaining @ np.array([a, b, c]) + d) <= params.plane_dist_tol],
-                                  support)
+            dist = np.abs(remaining[:, 0] * a + remaining[:, 1] * b + remaining[:, 2] * c + d)
+            assert np.array_equal(remaining[dist <= params.plane_dist_tol], support)
             assert (got.distance, got.point_count) == (want.distance, want.point_count)
     assert 50 < found < 200
     assert at_tol == 40  # every grid cloud
@@ -462,20 +469,20 @@ def test_distinct_triples_maps_every_draw_to_its_own_triple(m):
 
 
 def one_by_one_best(points, triples, tol):
-    """The first triple with the most ``_plane_inliers``, counted one triple at a time; None if all are collinear."""
-    counts = [-1 if (inliers := signs._plane_inliers(points, t, tol)) is None else int(inliers.sum())
+    """The first triple with the most inliers, counted one triple at a time; None if all are collinear."""
+    counts = [-1 if (inliers := reference_plane_inliers(points, t, tol)) is None else int(inliers.sum())
               for t in triples]
     best = int(np.argmax(counts))
     return best if counts[best] >= 0 else None
 
 
 def best_triple(points, triples, tol):
-    """``_best_triple``'s winning index, once its mask is checked against the winner's ``_plane_inliers``."""
+    """``_best_triple``'s winning index, once its mask is checked against the oracle's for that triple."""
     best = signs._best_triple(points, triples, tol)
     if best is None:
         return None
     index, inliers = best
-    assert np.array_equal(inliers, signs._plane_inliers(points, triples[index], tol))
+    assert np.array_equal(inliers, reference_plane_inliers(points, triples[index], tol))
     return index
 
 
@@ -491,7 +498,7 @@ def test_plane_inliers_equals_the_np_cross_plane():
             p0, p1, p2 = points[triple]
             normal = np.cross(p1 - p0, p2 - p0)
             norm = np.linalg.norm(normal)
-            got = signs._plane_inliers(points, triple, 0.05)
+            got = reference_plane_inliers(points, triple, 0.05)
             if norm < signs._COLLINEAR:
                 assert got is None
             else:
@@ -532,9 +539,9 @@ def test_best_triple_stops_at_the_first_plane_that_takes_every_point(first_full)
             assert want == first_full
 
 
-def test_best_triple_recounts_an_unsure_full_count_before_stopping():
-    # triple 0 spans x = 8: every point lies within rounding of tol = 1/16 of
-    # it, but the last one lies 2^-31 beyond, so it takes all but one point;
+def test_best_triple_does_not_stop_at_a_plane_that_misses_a_point_just_beyond_tol():
+    # triple 0 spans x = 8: every point lies within tol = 1/16 + 1e-9 of it,
+    # but the last one lies 2^-31 beyond 1/16, so it takes all but one point;
     # triple 40 spans x = 8 + 2^-30 and takes every point
     tol = 1 / 16
     grid = grid_plane(np.random.default_rng(3), 60)
@@ -544,9 +551,9 @@ def test_best_triple_recounts_an_unsure_full_count_before_stopping():
     triples[0] = next(t for t in random_triples(np.random.default_rng(5), 60, 50)
                       if one_by_one_best(points, [t], tol) is not None)
     triples[40] = [60, 61, 62]
-    assert np.count_nonzero(signs._plane_inliers(points, triples[0], tol)) == len(points) - 1
-    assert np.count_nonzero(signs._plane_inliers(points, triples[0], tol + 1e-9)) == len(points)
-    assert np.count_nonzero(signs._plane_inliers(points, triples[40], tol)) == len(points)
+    assert np.count_nonzero(reference_plane_inliers(points, triples[0], tol)) == len(points) - 1
+    assert np.count_nonzero(reference_plane_inliers(points, triples[0], tol + 1e-9)) == len(points)
+    assert np.count_nonzero(reference_plane_inliers(points, triples[40], tol)) == len(points)
     assert one_by_one_best(points, triples, tol) == 40
     assert best_triple(points, triples, tol) == 40
 
@@ -563,8 +570,39 @@ def test_best_triple_matches_one_triple_at_a_time_on_random_clouds():
         want = one_by_one_best(points, triples, tol)
         assert best_triple(points, triples, tol) == want, i
         stopped_early += want is not None and want < len(triples) - 1 and np.count_nonzero(
-            signs._plane_inliers(points, triples[want], tol)) == len(points)
+            reference_plane_inliers(points, triples[want], tol)) == len(points)
     assert stopped_early >= 40  # most clean planes, and some random clouds
+
+
+def test_a_point_exactly_at_tol_is_counted_alike_in_every_chunk_and_by_the_oracle(monkeypatch):
+    scored = []  # the distance matrix of each chunk, in scoring order
+    real = signs._plane_distances
+
+    def spy(points, *plane):
+        scored.append(real(points, *plane))
+        return scored[-1]
+
+    monkeypatch.setattr(signs, "_plane_distances", spy)
+    rng = np.random.default_rng(29)
+    rows = 0
+    for i in range(400):
+        points = random_cloud(rng, i % 5)
+        triples = random_triples(rng, len(points), 50)
+        dists = [d for t in triples if (d := reference_plane_distances(points, t)) is not None]
+        if not dists:
+            continue
+        # one plane's distance to its median point, so that counts hinge on the last bit
+        tol = float(np.sort(dists[rng.integers(len(dists))])[len(points) // 2])
+        scored.clear()
+        assert best_triple(points, triples, tol) == one_by_one_best(points, triples, tol), i
+        for k, row in enumerate(np.vstack(scored)):
+            want = reference_plane_inliers(points, triples[k], tol)
+            alone = signs._best_triple(points, triples[k:k + 1], tol)
+            assert (alone is None) == (want is None), (i, k)
+            if want is not None:
+                assert np.array_equal(row <= tol, want) and np.array_equal(alone[1], want), (i, k)
+                rows += 1
+    assert rows > 10_000
 
 
 def test_a_clean_plane_is_scored_with_fewer_than_ransac_iters_triples(monkeypatch):
