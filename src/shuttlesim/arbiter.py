@@ -8,8 +8,8 @@ modifies speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from shuttlesim.twist import TwistCommand
 
@@ -33,8 +33,7 @@ _PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
-class SpeedCommand:
+class SpeedCommand(NamedTuple):
     twist: TwistCommand
     source: Source
 
@@ -51,7 +50,7 @@ def select(commands: list[SpeedCommand]) -> SpeedCommand:
     )
     waypoint = next((c for c in commands if c.source is Source.WAYPOINT), None)
     if waypoint is not None and winner is not waypoint:
-        w = winner.twist  # built directly: ``dataclasses.replace`` costs twice the constructor
+        w = winner.twist  # built directly: ``_replace`` costs more than the constructor
         winner = SpeedCommand(TwistCommand(w.linear_v, waypoint.twist.angular_w, w.accel_limit, w.decel_limit),
                               winner.source)
     return winner

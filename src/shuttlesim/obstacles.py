@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,9 +125,8 @@ def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> Occupanc
     return OccupancyGrid(occupied.reshape(n, n), centers, min_z[keep], max_z[keep])
 
 
-@dataclass(frozen=True)
-class Corridor:
-    """Swept region the vehicle will traverse, predicted from steering."""
+class Corridor(NamedTuple):
+    """Swept region the vehicle will traverse, predicted from steering; an immutable tuple."""
 
     radius: float | None  # signed centreline radius; None means straight
     length: float  # checked distance ahead of the front bumper, m
@@ -155,12 +155,7 @@ def corridor_from_steering(
         radius = None
     else:
         radius = vehicle.wheelbase / math.tan(steer_angle)
-    return Corridor(
-        radius=radius,
-        length=params.length,
-        half_width=vehicle.half_width + params.clearance,
-        front_overhang=vehicle.front_overhang,
-    )
+    return Corridor(radius, params.length, vehicle.half_width + params.clearance, vehicle.front_overhang)
 
 
 def corridor_membership(corridor: Corridor, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +175,7 @@ def corridor_membership(corridor: Corridor, points: np.ndarray) -> tuple[np.ndar
     return (s >= 0.0) & (s <= s_max) & (lateral <= corridor.half_width), s
 
 
-@dataclass(frozen=True)
-class ObstacleReport:
+class ObstacleReport(NamedTuple):
     present: bool
     closest_distance: float = math.inf  # ahead of the front bumper, m
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Annotated
+from dataclasses import dataclass
+from typing import Annotated, NamedTuple
 
 from shuttlesim.bounds import LIMIT, TINY, Bound, Fraction, Length, Positive, check_bounds
 
@@ -42,9 +42,8 @@ class VehicleParams:
     __post_init__ = check_bounds
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Pose and motion state of the simulated shuttle.
+class VehicleState(NamedTuple):
+    """Pose and motion state of the simulated shuttle, an immutable tuple.
 
     ``brake_force`` is the realised brake deceleration currently delivered by
     the actuator; it lags the pedal because brake pressure cannot step.
@@ -109,8 +108,8 @@ def step_plant(
 
     if state.speed <= 0.0 and accel_cmd <= 0.0:
         # Parked: brakes hold the cart, nothing moves.
-        return replace(state, heading=normalize_angle(state.heading), speed=0.0, yaw_rate=0.0,
-                       accel=0.0, steer_angle=delta, brake_force=0.0)
+        return state._replace(heading=normalize_angle(state.heading), speed=0.0, yaw_rate=0.0,
+                              accel=0.0, steer_angle=delta, brake_force=0.0)
 
     yaw_rate = state.speed / params.wheelbase * math.tan(delta)
     heading = normalize_angle(state.heading + yaw_rate * dt)
@@ -119,16 +118,7 @@ def step_plant(
     speed = max(0.0, state.speed + accel_cmd * dt)
     realized_accel = (speed - state.speed) / dt
 
-    return VehicleState(
-        x=x,
-        y=y,
-        heading=heading,
-        speed=speed,
-        yaw_rate=yaw_rate,
-        accel=realized_accel,
-        steer_angle=delta,
-        brake_force=brake_force,
-    )
+    return VehicleState(x, y, heading, speed, yaw_rate, realized_accel, delta, brake_force)
 
 
 def simulate_full_stop(

@@ -12,40 +12,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from shuttlesim.bounds import NonNegative, Positive, check_bounds
 from shuttlesim.plant import BRAKE_CURVE_OFFSET, BRAKE_CURVE_SLOPE, VehicleParams
 
 
-@dataclass(frozen=True)
-class TwistCommand:
-    """Target linear/angular velocity with acceleration limits (magnitudes)."""
-
+class _TwistFields(NamedTuple):
     linear_v: float
-    angular_w: float = 0.0
-    accel_limit: float = 1.0
-    decel_limit: float = 1.2
+    angular_w: float
+    accel_limit: float
+    decel_limit: float
 
-    def __post_init__(self):
-        if self.linear_v < 0:
+
+class TwistCommand(_TwistFields):
+    """Target linear/angular velocity with acceleration limits (magnitudes).
+
+    An immutable tuple. The constructor checks it, and so do ``_make`` and
+    ``_replace``, which would otherwise build the tuple past ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, linear_v, angular_w=0.0, accel_limit=1.0, decel_limit=1.2):
+        if linear_v < 0:
             raise ValueError("linear_v must be non-negative")
-        if self.accel_limit <= 0 or self.decel_limit <= 0:
+        if accel_limit <= 0 or decel_limit <= 0:
             raise ValueError("acceleration limits must be positive")
+        return tuple.__new__(cls, (linear_v, angular_w, accel_limit, decel_limit))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
+class _ActuatorFields(NamedTuple):
     throttle: float
     brake: float
     steer: float  # steering-wheel angle, rad (wheel angle * steering ratio)
 
-    def __post_init__(self):
-        if self.throttle * self.brake != 0.0:
+
+class ActuatorCommand(_ActuatorFields):
+    """Pedals and steering-wheel angle, an immutable tuple checked as ``TwistCommand`` is."""
+
+    __slots__ = ()
+
+    def __new__(cls, throttle, brake, steer):
+        if throttle * brake != 0.0:
             raise ValueError("throttle and brake are mutually exclusive")
+        return tuple.__new__(cls, (throttle, brake, steer))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     filtered_accel: float = 0.0
     throttle_integrator: float = 0.0
     throttle_filter_state: float = 0.0
@@ -139,4 +161,4 @@ class TwistController:
     def step(self, cmd: TwistCommand, v_meas: float, a_meas: float, dt: float) -> ActuatorCommand:
         throttle, brake, self.state = speed_step(cmd, v_meas, a_meas, self.state, dt, self.gains)
         delta = steer_from_twist(cmd.angular_w, v_meas, self.params, self.gains.v_floor)
-        return ActuatorCommand(throttle=throttle, brake=brake, steer=delta * self.params.steering_ratio)
+        return ActuatorCommand(throttle, brake, delta * self.params.steering_ratio)

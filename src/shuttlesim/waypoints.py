@@ -205,23 +205,23 @@ def follow_step(
     tapers into the final waypoint, and once the vehicle has closed within the
     switch radius of it the follower latches finished and commands zero for good.
     """
-    xy = route.xy
+    xy = route.xy  # read as Python floats with ``item``: the same values, without numpy scalars
     idx = target_index
     if not finished:
         last = len(xy) - 1
-        while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
+        while idx < last and math.hypot(xy.item(idx, 0) - state.x, xy.item(idx, 1) - state.y) < params.switch_radius:
             idx += 1
-        tx, ty = xy[idx]
+        tx, ty = xy.item(idx, 0), xy.item(idx, 1)
         dist = math.hypot(tx - state.x, ty - state.y)
         finished = idx == last and dist < params.switch_radius
     if finished:
         return TwistCommand(0.0, 0.0, params.accel_limit, params.decel_limit), idx, True
 
     # slow into the terminus so the cart does not sail past the route's end
-    remaining = dist + float(route.remaining[idx])
+    remaining = dist + route.remaining.item(idx)
     margin = max(remaining - params.switch_radius, 0.0)
     taper = math.sqrt(2.0 * params.decel_limit * margin) + 0.15
-    speed = min(float(route.speed[idx]), taper)
+    speed = min(route.speed.item(idx), taper)
 
     bearing = math.atan2(ty - state.y, tx - state.x)
     theta_error = normalize_angle(bearing - state.heading - params.heading_bias)

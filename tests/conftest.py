@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,27 +163,27 @@ def reference_report(grid, corridor):
 
 
 def replace_select(commands):
-    """``arbiter.select`` as written with ``dataclasses.replace`` and no lone-command return."""
+    """``arbiter.select`` as written with ``_replace`` and no lone-command return."""
     if not commands:
         raise ValueError("arbiter needs at least one command")
     winner = min(commands, key=lambda c: (c.twist.linear_v, -c.twist.decel_limit, -_PRIORITY[c.source]))
     waypoint = next((c for c in commands if c.source is Source.WAYPOINT), None)
     if waypoint is not None and winner is not waypoint:
-        winner = SpeedCommand(replace(winner.twist, angular_w=waypoint.twist.angular_w), winner.source)
+        winner = SpeedCommand(winner.twist._replace(angular_w=waypoint.twist.angular_w), winner.source)
     return winner
 
 
 def replace_modify_speed(cmd, grid, corridor, max_decel=VehicleParams().max_decel):
-    """``obstacles.modify_speed`` as written with ``dataclasses.replace``, on a fresh report."""
+    """``obstacles.modify_speed`` as written with ``_replace``, on a fresh report."""
     report = reference_report(grid, corridor)
     if not report.present:
         return cmd, report
     limit = speed_limit_for_distance(report.closest_distance, corridor.length)
     if limit is None:
-        return cmd, replace(report, present=False)
+        return cmd, report._replace(present=False)
     if report.closest_distance <= SLOWDOWN_STOP_DISTANCE:
-        return replace(cmd, linear_v=0.0, decel_limit=max_decel), report
-    return replace(cmd, linear_v=min(cmd.linear_v, max(0.0, limit))), report
+        return cmd._replace(linear_v=0.0, decel_limit=max_decel), report
+    return cmd._replace(linear_v=min(cmd.linear_v, max(0.0, limit))), report
 
 
 def dot(a, b):

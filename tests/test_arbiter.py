@@ -144,13 +144,15 @@ def test_select_matches_the_replace_form(sources, data):
     out, want = select(cmds), replace_select(cmds)
     assert out == want
     assert repr(out) == repr(want)  # field by field, the sign of a zero too
+    # tuples compare equal across types, so the types are checked on their own
+    assert (type(out), type(out.twist)) == (type(want), type(want.twist)) == (SpeedCommand, TwistCommand)
     if len(cmds) == 1:
         assert out is cmds[0]
 
 
 def test_select_still_rejects_a_winner_the_twist_check_rejects():
-    bad = TwistCommand(1.0, 0.0, 1.0, 1.2)
-    object.__setattr__(bad, "accel_limit", 0.0)  # past __post_init__
+    bad = tuple.__new__(TwistCommand, (1.0, 0.0, 0.0, 1.2))  # past the checks in TwistCommand.__new__
+    assert bad.accel_limit == 0.0
     cmds = [cmd(3.0, Source.WAYPOINT, w=0.2), SpeedCommand(bad, Source.OBSTACLE)]
     for arbitrate in (select, replace_select):
         with pytest.raises(ValueError, match="acceleration limits must be positive"):

@@ -12,6 +12,7 @@ from shuttlesim.obstacles import (
     MAX_GRID_CELLS,
     Corridor,
     GridParams,
+    ObstacleReport,
     build_grid,
     closest_in_corridor,
     corridor_from_steering,
@@ -324,8 +325,9 @@ def test_closest_in_corridor_matches_a_fresh_computation(points, pool, data):
     grid = build_grid(frame_from_points(np.array(points).reshape(-1, 3)), GRID)
     # repeats of each corridor, as the same object and as an equal copy
     picks = data.draw(st.lists(st.sampled_from(pool), max_size=12))
-    for corridor in picks + [replace(c) for c in reversed(picks)]:
-        assert closest_in_corridor(grid, corridor) == reference_report(grid, corridor)
+    for corridor in picks + [Corridor(*c) for c in reversed(picks)]:
+        report = closest_in_corridor(grid, corridor)
+        assert report == reference_report(grid, corridor) and type(report) is ObstacleReport
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,6 +346,7 @@ def test_modify_speed_matches_the_replace_form(points, corridor, v, w, accel, de
         want, want_report = replace_modify_speed(cmd, grid, corridor, max_decel)
         assert (out, report) == (want, want_report)
         assert repr(out) == repr(want)  # field by field, the sign of a zero too
+        assert (type(out), type(report)) == (type(want), type(want_report)) == (TwistCommand, ObstacleReport)
 
 
 @pytest.mark.parametrize("max_decel", [0.0, -1.0])
@@ -365,12 +368,13 @@ def test_corridor_membership_runs_once_per_grid_and_corridor(monkeypatch):
 
     monkeypatch.setattr(obstacles, "corridor_membership", counting)
     straight, left, right = (corridor_from_steering(a, PARAMS) for a in (0.0, 0.2, -0.2))
-    asked = (straight, left, straight, right, left, corridor_from_steering(0.0, PARAMS), replace(right))
+    asked = (straight, left, straight, right, left, corridor_from_steering(0.0, PARAMS), Corridor(*right))
     for grid in (grid_with_cell_at(PARAMS.front_overhang + 8.0, 0.0) for _ in range(2)):
         reports = [modify_speed(TwistCommand(3.0), grid, c)[1] for c in asked]
         assert reports == [reference_report(grid, c) for c in asked]
         assert reports[0].present and not reports[1].present
         assert set(grid.reports) == {straight, left, right}
+        assert {type(c) for c in grid.reports} == {Corridor}  # a plain tuple would hash and compare the same
     # reference_report holds its own name for corridor_membership, so only the table's misses count
     assert seen == [straight, left, right] * 2
     # a grid made from another by ``replace`` starts with an empty table

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shuttlesim.arbiter import Source, SpeedCommand
+from shuttlesim.obstacles import Corridor, ObstacleReport
 from shuttlesim.plant import VehicleParams, VehicleState, step_plant
 from shuttlesim.twist import (
     ActuatorCommand,
@@ -82,6 +84,54 @@ def test_mutual_exclusion_random_sequences(steps):
 def test_actuator_command_invariant():
     with pytest.raises(ValueError):
         ActuatorCommand(throttle=0.5, brake=0.5, steer=0.0)
+
+
+# a valid command, and one of its fields with a value the checks refuse (-0.0 and -inf among them)
+VALID_TWIST = st.tuples(st.floats(min_value=0.0), FINITE, POSITIVE, POSITIVE)
+BAD_TWIST_FIELD = (st.tuples(st.just("linear_v"), st.floats(max_value=0.0, exclude_max=True))
+                   | st.tuples(st.sampled_from(["accel_limit", "decel_limit"]), st.floats(max_value=0.0)))
+
+
+@given(valid=VALID_TWIST, bad=BAD_TWIST_FIELD)
+def test_no_way_of_building_a_twist_command_skips_its_checks(valid, bad):
+    # a NamedTuple's own ``_make``, and ``_replace`` through it, would build the tuple past ``__new__``
+    good = TwistCommand(*valid)
+    assert TwistCommand._make(valid) == good == good._replace() and type(good._replace()) is TwistCommand
+    name, value = bad
+    fields = tuple(value if field == name else v for field, v in zip(TwistCommand._fields, valid))
+    for build in (lambda: TwistCommand(*fields), lambda: TwistCommand._make(fields),
+                  lambda: good._replace(**{name: value})):
+        with pytest.raises(ValueError):
+            build()
+
+
+@given(throttle=st.floats(), brake=st.floats(), steer=FINITE)
+@example(throttle=0.5, brake=0.5, steer=0.0)
+@example(throttle=math.inf, brake=0.0, steer=0.0)  # inf * 0 is nan, which is not 0
+def test_no_way_of_building_an_actuator_command_skips_its_check(throttle, brake, steer):
+    builds = (lambda: ActuatorCommand(throttle, brake, steer), lambda: ActuatorCommand._make((throttle, brake, steer)),
+              lambda: ActuatorCommand(0.0, 0.0, steer)._replace(throttle=throttle, brake=brake))
+    for build in builds:
+        if throttle * brake != 0.0:
+            with pytest.raises(ValueError, match="mutually exclusive"):
+                build()
+        else:
+            act = build()
+            assert type(act) is ActuatorCommand and repr(tuple(act)) == repr((throttle, brake, steer))
+
+
+PER_TICK_VALUES = (VehicleState(), TwistCommand(1.0), ActuatorCommand(0.5, 0.0, 0.1), ControllerState(),
+                   SpeedCommand(TwistCommand(1.0), Source.WAYPOINT), Corridor(None, 15.0, 1.15, 3.2),
+                   ObstacleReport(False))
+
+
+@pytest.mark.parametrize("value", PER_TICK_VALUES, ids=lambda v: type(v).__name__)
+def test_per_tick_values_are_immutable(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):  # and no instance dictionary to hold a new attribute
+        value.extra = 1.0
 
 
 def test_steer_zero():

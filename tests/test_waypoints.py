@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shuttlesim import waypoints
-from shuttlesim.harness import Simulation
+from shuttlesim.harness import Simulation, record_trace
 from shuttlesim.plant import VehicleState, normalize_angle
-from shuttlesim.scenario import ScenarioConfig
+from shuttlesim.scenario import ScenarioConfig, load_scenario
 from shuttlesim.twist import TwistCommand
 from shuttlesim.waypoints import (
     CTE_CELL,
@@ -30,7 +30,7 @@ from shuttlesim.waypoints import (
     turn_radius,
     waypoint_filename,
 )
-from tests.conftest import brute_force_cte, reference_xy
+from tests.conftest import SCENARIO_DIR, brute_force_cte, reference_xy
 
 ORIGIN = (30.615, -96.34)
 
@@ -281,9 +281,71 @@ def test_follow_step_matches_per_call_projection():
             assert (idx, finished) == (ref_idx, ref_finished)
             # the taper's square root can stretch a last-bit difference in the
             # remaining length near the switch radius
-            assert replace(cmd, linear_v=0.0) == replace(ref_cmd, linear_v=0.0)
+            assert cmd._replace(linear_v=0.0) == ref_cmd._replace(linear_v=0.0)
+            assert type(cmd) is TwistCommand
             assert cmd.linear_v == pytest.approx(ref_cmd.linear_v, abs=1e-6)
             assert cross_track_error(route, state) == pytest.approx(brute_force_cte(route, state), abs=1e-9)
+
+
+def numpy_follow_step(route, target_index, finished, state, params=FollowerParams()):
+    """``follow_step`` reading the route through numpy indexing and numpy scalars: its float reads must equal this."""
+    xy = route.xy
+    idx = target_index
+    if not finished:
+        last = len(xy) - 1
+        while idx < last and math.hypot(xy[idx, 0] - state.x, xy[idx, 1] - state.y) < params.switch_radius:
+            idx += 1
+        tx, ty = xy[idx]
+        dist = math.hypot(tx - state.x, ty - state.y)
+        finished = idx == last and dist < params.switch_radius
+    if finished:
+        return TwistCommand(0.0, 0.0, params.accel_limit, params.decel_limit), idx, True
+    remaining = dist + float(route.remaining[idx])
+    taper = math.sqrt(2.0 * params.decel_limit * max(remaining - params.switch_radius, 0.0)) + 0.15
+    speed = min(float(route.speed[idx]), taper)
+    bearing = math.atan2(ty - state.y, tx - state.x)
+    theta_error = normalize_angle(bearing - state.heading - params.heading_bias)
+    return TwistCommand(speed, params.kp * theta_error, params.accel_limit, params.decel_limit), idx, False
+
+
+def long_route_loop():
+    """The benchmark's 5 km ``long_route`` loop at seed 1, one waypoint per metre."""
+    from bench.workloads import campus_loop
+
+    xs, ys, speeds = campus_loop(np.random.default_rng(1))
+    return Route.build(*from_local(ORIGIN, xs, ys), speeds, ORIGIN)
+
+
+def compiled_figure8():
+    """The route ``compile-path --speed 3`` makes of the trace scenarios/figure8_record.yaml records."""
+    return compile_path(record_trace(load_scenario(SCENARIO_DIR / "figure8_record.yaml")), 3.0)
+
+
+@pytest.mark.parametrize("make_route, n_states", [(long_route_loop, 2000), (compiled_figure8, 1000)],
+                         ids=["long_route", "figure8"])
+def test_follow_step_equals_the_numpy_indexed_follower_bit_for_bit(make_route, n_states):
+    route = make_route()
+    rng = np.random.default_rng(41)
+    last = len(route.xy) - 1
+    # near every stretch of the route, the last waypoint included, with targets behind, at and past the
+    # nearest waypoint, a few already finished, and switch radii from below the spacing to several metres
+    near = np.concatenate((rng.integers(0, last + 1, n_states - 100), np.full(100, last)))
+    moved = latched = tapered = 0
+    for i in near.tolist():
+        x, y = (route.xy[i] + rng.normal(0.0, 2.0, 2)).tolist()
+        state = VehicleState(x=x, y=y, heading=float(rng.uniform(-math.pi, math.pi)))
+        target = min(max(i + int(rng.integers(-6, 3)), 0), last)
+        finished = bool(rng.random() < 0.02)
+        params = FollowerParams(switch_radius=float(rng.choice([0.5, 2.0, rng.uniform(0.1, 6.0)])))
+        cmd, idx, done = follow_step(route, target, finished, state, params)
+        want, want_idx, want_done = numpy_follow_step(route, target, finished, state, params)
+        assert (idx, done) == (want_idx, want_done) and type(idx) is int and type(done) is bool
+        assert type(cmd) is TwistCommand and all(type(v) is float for v in cmd)
+        assert repr(cmd) == repr(want)  # every field to the last bit, the sign of a zero too
+        moved += idx > target
+        latched += done and not finished
+        tapered += not done and cmd.linear_v < route.speed[idx]
+    assert min(moved, latched, tapered) > 0  # the switch radius, the end of the route and its taper all ran
 
 
 def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
