@@ -121,14 +121,7 @@ class RunMetrics:
     final_speed: float
 
     def summary_dict(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "peak_cte": self.peak_cte,
-            "mean_cte": self.mean_cte,
-            "stop_events": [asdict(e) for e in self.stop_events],
-            "sign_detection_ticks": self.sign_detection_ticks,
-            "final_speed": self.final_speed,
-        }
+        return asdict(self) | {"stop_events": [asdict(e) for e in self.stop_events]}  # a list, which YAML can dump
 
 
 def metrics_from_rows(rows: list[LogRow]) -> RunMetrics:

@@ -70,14 +70,13 @@ def intensity_filter(frame: LidarFrame, min_intensity: float = 85.0) -> LidarFra
     return LidarFrame(frame.points[mask], frame.intensity[mask])
 
 
-def _neighbors(points: np.ndarray, k: int) -> tuple:
-    """A KD-tree over ``points`` and, row by row, each point's distances to
-    its ``k`` nearest points (fewer when there are fewer points), itself first."""
+def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, the distances to each point's ``k`` nearest points (fewer
+    when there are fewer points), itself first, and those points' indices."""
     from scipy.spatial import cKDTree  # at the first tree: a world without a sign never builds one
 
-    tree = cKDTree(points)
-    dists, _ = tree.query(points, k=min(k, len(points)))
-    return tree, dists.reshape(len(points), -1)
+    dists, idx = cKDTree(points).query(points, k=min(k, len(points)))
+    return dists.reshape(len(points), -1), idx.reshape(len(points), -1)
 
 
 def radius_outlier_removal(
@@ -87,22 +86,17 @@ def radius_outlier_removal(
 
     ``neighbors`` is ``_neighbors(points, k)`` for some ``k > min_neighbors``,
     when the caller has it. A point is kept when its ``min_neighbors``-th
-    other neighbour lies within ``radius``. That distance is a square root,
-    where a ball count compares squared distances, so the points within
-    rounding of ``radius`` are recounted with the tree's ball count.
+    other neighbour is inside ``radius``: their squared distance, summed as
+    ``(dx*dx + dy*dy) + dz*dz`` like the tree's own, is at most ``radius**2``.
     """
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         return points
-    tree, dists = _neighbors(points, min_neighbors + 1) if neighbors is None else neighbors
-    if dists.shape[1] <= min_neighbors:  # fewer other points than it needs
+    _, idx = _neighbors(points, min_neighbors + 1) if neighbors is None else neighbors
+    if idx.shape[1] <= min_neighbors:  # fewer other points than it needs
         return points[:0]
-    reach = dists[:, min_neighbors]  # column 0 is the point itself
-    keep = reach <= radius
-    unsure = np.flatnonzero(np.abs(reach - radius) <= 1e-9 * radius)
-    if len(unsure):  # counts include the query point itself
-        keep[unsure] = tree.query_ball_point(points[unsure], r=radius, return_length=True) > min_neighbors
-    return points[keep]
+    d = points - points.take(idx[:, min_neighbors], axis=0)  # column 0 is the point itself
+    return points[(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2] <= radius * radius]
 
 
 def statistical_outlier_removal(
@@ -116,7 +110,7 @@ def statistical_outlier_removal(
     points = np.asarray(points, dtype=float)
     if len(points) <= k:
         return points
-    _, dists = _neighbors(points, k + 1) if neighbors is None else neighbors
+    dists, _ = _neighbors(points, k + 1) if neighbors is None else neighbors
     mean_dist = dists[:, 1:k + 1].mean(axis=1)  # first neighbour is the point itself
     threshold = mean_dist.mean() + stddev_mult * mean_dist.std()
     return points[mean_dist <= threshold]

@@ -58,7 +58,7 @@ class ActuatorCommand(_ActuatorFields):
     __slots__ = ()
 
     def __new__(cls, throttle, brake, steer):
-        if throttle * brake != 0.0:
+        if throttle * brake != 0.0 or (throttle != 0.0 and brake != 0.0):  # inf * 0 is nan; 1e-200 * 1e-200 is 0
             raise ValueError("throttle and brake are mutually exclusive")
         return tuple.__new__(cls, (throttle, brake, steer))
 

@@ -128,9 +128,10 @@ def test_sor_passthrough_when_too_few():
 
 @st.composite
 def outlier_clouds(draw):
-    """(points, radius, min_neighbors, k) of a random, grid-tied, spherical, repeated, tiny or straggling cloud."""
+    """(points, radius, min_neighbors, k) of a random, grid-tied, spherical, ulp-edged, repeated, tiny or
+    straggling cloud."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "grid", "sphere", "repeated", "tiny", "stragglers"]))
+    kind = draw(st.sampled_from(["random", "grid", "sphere", "ulp", "repeated", "tiny", "stragglers"]))
     radius = draw(st.sampled_from([0.5, 0.25, 0.375, 1.0]))  # a grid of them is exact
     min_neighbors, k = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     box = ([5.0, -1.0, 1.0], [7.0, 1.0, 3.0])
@@ -144,6 +145,13 @@ def outlier_clouds(draw):
         u = rng.normal(size=(len(centres), rng.integers(1, 14), 3))
         u /= np.linalg.norm(u, axis=2, keepdims=True)
         points = np.concatenate([centres, (centres[:, None] + radius * u).reshape(-1, 3)])
+    elif kind == "ulp":  # points a radius along an axis from a few centres, or one float nearer or farther
+        centres = [6.0, 0.0, 2.0] + radius * rng.integers(-3, 4, (rng.integers(1, 6), 3)).astype(float)
+        near = np.repeat(centres, rng.integers(1, 10, len(centres)), axis=0)
+        rows, axis = np.arange(len(near)), rng.integers(0, 3, len(near))
+        edge = near[rows, axis] + radius * rng.choice([-1.0, 1.0], len(near))  # exact: a grid of radii
+        near[rows, axis] = np.nextafter(edge, edge + rng.integers(-1, 2, len(near)))
+        points = np.concatenate([centres, near])
     elif kind == "repeated":
         points = np.repeat(rng.uniform(*box, (rng.integers(1, 20), 3)), rng.integers(1, 8), axis=0)
     elif kind == "tiny":  # no more points than either filter's count
@@ -181,7 +189,7 @@ def test_detect_outlier_filters_equal_two_trees_and_brute_force_bit_for_bit(clou
 
 
 @pytest.mark.parametrize("cloud", ["scanned", "grid"])
-def test_detect_builds_one_tree_and_ball_counts_only_the_unsure_band(cloud, monkeypatch):
+def test_detect_builds_one_tree_and_makes_no_ball_query(cloud, monkeypatch):
     import scipy.spatial
 
     if cloud == "scanned":
@@ -191,10 +199,12 @@ def test_detect_builds_one_tree_and_ball_counts_only_the_unsure_band(cloud, monk
         points = 6.0 + 0.5 * np.mgrid[0:3, 0:4, 0:5].reshape(3, -1).T
         frame = make_frame(points, np.full(len(points), 200.0))
     params = FilterParams()
-    assert len(radius_outlier_removal(points, params.ror_radius, params.ror_min_neighbors)) == len(points)
+    kept = radius_outlier_removal(points, params.ror_radius, params.ror_min_neighbors)
+    assert len(kept) == len(points)
+    assert np.array_equal(kept, brute_ror(points, params.ror_radius, params.ror_min_neighbors))
     reach = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)[:, params.ror_min_neighbors]
-    unsure = np.count_nonzero(np.abs(reach - params.ror_radius) <= 1e-9 * params.ror_radius)
-    assert unsure == (0 if cloud == "scanned" else len(points))
+    at_radius = np.count_nonzero(np.abs(reach - params.ror_radius) <= 1e-9 * params.ror_radius)
+    assert at_radius == (0 if cloud == "scanned" else len(points))
     work = {"trees": 0, "ball_points": 0}
 
     class CountingTree(scipy.spatial.cKDTree):
@@ -208,7 +218,21 @@ def test_detect_builds_one_tree_and_ball_counts_only_the_unsure_band(cloud, monk
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     assert SignDetector(params, SENSOR).detect(frame) is not None
-    assert work == {"trees": 1, "ball_points": unsure}
+    assert work == {"trees": 1, "ball_points": 0}
+
+
+def test_ror_decides_by_the_squared_sum_where_the_square_root_rounds_to_the_radius():
+    from scipy.spatial import cKDTree
+
+    # their squared distance is 0.25000000000000006, whose square root rounds to 0.5
+    points = np.array([[6.0, 0.0, 2.0], [5.875188792770302, -0.47679741847250307, 1.9158193354277697]])
+    d = points[0] - points[1]
+    assert (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2] > 0.5 * 0.5
+    assert np.all(signs._neighbors(points, 2)[0][:, 1] <= 0.5)
+    assert cKDTree(points).query_ball_point(points, r=0.5, return_length=True).tolist() == [1, 1]
+    assert len(brute_ror(points, 0.5, 1)) == 0
+    assert len(radius_outlier_removal(points, 0.5, 1)) == 0
+    assert len(detect_filtered(points, FilterParams(ror_radius=0.5, ror_min_neighbors=1, min_sign_points=1))) == 0
 
 
 def plane_points(n=50, a=1.0, seed=0, offset=10.0):

@@ -108,11 +108,14 @@ def test_no_way_of_building_a_twist_command_skips_its_checks(valid, bad):
 @given(throttle=st.floats(), brake=st.floats(), steer=FINITE)
 @example(throttle=0.5, brake=0.5, steer=0.0)
 @example(throttle=math.inf, brake=0.0, steer=0.0)  # inf * 0 is nan, which is not 0
+@example(throttle=1e-200, brake=1e-200, steer=0.0)  # two pedals on whose product underflows to 0
 def test_no_way_of_building_an_actuator_command_skips_its_check(throttle, brake, steer):
     builds = (lambda: ActuatorCommand(throttle, brake, steer), lambda: ActuatorCommand._make((throttle, brake, steer)),
               lambda: ActuatorCommand(0.0, 0.0, steer)._replace(throttle=throttle, brake=brake))
+    # a command has one pedal at zero and the other a finite number
+    one_pedal = (throttle == 0.0 and math.isfinite(brake)) or (brake == 0.0 and math.isfinite(throttle))
     for build in builds:
-        if throttle * brake != 0.0:
+        if not one_pedal:
             with pytest.raises(ValueError, match="mutually exclusive"):
                 build()
         else:
