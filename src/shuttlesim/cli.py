@@ -49,7 +49,7 @@ def _open_outputs(*paths):
 
 @contextmanager
 def _naming(path):
-    """Prefix the file to errors of an input that loaded but cannot be used."""
+    """Prefix the file, or the flag, to errors of an input that loaded but cannot be used."""
     try:
         yield
     except ValueError as exc:
@@ -59,7 +59,8 @@ def _naming(path):
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        with _naming("--seed"):
+            scenario = replace(scenario, seed=args.seed)
     sign_log = [] if args.sign_log else None
     grid_dump = [] if args.grid_dump else None
     with _naming(args.scenario):

@@ -266,16 +266,10 @@ class Simulation:
                 for (cx, cy), lo, hi in zip(g.centers.tolist(), g.min_z.tolist(), g.max_z.tolist()):
                     self.grid_dump.append(f"{t!r},{cx!r},{cy!r},{lo!r},{hi!r}")
 
-            rows.append(
-                LogRow(
-                    t=t, x=self.state.x, y=self.state.y, heading=self.state.heading,
-                    v=self.state.speed, omega=self.state.yaw_rate,
-                    throttle=act.throttle, brake=act.brake, steer=act.steer,
-                    cte=cte, obstacle_d=obstacle_d, sign_d=sign_d, sign_n=sign_n,
-                    display=display.value, source=selected.source,
-                    sign_stop_d=sign_stop_d,
-                )
-            )
+            # in field order, positionally: keyword arguments take twice as long
+            rows.append(LogRow(t, self.state.x, self.state.y, self.state.heading, self.state.speed,
+                               self.state.yaw_rate, act.throttle, act.brake, act.steer, cte, obstacle_d,
+                               sign_d, sign_n, display.value, selected.source, sign_stop_d))
 
             self.state = step_plant(
                 self.state, cfg.vehicle, act.throttle, act.brake,

@@ -86,12 +86,6 @@ def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -
     return columns, ground
 
 
-@functools.lru_cache(maxsize=4)
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each ray's best range and a ray mask, written over by every sweep of ``n`` rays."""
-    return np.empty(n), np.empty(n, dtype=bool)
-
-
 def _wedge(center, radius, n_az, step, rings=16) -> np.ndarray:
     """Indices of the rays of the first ``rings`` rings aimed within two
     azimuth steps of the wedge that a circle on the ground, centred at
@@ -162,9 +156,8 @@ def scan(
     object is cast against all rays: the casts are elementwise, so a ray's
     bits do not depend on the rays cast with it. The pedestrians stand at
     ``positions``, (P, 2) in ``world.pedestrians`` order, or at their starts
-    when it is None. Sweeps of one ray count share their scratch arrays
-    (``_scratch``), so two threads must not scan at once; the returned frame
-    is always new.
+    when it is None. Nothing is kept between calls: every array a sweep
+    writes is its own, and the returned frame is always new.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
@@ -186,8 +179,7 @@ def scan(
         rows = _wedge(center, radius, len(ground) // 16, step, 8 if top < h else 16)
         return rows, *(column[rows] for column in columns)
 
-    t_best, kept = _scratch(len(ground))
-    np.copyto(t_best, ground)
+    t_best = ground.copy()
 
     for box in world.obstacles:
         rows, x, y, z = wedge(to_sensor(box.center[0] - sx, box.center[1] - sy), math.hypot(*box.size) / 2,
@@ -238,18 +230,15 @@ def scan(
         # retroreflective sheeting only on the front face
         lit.append((rows[won], np.where(denom[won] < 0.0, sign.intensity, config.background_intensity)))
 
-    np.isfinite(t_best, out=kept)
+    kept = np.isfinite(t_best)
     if config.range_jitter > 0.0:
         t_best[kept] += rng.normal(0.0, config.range_jitter, np.count_nonzero(kept))
     kept &= t_best <= config.max_range
     keep = np.flatnonzero(kept)
     # mount + t * dir, one contiguous row per axis; the frame holds the (N, 3) transpose
-    t_keep = t_best[keep]
-    points = np.empty((3, len(keep)))
-    for row, column, mount in zip(points, columns, (params.lidar_offset_x, 0.0, h)):
-        np.take(column, keep, out=row, mode="clip")  # keep is in range: no checked copy
-        row *= t_keep
-        row += mount
+    points = np.take(columns, keep, axis=1)
+    points *= t_best[keep]
+    points += np.array([[params.lidar_offset_x], [0.0], [h]])
     intensity = np.full(len(keep), config.background_intensity)
     for rows, value in lit:  # in cast order: a later sign overrides
         on = kept[rows]

@@ -66,22 +66,11 @@ def _cells(x: np.ndarray, y: np.ndarray, z: np.ndarray, which: np.ndarray,
            params: GridParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major cell index and height of each binned point, one below the roof
     and inside the n x n grid, among the points ``which`` picks."""
-    # row and column as whole floats, in place in the picked copies, so that
-    # binning a whole sweep makes few temporaries (see ``Simulation._sense``)
-    i = x[which]
-    i += params.extent
-    i /= params.cell_size
-    np.floor(i, out=i)
-    j = y[which]
-    j += params.extent
-    j /= params.cell_size
-    np.floor(j, out=j)
+    i = np.floor((x[which] + params.extent) / params.cell_size)  # row and column as whole floats
+    j = np.floor((y[which] + params.extent) / params.cell_size)
     z = z[which]
     binned = (z <= params.roof_height) & (i >= 0) & (i < n) & (j >= 0) & (j < n)
-    i *= n
-    i += j  # a binned cell's row-major index, below n * n, so exact
-    del j
-    return i[binned].astype(int), z[binned]
+    return (i * n + j)[binned].astype(int), z[binned]  # row-major: below n * n, so exact
 
 
 def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:

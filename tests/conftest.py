@@ -64,17 +64,13 @@ SMALL_WORLDS = st.builds(WorldModel, *(st.lists(kind, max_size=3).map(tuple) for
 
 
 def brute_ror(points, radius=0.5, min_neighbors=3):
-    keep = []
-    for i, p in enumerate(points):
-        n = 0
-        for j, q in enumerate(points):
-            dx, dy, dz = p - q
-            # squared, summed in the order of a KD-tree's ball count, so ties at the radius agree
-            if i != j and (dx * dx + dy * dy) + dz * dz <= radius * radius:
-                n += 1
-        if n >= min_neighbors:
-            keep.append(i)
-    return points[keep]
+    """Keep the points with at least ``min_neighbors`` others within ``radius``,
+    deciding every pair of the (n, n) difference matrix."""
+    dx, dy, dz = np.moveaxis(points[:, None, :] - points[None, :, :], -1, 0)
+    # squared, summed in the order of a KD-tree's ball count, so ties at the radius agree
+    near = (dx * dx + dy * dy) + dz * dz <= radius * radius
+    np.fill_diagonal(near, False)
+    return points[np.count_nonzero(near, axis=1) >= min_neighbors]
 
 
 def brute_sor(points, k=8, stddev_mult=1.0):
@@ -130,25 +126,24 @@ def brute_force_cte(route, state):
 
 
 def reference_grid(points, params):
-    """Bin each point into a dict of cell -> z values; return the grid's
-    (occupied, centers, min_z, max_z) as ``build_grid`` lays them out."""
+    """Bin every point by its row and column, then sort and group by cell;
+    return the grid's (occupied, centers, min_z, max_z) as ``build_grid`` lays them out."""
     n = int(round(2 * params.extent / params.cell_size))
-    cells = {}
-    for x, y, z in points:
-        if z > params.roof_height:
-            continue
-        i = math.floor((x + params.extent) / params.cell_size)
-        j = math.floor((y + params.extent) / params.cell_size)
-        if 0 <= i < n and 0 <= j < n:
-            cells.setdefault((i, j), []).append(z)
-    kept = sorted(cell for cell, zs in cells.items()
-                  if len(zs) >= params.min_cell_points and max(zs) - min(zs) > params.height_threshold)
-    occupied = np.zeros((n, n), dtype=bool)
-    for cell in kept:
-        occupied[cell] = True
-    centers = np.array([[(k + 0.5) * params.cell_size - params.extent for k in cell] for cell in kept])
-    return (occupied, centers.reshape(-1, 2), np.array([min(cells[c]) for c in kept]),
-            np.array([max(cells[c]) for c in kept]))
+    x, y, z = points.T
+    i = np.floor((x + params.extent) / params.cell_size)
+    j = np.floor((y + params.extent) / params.cell_size)
+    binned = (z <= params.roof_height) & (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    cell, z = (i * n + j)[binned].astype(int), z[binned]
+    order = np.argsort(cell)
+    cell, z = cell[order], z[order]
+    cells, starts, counts = np.unique(cell, return_index=True, return_counts=True)
+    min_z, max_z = np.minimum.reduceat(z, starts), np.maximum.reduceat(z, starts)
+    kept = (counts >= params.min_cell_points) & (max_z - min_z > params.height_threshold)
+    cells = cells[kept]
+    occupied = np.zeros(n * n, dtype=bool)
+    occupied[cells] = True
+    centers = (np.stack(np.divmod(cells, n), axis=1) + 0.5) * params.cell_size - params.extent
+    return occupied.reshape(n, n), centers.reshape(-1, 2), min_z[kept], max_z[kept]
 
 
 def reference_report(grid, corridor):

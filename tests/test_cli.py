@@ -191,6 +191,14 @@ def test_compile_path_rejects_bad_speed_naming_the_flag(tmp_path, capsys, speed)
     assert not list(tmp_path.glob("*.waypoints"))
 
 
+def test_run_rejects_a_negative_seed_naming_the_flag(tmp_path, straight_waypoints, capsys):
+    scenario = write_scenario(tmp_path, straight_waypoints)
+    log = tmp_path / "run.log"
+    assert main(["run", str(scenario), "--seed", "-1", "--log", str(log)]) == 1
+    assert capsys.readouterr().err == "error: --seed: seed must be >= 0, got -1\n"
+    assert not log.exists()
+
+
 BAD_SCENARIOS = [
     # (scenario text, the key path and message the error must show)
     ("duration: [broken", "invalid YAML (line 2)"),

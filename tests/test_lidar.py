@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -298,6 +301,41 @@ def test_successive_scans_share_no_memory():
         for b in (second.points, second.intensity):
             assert not np.shares_memory(a, b)
     assert np.array_equal(first.points, kept[0]) and np.array_equal(first.intensity, kept[1])
+
+
+def test_threads_scanning_at_once_get_the_sequential_frames_bit_for_bit():
+    """Four threads, each scanning its own world and pose 25 times with its
+    own generators, get the frames a sequential scan gives, bit for bit."""
+    config = replace(CONFIG, range_jitter=0.01)
+    rng = np.random.default_rng(11)
+    scenes = [(WorldModel(obstacles=(random_box(rng, rng.uniform(-15, 15, 2)),),
+                          pedestrians=(random_pedestrian(rng, rng.uniform(-15, 15, 2)),),
+                          signs=(random_sign(rng, rng.uniform(-15, 15, 2)),)),
+               VehicleState(x=float(rng.uniform(-5, 5)), y=float(rng.uniform(-5, 5)),
+                            heading=float(rng.uniform(-math.pi, math.pi))))
+              for _ in range(4)]
+
+    def sweeps(world, state):
+        return [scan(world, state, PARAMS, config, np.random.default_rng(seed)) for seed in range(25)]
+
+    expected = [sweeps(*scene) for scene in scenes]
+    start = threading.Barrier(len(scenes), timeout=60)
+
+    def together(scene):
+        start.wait()
+        return sweeps(*scene)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' sweeps finely
+    try:
+        with ThreadPoolExecutor(max_workers=len(scenes)) as pool:
+            got = list(pool.map(together, scenes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for frames, wanted in zip(got, expected):
+        for frame, want in zip(frames, wanted, strict=True):
+            assert np.array_equal(frame.points, want.points)
+            assert np.array_equal(frame.intensity, want.intensity)
 
 
 def test_sensor_frame_cast_matches_world_frame_cast_on_random_worlds():
