@@ -7,17 +7,15 @@ return the retroreflective intensity; everything else returns the background
 value. The cone under the mount that no beam reaches is the sensor's blind
 spot, which emerges from the geometry rather than any special casing.
 
-A sweep is cast in the sensor frame. The ray directions and each ray's ground
-range are computed once per azimuth step, mount height and minimum range;
-each sweep moves the few objects into the sensor frame instead of turning
-every ray into the world, draws range jitter only for the rays that return,
-and its points come out as ``mount + t * direction``, one contiguous row per
-axis, so that the height map and the sign crop read x, y or z without
-striding. Each object is cast only on the rays that can reach it: the
-azimuth wedge of its bounding circle, and of that only the 8 downward rings
-for a box or pedestrian whose top is below the mount. Every cast is
-elementwise arithmetic on the rays' direction components, so a ray's range
-and intensity do not depend on which rays are cast with it.
+A sweep is cast in the sensor frame, on ray directions and ground ranges
+computed once per azimuth step, mount height and minimum range: each sweep
+moves the few objects into that frame and casts each one only on the rays
+that can reach it, with elementwise arithmetic. The rays are stored ring by
+ring, so those that return the ground are one block, and a cast only lowers
+a range, so the few other rays that return lie before or after it. Range
+jitter is drawn only for the rays that return, and the points come out as
+``mount + t * direction`` from slices of the block and a short list of the
+others, one contiguous row per axis for the height map and the sign crop.
 """
 
 from __future__ import annotations
@@ -62,12 +60,12 @@ class LidarFrame:
 
 
 @functools.lru_cache(maxsize=4)
-def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -> tuple[np.ndarray, np.ndarray]:
+def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -> tuple[np.ndarray, np.ndarray, int]:
     """The sweep's rays in sensor frame, ring by ring, each ring from azimuth
     0 in steps of ``azimuth_step_deg``: their unit directions as a contiguous
-    (3, N) array of x, y and z rows, and each ray's range to the ground
-    (``inf`` for a ray that never reaches it, or reaches it within
-    ``min_range``).
+    (3, N) array of x, y and z rows, each ray's range to the ground (``inf``
+    for a ray that never reaches it, or only within ``min_range``), and the
+    ``start`` of ``[start, N // 2)``, the block of the rays that do reach it.
 
     The arrays are read-only: every sweep with these settings shares them.
     """
@@ -83,7 +81,7 @@ def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -
     ground[ground <= min_range] = np.inf
     for table in (columns, ground):
         table.flags.writeable = False
-    return columns, ground
+    return columns, ground, len(ground) // 2 - np.count_nonzero(np.isfinite(ground))
 
 
 def _wedge(center, radius, n_az, step, rings=16) -> np.ndarray:
@@ -147,22 +145,22 @@ def scan(
 ) -> LidarFrame:
     """Cast one full sweep and return the hits in vehicle coordinates.
 
-    Rays are cast in the sensor frame, from the sensor at the origin, and the
-    objects are moved into that frame. Each box, pedestrian and sign is cast
-    only against the rays in the azimuth wedge of its bounding circle
-    (``_wedge``), and a box or pedestrian whose top is below the mount only
-    against the 8 downward rings of that wedge, since an upward ray stays
-    above the mount. Every ray gets the same range and intensity as when each
-    object is cast against all rays: the casts are elementwise, so a ray's
-    bits do not depend on the rays cast with it. The pedestrians stand at
-    ``positions``, (P, 2) in ``world.pedestrians`` order, or at their starts
-    when it is None. Nothing is kept between calls: every array a sweep
-    writes is its own, and the returned frame is always new.
+    Each box, pedestrian and sign is cast only against the rays in the azimuth
+    wedge of its bounding circle (``_wedge``), and a box or pedestrian whose
+    top is below the mount only against that wedge's 8 downward rings, since
+    an upward ray stays above the mount. The casts are elementwise, so a ray's
+    bits do not depend on the rays cast with it. The returning rays are the
+    ground block, taken by slices, and a sorted list of the others: one jitter
+    draw is added to them in ray order, and the frame is the block's leading
+    run within ``max_range`` with the list's kept rays on either side, the
+    bytes of one draw and one gather over the whole sweep. The pedestrians
+    stand at ``positions``, (P, 2) in ``world.pedestrians`` order, or at their
+    starts when it is None. Nothing is kept between calls: each frame is new.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
     h = params.lidar_mount_height
-    columns, ground = _ray_table(config.azimuth_step_deg, h, config.min_range)
+    columns, ground, start = _ray_table(config.azimuth_step_deg, h, config.min_range)
     step = math.radians(config.azimuth_step_deg)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     # the sensor's world position on the ground plane
@@ -230,17 +228,29 @@ def scan(
         # retroreflective sheeting only on the front face
         lit.append((rows[won], np.where(denom[won] < 0.0, sign.intensity, config.background_intensity)))
 
-    kept = np.isfinite(t_best)
-    if config.range_jitter > 0.0:
-        t_best[kept] += rng.normal(0.0, config.range_jitter, np.count_nonzero(kept))
-    kept &= t_best <= config.max_range
-    keep = np.flatnonzero(kept)
+    stop = len(ground) // 2  # the ground block is [start, stop); only a cast makes a ray outside it return
+    before, after = np.flatnonzero(np.isfinite(t_best[:start])), stop + np.flatnonzero(np.isfinite(t_best[stop:]))
+    if config.range_jitter > 0.0:  # one draw over the finite rays, added in ray order
+        noise = rng.normal(0.0, config.range_jitter, len(before) + stop - start + len(after))
+        t_best[before] += noise[:len(before)]
+        t_best[start:stop] += noise[len(before):len(noise) - len(after)]
+        t_best[after] += noise[len(noise) - len(after):]
+    beyond = t_best[start:stop] > config.max_range
+    cut = start + int(beyond.argmax()) if beyond.any() else stop
+    rest = np.concatenate([before, cut + np.flatnonzero(~beyond[cut - start:]), after])
+    rest = rest[t_best[rest] <= config.max_range]  # the kept rays outside the leading run [start, cut)
+
+    def place(rows):  # the frame columns of the kept rays ``rows``
+        return np.searchsorted(rest, rows) + np.maximum(np.minimum(rows, cut) - start, 0)
     # mount + t * dir, one contiguous row per axis; the frame holds the (N, 3) transpose
-    points = np.take(columns, keep, axis=1)
-    points *= t_best[keep]
+    points = np.empty((3, len(rest) + cut - start))
+    head = np.searchsorted(rest, start)
+    np.multiply(columns[:, start:cut], t_best[start:cut], out=points[:, head:head + cut - start])
+    if len(rest):
+        points[:, place(rest)] = np.take(columns, rest, axis=1) * t_best[rest]
     points += np.array([[params.lidar_offset_x], [0.0], [h]])
-    intensity = np.full(len(keep), config.background_intensity)
+    intensity = np.full(points.shape[1], config.background_intensity)
     for rows, value in lit:  # in cast order: a later sign overrides
-        on = kept[rows]
-        intensity[np.searchsorted(keep, rows[on])] = value[on]
+        on = t_best[rows] <= config.max_range
+        intensity[place(rows[on])] = value[on]
     return LidarFrame(points.T, intensity)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from shuttlesim.arbiter import _PRIORITY, Source, SpeedCommand
-from shuttlesim.lidar import _ray_table
+from shuttlesim.lidar import LidarFrame, _ray_table
 from shuttlesim.obstacles import (
     SLOWDOWN_STOP_DISTANCE,
     ObstacleReport,
@@ -262,6 +263,20 @@ def reference_scan(world, state, params, config, rng=None):
     keep = returned & (t_best <= config.max_range)
     mount = np.array([params.lidar_offset_x, 0.0, h])
     return mount + t_best[keep, None] * dirs[keep], intensity[keep]
+
+
+def reference_scan_walked(world, state, params, config, rng=None, positions=None):
+    """``reference_scan`` called as ``Simulation`` calls ``scan``: on the world
+    rebuilt with each pedestrian at ``positions``, returning a frame."""
+    if positions is not None:
+        world = replace(world, pedestrians=tuple(replace(p, position=tuple(xy))
+                                                 for p, xy in zip(world.pedestrians, positions.tolist(), strict=True)))
+    return LidarFrame(*reference_scan(world, state, params, config, rng))
+
+
+# Each fast path that ``shuttlesim.harness`` calls, by its name there, and the
+# oracle that must give the closed loop the same bytes in its place.
+HARNESS_ORACLES = {"scan": reference_scan_walked}
 
 
 def reference_scan_world(world, state, params, config):

@@ -27,7 +27,7 @@ from shuttlesim.scenario import (
 )
 from shuttlesim.waypoints import compile_path, load_trace, save_trace, save_waypoints
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
-from tests.conftest import SCENARIO_DIR, SMALL_WORLDS
+from tests.conftest import HARNESS_ORACLES, SCENARIO_DIR, SMALL_WORLDS
 
 
 BOX_AND_SIGN = WorldModel(
@@ -58,6 +58,26 @@ def test_deterministic_logs_same_seed(straight_waypoints):
     text_a = "\n".join(r.format() for r in rows_a)
     text_b = "\n".join(r.format() for r in rows_b)
     assert text_a == text_b
+
+
+def test_demo_on_the_oracles_writes_the_fast_runs_log_sign_log_and_grid_dump(monkeypatch):
+    from dataclasses import replace
+
+    import shuttlesim.harness as harness
+
+    # 30 s still holds the pedestrian crossing and the sign stop
+    scenario = replace(load_scenario(SCENARIO_DIR / "demo.yaml"), duration=30.0)
+
+    def outputs():
+        sign_log, grid_dump = [], []
+        _, rows = Simulation(scenario, sign_log, grid_dump).run()
+        return "\n".join(row.format() for row in rows), "\n".join(sign_log), "\n".join(grid_dump)
+
+    fast = outputs()
+    assert all(fast)
+    for name, oracle in HARNESS_ORACLES.items():
+        monkeypatch.setattr(harness, name, oracle)
+    assert outputs() == fast
 
 
 def test_different_seed_changes_log(straight_waypoints):

@@ -190,10 +190,12 @@ def random_sign(rng, center):
 
 
 def assert_scan_matches_reference(world, state, config, seed=0):
-    frame = scan(world, state, PARAMS, config, rng=np.random.default_rng(seed))
-    points, intensity = reference_scan(world, state, PARAMS, config, rng=np.random.default_rng(seed))
+    fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    frame = scan(world, state, PARAMS, config, rng=fast_rng)
+    points, intensity = reference_scan(world, state, PARAMS, config, rng=reference_rng)
     assert np.array_equal(frame.points, points)
     assert np.array_equal(frame.intensity, intensity)
+    assert fast_rng.random() == reference_rng.random()  # both leave the generator at the same point
     return frame
 
 
@@ -288,6 +290,49 @@ def test_scan_intensity_of_rays_another_cast_takes_matches_reference(name, jitte
         frame = scan(world, VehicleState(), PARAMS, replace(config, range_jitter=0.0))
         assert 0 < np.count_nonzero(frame.intensity == sign.intensity) < np.count_nonzero(
             alone.intensity == sign.intensity)
+
+
+NARROW = LidarConfig(min_range=9.0, max_range=30.0)  # no ground on rings -15 and -13, nor on -3 (38.2 m) and -1
+
+
+def rings_of(points):
+    """The elevation ring, in degrees, that each point was returned on."""
+    ray = points - (PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height)
+    return np.rint(np.degrees(np.arcsin(ray[:, 2] / np.linalg.norm(ray, axis=1)))).astype(int)
+
+
+# Worlds whose returns under ``NARROW`` are not one run of ground rays: (world,
+# the rings that must return, the rings a sign must light). Ring -13 lies before
+# the ground block, -3 and -1 in it but past ``max_range``, and +1 and +3 after it.
+SCATTERED_RETURNS = {
+    "a box and a pedestrian taller than the mount": (
+        WorldModel(obstacles=(BoxObstacle(center=(PARAMS.lidar_offset_x + 15.0, 2.0), size=(1.0, 1.0),
+                                          height=3.0),),
+                   pedestrians=(Pedestrian(position=(PARAMS.lidar_offset_x + 12.0, -2.0), height=2.5),)),
+        {-3, -1, 1, 3}, set()),
+    "a sign that dips below the ground": (
+        WorldModel(signs=(SignSpec(center=(PARAMS.lidar_offset_x + 9.5, 0.0, 0.5), normal=(-1.0, 0.0, 0.0),
+                                   width=1.0, height=1.5),)),
+        {-13}, {-13}),
+    "a sign lit inside the ground block and after it": (
+        WorldModel(signs=(SignSpec(center=(PARAMS.lidar_offset_x + 12.0, 0.0, 1.5), normal=(-1.0, 0.0, 0.0),
+                                   width=1.0, height=2.0),)),
+        {-5, -1, 1}, {-5, -1, 1}),
+}
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.01])
+@pytest.mark.parametrize("name", SCATTERED_RETURNS)
+def test_scan_matches_reference_where_the_returns_are_not_one_block(name, jitter):
+    world, returning, lit = SCATTERED_RETURNS[name]
+    config = replace(NARROW, range_jitter=jitter)
+    for seed in range(3):
+        frame = assert_scan_matches_reference(world, VehicleState(), config, seed=seed)
+        rings = rings_of(frame.points)
+        assert returning <= set(rings.tolist())
+        assert lit <= set(rings[frame.intensity == 200.0].tolist())
+    ground = rings_of(scan(WorldModel(), VehicleState(), PARAMS, NARROW).points)
+    assert set(ground.tolist()) == {-11, -9, -7, -5}
 
 
 def test_successive_scans_share_no_memory():
