@@ -12,10 +12,10 @@ computed once per azimuth step, mount height and minimum range: each sweep
 moves the few objects into that frame and casts each one only on the rays
 that can reach it, with elementwise arithmetic. The rays are stored ring by
 ring, so those that return the ground are one block, and a cast only lowers
-a range, so the few other rays that return lie before or after it. Range
-jitter is drawn only for the rays that return, and the points come out as
-``mount + t * direction`` from slices of the block and a short list of the
-others, one contiguous row per axis for the height map and the sign crop.
+a range, so the few other rays that return lie before or after it. A ray is
+kept when its true range is within ``max_range``, and only kept rays draw
+range jitter. The points come out as ``mount + t * direction`` from slices of
+the block and a short list of the others, one contiguous row per axis.
 """
 
 from __future__ import annotations
@@ -149,11 +149,11 @@ def scan(
     wedge of its bounding circle (``_wedge``), and a box or pedestrian whose
     top is below the mount only against that wedge's 8 downward rings, since
     an upward ray stays above the mount. The casts are elementwise, so a ray's
-    bits do not depend on the rays cast with it. The returning rays are the
-    ground block, taken by slices, and a sorted list of the others: one jitter
-    draw is added to them in ray order, and the frame is the block's leading
-    run within ``max_range`` with the list's kept rays on either side, the
-    bytes of one draw and one gather over the whole sweep. The pedestrians
+    bits do not depend on the rays cast with it. A ray is kept when its
+    un-jittered range is within ``max_range``: the kept rays are the block's
+    leading run, taken by slices, and a sorted list of the others on either
+    side. One jitter draw is added to them in ray order, so the frame is the
+    returns the sensor can reach, each with one noise sample. The pedestrians
     stand at ``positions``, (P, 2) in ``world.pedestrians`` order, or at their
     starts when it is None. Nothing is kept between calls: each frame is new.
     """
@@ -224,33 +224,32 @@ def scan(
         normal = (*to_sensor(sign.normal[0], sign.normal[1]), sign.normal[2])
         rows, x, y, z = wedge((cx, cy), math.hypot(sign.width, sign.height) / 2)
         t_pl, hit, denom = _sign_hits(sign, (cx, cy, sign.center[2] - h), normal, x, y, z, config.min_range)
-        won = _update_hits(t_best, rows, t_pl, hit)
+        # a hit beyond max_range is dropped, and it can only hide one farther still
+        won = _update_hits(t_best, rows, t_pl, hit & (t_pl <= config.max_range))
         # retroreflective sheeting only on the front face
         lit.append((rows[won], np.where(denom[won] < 0.0, sign.intensity, config.background_intensity)))
 
-    stop = len(ground) // 2  # the ground block is [start, stop); only a cast makes a ray outside it return
-    before, after = np.flatnonzero(np.isfinite(t_best[:start])), stop + np.flatnonzero(np.isfinite(t_best[stop:]))
-    if config.range_jitter > 0.0:  # one draw over the finite rays, added in ray order
-        noise = rng.normal(0.0, config.range_jitter, len(before) + stop - start + len(after))
-        t_best[before] += noise[:len(before)]
-        t_best[start:stop] += noise[len(before):len(noise) - len(after)]
-        t_best[after] += noise[len(noise) - len(after):]
-    beyond = t_best[start:stop] > config.max_range
-    cut = start + int(beyond.argmax()) if beyond.any() else stop
-    rest = np.concatenate([before, cut + np.flatnonzero(~beyond[cut - start:]), after])
-    rest = rest[t_best[rest] <= config.max_range]  # the kept rays outside the leading run [start, cut)
+    # the kept rays: the block up to ``cut`` (its ground ranges rise, and a cast
+    # only lowers one) and the sorted list ``rest`` of the others within max_range
+    cut = start + int(np.searchsorted(ground[start:], config.max_range, side="right"))
+    rest = np.concatenate([np.flatnonzero(t_best[:start] <= config.max_range),
+                           cut + np.flatnonzero(t_best[cut:] <= config.max_range)])
+    head = np.searchsorted(rest, start)
+    if config.range_jitter > 0.0:  # one draw over the kept rays, added in ray order
+        noise = rng.normal(0.0, config.range_jitter, len(rest) + cut - start)
+        t_best[rest[:head]] += noise[:head]
+        t_best[start:cut] += noise[head:head + cut - start]
+        t_best[rest[head:]] += noise[head + cut - start:]
 
     def place(rows):  # the frame columns of the kept rays ``rows``
         return np.searchsorted(rest, rows) + np.maximum(np.minimum(rows, cut) - start, 0)
     # mount + t * dir, one contiguous row per axis; the frame holds the (N, 3) transpose
     points = np.empty((3, len(rest) + cut - start))
-    head = np.searchsorted(rest, start)
     np.multiply(columns[:, start:cut], t_best[start:cut], out=points[:, head:head + cut - start])
     if len(rest):
         points[:, place(rest)] = np.take(columns, rest, axis=1) * t_best[rest]
     points += np.array([[params.lidar_offset_x], [0.0], [h]])
     intensity = np.full(points.shape[1], config.background_intensity)
     for rows, value in lit:  # in cast order: a later sign overrides
-        on = t_best[rows] <= config.max_range
-        intensity[place(rows[on])] = value[on]
+        intensity[place(rows)] = value
     return LidarFrame(points.T, intensity)

@@ -38,9 +38,7 @@ MAX_GRID_CELLS = 1000  # cells a side; every sweep allocates one n x n bool tabl
 @dataclass(frozen=True)
 class GridParams:
     cell_size: Positive = 0.25
-    # must cover the corridor's reach: 15 m ahead of the bumper, which sits
-    # front_overhang beyond the grid's vehicle-centred origin
-    extent: Positive = 20.0  # grid covers +-extent around the vehicle, m
+    extent: Positive = 20.0  # grid covers +-extent around the vehicle, m; at least the corridor's reach
     height_threshold: NonNegative = 0.07
     roof_height: Positive = 2.1  # points above this are overhead structure
     min_cell_points: NonNegative = 2  # a spread needs at least one point pair

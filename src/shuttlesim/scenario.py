@@ -120,6 +120,9 @@ class ScenarioConfig:
         if self.lidar.background_intensity >= self.sign_filter.min_intensity:
             raise ScenarioError(f"lidar: background_intensity must be below sign_filter.min_intensity "
                                 f"({self.sign_filter.min_intensity!r}), got {self.lidar.background_intensity!r}")
+        reach = self.vehicle.front_overhang + self.corridor.length + self.vehicle.half_width + self.corridor.clearance
+        if self.grid.extent < reach:  # the height map must hold every cell the corridor can take
+            raise ScenarioError(f"grid: extent must cover the corridor's reach ({reach:g}), got {self.grid.extent!r}")
 
     @property
     def dt(self) -> float:

@@ -11,6 +11,7 @@ from shuttlesim.lidar import LidarFrame, _ray_table
 from shuttlesim.obstacles import (
     SLOWDOWN_STOP_DISTANCE,
     ObstacleReport,
+    OccupancyGrid,
     corridor_membership,
     speed_limit_for_distance,
 )
@@ -257,10 +258,9 @@ def reference_scan(world, state, params, config, rng=None):
         update(t_pl, valid & on_face & (t_pl > config.min_range),
                np.where(denom < 0.0, sign.intensity, config.background_intensity))
 
-    returned = np.isfinite(t_best)
+    keep = t_best <= config.max_range  # by the true range; then only the kept rays draw jitter
     if config.range_jitter > 0.0:
-        t_best[returned] += rng.normal(0.0, config.range_jitter, np.count_nonzero(returned))
-    keep = returned & (t_best <= config.max_range)
+        t_best[keep] += rng.normal(0.0, config.range_jitter, np.count_nonzero(keep))
     mount = np.array([params.lidar_offset_x, 0.0, h])
     return mount + t_best[keep, None] * dirs[keep], intensity[keep]
 
@@ -276,7 +276,13 @@ def reference_scan_walked(world, state, params, config, rng=None, positions=None
 
 # Each fast path that ``shuttlesim.harness`` calls, by its name there, and the
 # oracle that must give the closed loop the same bytes in its place.
-HARNESS_ORACLES = {"scan": reference_scan_walked}
+HARNESS_ORACLES = {
+    "scan": reference_scan_walked,
+    "build_grid": lambda frame, params: OccupancyGrid(*reference_grid(frame.points, params)),
+    "modify_speed": replace_modify_speed,
+    "select": replace_select,
+    "cross_track_error": brute_force_cte,
+}
 
 
 def reference_scan_world(world, state, params, config):
@@ -345,7 +351,7 @@ def reference_scan_world(world, state, params, config):
         update(t_pl, valid & on_face & (t_pl > config.min_range),
                np.where(denom < 0.0, sign.intensity, config.background_intensity))
 
-    keep = np.isfinite(t_best) & (t_best <= config.max_range)
+    keep = t_best <= config.max_range
     pts_world = origin + t_best[keep, None] * dirs[keep]
     return (pts_world - np.array([state.x, state.y, 0.0])) @ rot, intensity[keep]
 

@@ -242,6 +242,9 @@ BAD_SCENARIOS = [
      "lidar: background_intensity must be below sign_filter.min_intensity (85.0), got 85.0"),
     ("vehicle: {panic_brake_pedal: 0}", "vehicle: panic_brake_pedal must be within (0, 1], got 0.0"),
     ("grid: {roof_height: -1}", "grid: roof_height must be positive, got -1.0"),
+    # a corridor longer than the height map would never see the obstacles past the map's edge
+    ("corridor: {length: 30}", "grid: extent must cover the corridor's reach (34.35), got 20.0"),
+    ("grid: {extent: 19.3}", "grid: extent must cover the corridor's reach (19.35), got 19.3"),
     ("manual_stops: [{t: 0.1, duration: -5}]", "manual_stops[0]: duration must be positive, got -5.0"),
     # finite but huge: unless rejected at load, each overflows in lidar.scan
     ("start: {x: 1e300}", "start: x must be within [-1e8, 1e8], got 1e+300"),
@@ -460,19 +463,27 @@ def test_shipped_demo_writes_its_recorded_bytes(tmp_path, capsys):
     assert main(["run", str(SCENARIO_DIR / "demo.yaml"), *options]) == 0
     digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in outputs.items()}
     assert digests == {
-        "log": "8d1fe62784baf8548269270a2ee92c57c7ecde4c82cbab23a49a5173c3c0ed54",
-        "sign-log": "522c8565630b638e712fcebe23315195cded1c68e2f882201827a2e9069dc2a0",
-        "grid-dump": "11cc5db7e0b6ebd95236bcfdc464557a1eb256da3baff1af011fa57ea0a1400f",
+        "log": "f9224b5c1de3b15e817ad6da8de95153c45e6533ecccc96a62ccb22fa2f2517e",
+        "sign-log": "0a11f31fe839e689e89eb53ea1d978c1f33e32ba79096ba700fe953ba1879112",
+        "grid-dump": "78b705902261449eeefd570e316f54f38e579da145df4d31ca0e3887b495f785",
     }
 
 
-def test_demo_at_a_narrow_lidar_range_writes_its_recorded_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("lidar, recorded", [
     # rings -15 and -13 reach the ground inside min_range and -3 and -1 beyond max_range, so the
-    # sweep's returns are not one run of rays; the sign log is not pinned: its plane components
-    # depend on the CPU's BLAS kernel
+    # sweep's returns are not one run of rays
+    ("lidar: {range_jitter: 0.01, min_range: 9.0, max_range: 30.0}",
+     {"log": "711e97b14879c02de723d559bdae96b3dc420ed88ffe2f4da878c6bd32206d46",
+      "grid-dump": "810c81717f9cafeec24c64dba483d504de9b5a5532f787c890a4488c2accbd09"}),
+    # without jitter nothing is drawn, so cutting at max_range before the draw changes no byte
+    ("lidar: {range_jitter: 0.0}",
+     {"log": "7990f488842fe58520dcee9df5cf955580f353a3dc4ee62c5a48e2e594e87459",
+      "grid-dump": "487590dc20f5454b16cf7d3aebc71357906b30bfb59011a44c75943dca507370"}),
+], ids=["narrow", "jitter-free"])
+def test_demo_at_a_narrow_lidar_range_writes_its_recorded_bytes(tmp_path, capsys, lidar, recorded):
+    # the sign log is not pinned: its plane components depend on the CPU's BLAS kernel
     text = (SCENARIO_DIR / "demo.yaml").read_text()
-    narrow = text.replace("lidar: {range_jitter: 0.01}",
-                          "lidar: {range_jitter: 0.01, min_range: 9.0, max_range: 30.0}")
+    narrow = text.replace("lidar: {range_jitter: 0.01}", lidar)
     assert narrow != text
     (tmp_path / "demo.yaml").write_text(narrow)
     (tmp_path / "straight_3mps.waypoints").write_bytes((SCENARIO_DIR / "straight_3mps.waypoints").read_bytes())
@@ -480,7 +491,4 @@ def test_demo_at_a_narrow_lidar_range_writes_its_recorded_bytes(tmp_path, capsys
     options = [arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))]
     assert main(["run", str(tmp_path / "demo.yaml"), *options]) == 0
     digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in outputs.items()}
-    assert digests == {
-        "log": "a91b6cf42dde3e66e95108c7abed66c15da094b5d3a9dd613692299ed62d7365",
-        "grid-dump": "cdb78abd4439a13df3ffcad21c2b38a94a51942cdaf4c381dc8e22758be363ab",
-    }
+    assert digests == recorded

@@ -131,6 +131,25 @@ def test_scan_deterministic_and_jitter_needs_rng():
     assert len(f3) > 0
 
 
+def test_objects_beyond_max_range_change_neither_the_frame_nor_the_generator():
+    # each reaches an upward ring, whose rays return nothing in an empty world
+    far = WorldModel(obstacles=(BoxObstacle(center=(80.0, 5.0), size=(1.0, 1.0), height=6.0),),
+                     pedestrians=(Pedestrian(position=(-55.0, 10.0), height=3.0),),
+                     signs=(SignSpec(center=(57.0, 0.0, 2.0), normal=(-1.0, 0.0, 0.0), height=2.0),))
+    reach = scan(far, VehicleState(), PARAMS, LidarConfig(max_range=150.0))
+    above = reach.points[reach.points[:, 2] > PARAMS.lidar_mount_height]
+    for x, y in ((80.0, 5.0), (-55.0, 10.0), (57.0, 0.0)):
+        assert (np.hypot(above[:, 0] - x, above[:, 1] - y) < 2.0).any()
+
+    config = LidarConfig(range_jitter=0.01)
+    empty_rng, far_rng = np.random.default_rng(4), np.random.default_rng(4)
+    empty_frame = scan(WorldModel(), VehicleState(), PARAMS, config, empty_rng)
+    far_frame = scan(far, VehicleState(), PARAMS, config, far_rng)
+    assert np.array_equal(far_frame.points, empty_frame.points)
+    assert np.array_equal(far_frame.intensity, empty_frame.intensity)
+    assert far_rng.random() == empty_rng.random()
+
+
 def test_scan_respects_vehicle_pose():
     # vehicle rotated 90 deg left: a sign due north lands dead ahead in vehicle frame
     world = WorldModel(signs=(SignSpec(center=(0.0, 11.6, 2.0), normal=(0.0, -1.0, 0.0)),))
