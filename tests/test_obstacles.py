@@ -252,6 +252,13 @@ def assert_grid_matches_reference(frame, params):
 # tall cells in opposite corners, so the box around them spans the whole grid, and a flat cell between
 @example(points=[(-20.0, -20.0, 0.0), (-20.0, -20.0, 0.5), (19.99, 19.99, 0.0), (19.99, 19.99, 0.5),
                  (0.0, 0.0, 0.0), (0.0, 0.0, 0.03)], params=GridParams(cell_size=2 * GRID.extent / MAX_GRID_CELLS))
+# tall cells in opposite corners with a crowd between: tall columns and bare ground scattered over the
+# rows and columns the corners' box spans, a tall point above the roof and ground just off the grid
+@example(points=[(-20.0, -20.0, 0.0), (-20.0, -20.0, 0.5), (19.99, 19.99, 0.0), (19.99, 19.99, 0.5),
+                 *((x, y, z) for x, y in ((-8.0, 3.0), (-2.5, -6.0), (0.0, 0.0), (4.2, 9.1), (11.0, -13.5),
+                                          (11.1, 3.0), (-8.1, -13.4)) for z in (0.0, 0.9, 1.7)),
+                 *((x, y, 0.02) for x in (-15.0, -8.05, 5.0, 11.05) for y in (-13.45, 0.1, 3.05, 15.0)),
+                 (0.1, 0.1, 2.5), (-20.1, 0.0, 0.0), (0.0, 20.0, 0.0)], params=GridParams())
 # a tall corner cell of the grid (row 0, last column) with its far corner; points just outside the
 # grid; and in the next row and column, flat points on the box's half-cell margin and just across it
 @example(points=[(-20.0, 19.75, 0.0), (-20.0, 19.75, 0.5),
