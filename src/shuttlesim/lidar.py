@@ -9,12 +9,14 @@ spot, which emerges from the geometry rather than any special casing.
 
 A sweep is cast in the sensor frame, on ray directions and ground ranges
 computed once per azimuth step, mount height and minimum range: each sweep
-skips the objects wholly beyond ``max_range`` and casts each other one only
-on the rays that can reach it, elementwise. The rays are stored ring by ring,
-so those that return the ground are one block, and the casts list the few
-others that return. A ray is kept when its true range is within ``max_range``,
-and only kept rays draw range jitter. The points, ``mount + t * direction``,
-come from slices of the block and the few others, one contiguous row per axis.
+moves the few objects into that frame and casts each one only on the rays
+that can reach it, with elementwise arithmetic. The rays are stored ring by
+ring, so those that return the ground are one block, and a cast only lowers
+a range, so the few other rays that return lie before or after it, among the
+rays the casts took. A ray is kept when its true range is within
+``max_range``, and only kept rays draw range jitter. The points come out as
+``mount + t * direction`` from slices of the block and a short list of the
+others, one contiguous row per axis.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def _update_hits(t_best, rows, t_new, hit_mask) -> tuple[np.ndarray, np.ndarray]
     """Keep the closer of each ray's best hit and its hit in ``t_new`` (given
     for ``rows``); return the rays ``t_new`` took and their mask over ``rows``."""
     closer = hit_mask & (t_new < t_best[rows])
-    t_best[taken := rows[closer]] = t_new[closer]
+    taken = rows[closer]
+    t_best[taken] = t_new[closer]
     return taken, closer
 
 
@@ -144,15 +147,15 @@ def scan(
 ) -> LidarFrame:
     """Cast one full sweep and return the hits in vehicle coordinates.
 
-    A box, pedestrian or sign whose bounding circle lies wholly beyond
-    ``max_range`` (centre distance from the sensor less radius) is not cast,
-    as no ray's range to it could be kept. Each other one is cast only on the
-    rays in that circle's azimuth wedge (``_wedge``), and only on its 8
-    downward rings if its top is below the mount. The casts are elementwise,
-    so a ray's bits do not depend on the rays cast with it. A ray is kept when
-    its un-jittered range is within ``max_range``: the kept rays are the block's
-    leading run, taken by slices, and the rays the casts took on either side of
-    it, sorted once; one jitter draw is added to them in ray order. The pedestrians
+    Each box, pedestrian and sign is cast only against the rays in the azimuth
+    wedge of its bounding circle (``_wedge``), and a box or pedestrian whose
+    top is below the mount only against that wedge's 8 downward rings, since
+    an upward ray stays above the mount. The casts are elementwise, so a ray's
+    bits do not depend on the rays cast with it. A ray is kept when its
+    un-jittered range is within ``max_range``: the kept rays are the block's
+    leading run, taken by slices, and the rays the casts took on either side,
+    sorted once. One jitter draw is added to them in ray order, so the frame is
+    the returns the sensor can reach, each with one noise sample. The pedestrians
     stand at ``positions``, (P, 2) in ``world.pedestrians`` order, or at their
     starts when it is None. Nothing is kept between calls: each frame is new.
     """
@@ -163,14 +166,16 @@ def scan(
     step = math.radians(config.azimuth_step_deg)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     # the sensor's world position on the ground plane
-    sx, sy = sensor = state.x + cos_h * params.lidar_offset_x, state.y + sin_h * params.lidar_offset_x
+    sx = state.x + cos_h * params.lidar_offset_x
+    sy = state.y + sin_h * params.lidar_offset_x
 
     def to_sensor(x, y):
         """Turn a horizontal world-frame vector into the sensor frame."""
         return cos_h * x + sin_h * y, cos_h * y - sin_h * x
 
     def wedge(center, radius, top=math.inf):
-        """The wedge's rows and x, y, z direction components; only the 8 downward rings for a top below the mount."""
+        """The wedge's rows, and their x, y and z direction components; only
+        the downward rings (the first 8) for an object whose top is below the mount."""
         rows = _wedge(center, radius, len(ground) // 16, step, 8 if top < h else 16)
         return rows, *(column[rows] for column in columns)
 
@@ -178,9 +183,8 @@ def scan(
     taken = [np.empty(0, dtype=int)]  # the rays each box and pedestrian cast took
 
     for box in world.obstacles:
-        if math.dist(box.center, sensor) - box.radius > config.max_range:
-            continue
-        rows, x, y, z = wedge(to_sensor(box.center[0] - sx, box.center[1] - sy), box.radius, box.height)
+        rows, x, y, z = wedge(to_sensor(box.center[0] - sx, box.center[1] - sy), math.hypot(*box.size) / 2,
+                              box.height)
         # the box stays axis-aligned in the world: turn its rays there instead
         (bx, by), (wx, wy) = box.center, (box.size[0] / 2, box.size[1] / 2)
         slabs = ((cos_h * x - sin_h * y, bx - wx - sx, bx + wx - sx),
@@ -196,10 +200,8 @@ def scan(
         taken.append(_update_hits(t_best, rows, t_near, hit)[0])
 
     walked = [ped.position for ped in world.pedestrians] if positions is None else positions.tolist()
-    for ped, xy in zip(world.pedestrians, walked, strict=True):
-        if math.dist(xy, sensor) - ped.radius > config.max_range:
-            continue
-        px, py = to_sensor(xy[0] - sx, xy[1] - sy)
+    for ped, (px, py) in zip(world.pedestrians, walked, strict=True):
+        px, py = to_sensor(px - sx, py - sy)
         rows, x, y, z = wedge((px, py), ped.radius, ped.height)
         # near root of the side surface
         a = x**2 + y**2
@@ -221,11 +223,9 @@ def scan(
     # no box or pedestrian is cast after a sign, so no later hit hides one
     lit = []
     for sign in world.signs:
-        if math.dist(sign.center[:2], sensor) - (radius := math.hypot(sign.width, sign.height) / 2) > config.max_range:
-            continue
         cx, cy = to_sensor(sign.center[0] - sx, sign.center[1] - sy)
         normal = (*to_sensor(sign.normal[0], sign.normal[1]), sign.normal[2])
-        rows, x, y, z = wedge((cx, cy), radius)
+        rows, x, y, z = wedge((cx, cy), math.hypot(sign.width, sign.height) / 2)
         t_pl, hit, denom = _sign_hits(sign, (cx, cy, sign.center[2] - h), normal, x, y, z, config.min_range)
         # a hit beyond max_range is dropped, and it can only hide one farther still
         won, mask = _update_hits(t_best, rows, t_pl, hit & (t_pl <= config.max_range))

@@ -83,8 +83,9 @@ def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> Occupanc
     n = int(round(2 * params.extent / params.cell_size))
     x, y, z = frame.points.T
     tall = np.flatnonzero(z - z.min(initial=np.inf) > params.height_threshold)
+    tall_cell = _cells(x, y, z, tall, params, n)[0] if len(tall) else tall
     occupied = np.zeros(n * n, dtype=bool)
-    if len(tall) == 0 or len(tall_cell := _cells(x, y, z, tall, params, n)[0]) == 0:
+    if len(tall_cell) == 0:
         return OccupancyGrid(occupied.reshape(n, n), np.empty((0, 2)), np.empty(0), np.empty(0))
     # the cells' bounding box grown by half a cell, far wider than any rounding
     # of the cell formula, holds every point that falls in one of them

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,10 +19,6 @@ class BoxObstacle:
     height: Length
 
     __post_init__ = check_bounds
-
-    @functools.cached_property
-    def radius(self) -> float:  # of the box's bounding circle on the ground
-        return math.hypot(*self.size) / 2
 
 
 @dataclass(frozen=True)

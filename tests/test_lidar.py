@@ -13,7 +13,7 @@ from shuttlesim import lidar
 from shuttlesim.lidar import LidarConfig, scan
 from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel, step_pedestrians
-from tests.conftest import reference_scan, reference_scan_walked, reference_scan_world
+from tests.conftest import reference_scan, reference_scan_world
 
 PARAMS = VehicleParams()
 CONFIG = LidarConfig()
@@ -539,142 +539,7 @@ def test_elevation_cull_lists_the_upward_rings_only_for_a_top_at_or_above_the_mo
     assert listed == [rings] * (4 * len(spots))
 
 
-# --- the cull of objects beyond max_range, and the rays outside the ground block ---
-
-
-def sensor_of(state):
-    """The sensor's world position on the ground plane, as ``scan`` computes it."""
-    return (state.x + math.cos(state.heading) * PARAMS.lidar_offset_x,
-            state.y + math.sin(state.heading) * PARAMS.lidar_offset_x)
-
-
-def bounding_radius(obj):
-    if isinstance(obj, BoxObstacle):
-        return math.hypot(*obj.size) / 2
-    if isinstance(obj, Pedestrian):
-        return obj.radius
-    return math.hypot(obj.width, obj.height) / 2
-
-
-def within_reach(obj, state, max_range):
-    """Whether ``obj``'s centre distance from the sensor minus its bounding radius is at most ``max_range``;
-    ``math.hypot`` of the differences gives the bits of ``scan``'s ``math.dist``."""
-    (sx, sy), (x, y) = sensor_of(state), (obj.position if isinstance(obj, Pedestrian) else obj.center[:2])
-    return math.hypot(x - sx, y - sy) - bounding_radius(obj) <= max_range
-
-
-def placed(obj, xy):
-    """``obj`` with its centre at world ``(x, y)``; a sign keeps its height."""
-    if isinstance(obj, Pedestrian):
-        return replace(obj, position=tuple(xy))
-    return replace(obj, center=(*xy, *obj.center[2:]))
-
-
-def tall_far_object(rng, kind, bearing):
-    """A box or pedestrian taller than the mount, or a sign turned to face
-    the sensor from ``bearing``, not yet placed."""
-    if kind == 0:
-        return BoxObstacle(center=(0.0, 0.0), size=tuple(rng.uniform(0.2, 3.0, 2)), height=float(rng.uniform(2.5, 8.0)))
-    if kind == 1:
-        return Pedestrian(position=(0.0, 0.0), radius=float(rng.uniform(0.2, 0.6)), height=float(rng.uniform(2.2, 4.0)))
-    return SignSpec(center=(0.0, 0.0, float(rng.uniform(1.0, 5.0))),
-                    normal=(-math.cos(bearing), -math.sin(bearing), float(rng.uniform(-0.3, 0.3))),
-                    width=float(rng.uniform(0.3, 1.5)), height=float(rng.uniform(0.3, 1.5)))
-
-
-def with_objects(world, objects, rng):
-    """``world`` with ``objects`` mixed into its boxes, pedestrians and signs in a random order."""
-    for name in ("obstacles", "pedestrians", "signs"):
-        mixed = getattr(world, name) + tuple(obj for obj in objects if field_of(obj) == name)
-        world = replace(world, **{name: tuple(mixed[k] for k in rng.permutation(len(mixed)))})
-    return world
-
-
-def counting_casts(monkeypatch):
-    """A list that grows by one entry for every object ``scan`` casts."""
-    cast = []
-    real = lidar._wedge
-    monkeypatch.setattr(lidar, "_wedge", lambda *a: cast.append(a[0]) or real(*a))
-    return cast
-
-
-def test_scan_culling_objects_beyond_max_range_matches_reference_on_random_worlds(monkeypatch):
-    cast = counting_casts(monkeypatch)
-    rng = np.random.default_rng(29)
-    for i, world, state, config, _ in random_worlds():
-        if i % 5:
-            continue
-        sensor = np.array(sensor_of(state))
-        far = []
-        for _ in range(rng.integers(5, 16)):
-            bearing = float(rng.uniform(-math.pi, math.pi))
-            obj = tall_far_object(rng, int(rng.integers(3)), bearing)
-            reach = config.max_range + bounding_radius(obj) + rng.choice([1e-6, rng.uniform(0.0, 40.0)])
-            far.append(placed(obj, sensor + reach * np.array([math.cos(bearing), math.sin(bearing)])))
-        full = with_objects(world, far, rng)
-        cast.clear()
-        assert_scan_matches_reference(full, state, config, seed=i)
-        near = [obj for name in ("obstacles", "pedestrians", "signs") for obj in getattr(world, name)]
-        assert len(cast) == sum(within_reach(obj, state, config.max_range) for obj in near)
-        assert not any(within_reach(obj, state, config.max_range) for obj in far)
-        # walked: each pedestrian at another's start, so near ones stand far away and far ones near
-        starts = np.array([p.position for p in full.pedestrians], dtype=float).reshape(-1, 2)
-        positions = starts[rng.permutation(len(starts))]
-        fast_rng, reference_rng = np.random.default_rng(i), np.random.default_rng(i)
-        frame = scan(full, state, PARAMS, config, rng=fast_rng, positions=positions)
-        expected = reference_scan_walked(full, state, PARAMS, config, rng=reference_rng, positions=positions)
-        assert np.array_equal(frame.points, expected.points)
-        assert np.array_equal(frame.intensity, expected.intensity)
-        assert fast_rng.random() == reference_rng.random()
-
-
-def ulps_around(value, k=30):
-    """``value`` and the ``k`` floats on either side of it."""
-    below, above = [value], [value]
-    for _ in range(k):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[::-1] + above[1:]
-
-
-def at_reach(obj, state, max_range, ulps, bearing):
-    """``obj`` placed at ``bearing`` from the sensor so that its centre distance
-    minus its bounding radius, rounded as ``scan`` rounds it, lies ``ulps``
-    ulps from ``max_range``; None when no float centre near the bearing does,
-    as the rounded gaps there can step over the target."""
-    target = max_range
-    for _ in range(abs(ulps)):
-        target = math.nextafter(target, math.copysign(math.inf, ulps))
-    (sx, sy), radius = sensor_of(state), bounding_radius(obj)
-    along = target + radius
-    for x in ulps_around(sx + along * math.cos(bearing)):
-        for y in ulps_around(sy + along * math.sin(bearing)):
-            if math.hypot(x - sx, y - sy) - radius == target:
-                return placed(obj, (x, y))
-    return None
-
-
-@pytest.mark.parametrize("heading", [0.0, 2.1])
-def test_objects_one_ulp_either_side_of_max_range_are_culled_only_beyond_it(monkeypatch, heading):
-    cast = counting_casts(monkeypatch)
-    state = VehicleState(x=3.0, y=-2.0, heading=heading)
-    rng = np.random.default_rng(7)
-    objects = []
-    for ulps in (-1, 0, 1):
-        for kind in range(3):
-            placed_obj = None
-            while placed_obj is None:
-                bearing = float(rng.uniform(-math.pi, math.pi))
-                placed_obj = at_reach(tall_far_object(rng, kind, bearing), state, CONFIG.max_range, ulps, bearing)
-            objects.append(placed_obj)
-    world = with_objects(WorldModel(), objects, rng)
-    for jitter in (0.0, 0.01):
-        config = replace(CONFIG, range_jitter=jitter)
-        cast.clear()
-        frame = assert_scan_matches_reference(world, state, config, seed=3)
-        assert len(cast) == 6  # one ulp within max_range and exactly at it: cast; one ulp beyond: culled
-        empty = scan(WorldModel(), state, PARAMS, config, rng=np.random.default_rng(3))
-        assert np.array_equal(frame.points, empty.points)
+# --- the rays outside the ground block ---
 
 
 def recording_takes(monkeypatch):
