@@ -3,7 +3,9 @@
 Every tick produces one log row; metrics are always recomputed from rows so a
 log replay reproduces them exactly. Runs with the same seed are byte-identical.
 The sign-detection and occupied-cell side logs are formatted only for a run
-given a sink to append them to.
+given a sink to append them to. A tick skips what its scene cannot feed: the
+obstacle corridor on a height map with no occupied cell, the sign latch
+without a sign detector, and the pedestrian step without pedestrians.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ class Simulation:
             self._sense(tick)
 
             obstacle_d = None
-            if self._grid is not None:
+            if self._grid is not None and len(self._grid.centers):  # an empty height map caps nothing
                 corridor = corridor_from_steering(self.state.steer_angle, cfg.vehicle, cfg.corridor)
                 obs_twist, report = modify_speed(wp_cmd, self._grid, corridor, cfg.vehicle.max_decel)
                 if report.present:
@@ -247,7 +249,8 @@ class Simulation:
                 if self.sign_log is not None:
                     a, b, c, _ = self._detection.plane
                     self.sign_log.append(f"{t!r},{sign_d!r},{sign_n},{a!r},{b!r},{c!r}")
-            sign_cmd = self.sign_logic.update(self._detection, self.state.speed, t)
+            # without a detector there is no detection, so the latch stays armed and quiet
+            sign_cmd = None if self.detector is None else self.sign_logic.update(self._detection, self.state.speed, t)
             sign_stop_d = None
             if sign_cmd is not None:
                 commands.append(SpeedCommand(sign_cmd, Source.SIGN))
@@ -275,7 +278,8 @@ class Simulation:
                 self.state, cfg.vehicle, act.throttle, act.brake,
                 act.steer / cfg.vehicle.steering_ratio, dt,
             )
-            self.positions = step_pedestrians(self.positions, self._velocities, dt)
+            if len(self.positions):
+                self.positions = step_pedestrians(self.positions, self._velocities, dt)
 
         return metrics_from_rows(rows), rows
 

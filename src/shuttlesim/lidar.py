@@ -236,16 +236,18 @@ def scan(
     # only lowers one) and the sorted list ``rest`` of the others within max_range,
     # which only a cast can bring that near, so are among the rays the casts took
     cut = start + int(np.searchsorted(ground[start:], config.max_range, side="right"))
-    rest = np.concatenate(taken + [rows for rows, _ in lit])
-    rest = np.sort(rest[((rest < start) | (rest >= cut)) & (t_best[rest] <= config.max_range)])
-    rest = np.concatenate((rest[:1], rest[1:][rest[1:] != rest[:-1]]))  # a ray two casts took, once
-    head = np.searchsorted(rest, start)
+    rest, head = np.concatenate(taken + [rows for rows, _ in lit]), 0
+    if len(rest):  # when no cast took a ray, the kept rays are the block's run alone
+        rest = np.sort(rest[((rest < start) | (rest >= cut)) & (t_best[rest] <= config.max_range)])
+        rest = np.concatenate((rest[:1], rest[1:][rest[1:] != rest[:-1]]))  # a ray two casts took, once
+        head = np.searchsorted(rest, start)
     if config.range_jitter > 0.0:  # one draw over the kept rays, added in ray order
         noise = rng.standard_normal(len(rest) + cut - start)
         noise *= config.range_jitter  # rng.normal(0.0, range_jitter) gives these bits, a zero's sign aside
-        t_best[rest[:head]] += noise[:head]
         t_best[start:cut] += noise[head:head + cut - start]
-        t_best[rest[head:]] += noise[head + cut - start:]
+        if len(rest):
+            t_best[rest[:head]] += noise[:head]
+            t_best[rest[head:]] += noise[head + cut - start:]
 
     def place(rows):  # the frame columns of the kept rays ``rows``
         return np.searchsorted(rest, rows) + np.maximum(np.minimum(rows, cut) - start, 0)

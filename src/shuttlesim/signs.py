@@ -180,6 +180,7 @@ def plane_segment(
     points: np.ndarray,
     params: FilterParams = FilterParams(),
     sensor_origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    rng: np.random.Generator | None = None,
 ) -> SignDetection | None:
     """Stage 5: RANSAC plane fit with a facing check on the recovered normal.
 
@@ -187,10 +188,12 @@ def plane_segment(
     points in one call, refines the winning plane on its inliers, flips the
     normal so its x-component is non-negative, and accepts the plane only
     when that component reaches the facing threshold with enough support.
-    When several planes exist the nearest accepted one wins.
+    When several planes exist the nearest accepted one wins. The triples are
+    drawn from ``rng``, which must be in the start state of
+    ``default_rng(params.ransac_seed)``; a new one when it is None.
     """
     points = np.asarray(points, dtype=float)
-    rng = np.random.default_rng(params.ransac_seed)
+    rng = np.random.default_rng(params.ransac_seed) if rng is None else rng
     origin = np.asarray(sensor_origin, dtype=float)
     remaining = points
     accepted: list[SignDetection] = []
@@ -228,12 +231,19 @@ def plane_segment(
 
 
 class SignDetector:
-    """Runs the five-stage pipeline on vehicle-frame sweeps."""
+    """Runs the five-stage pipeline on vehicle-frame sweeps.
+
+    It seeds one RANSAC generator and puts it back to its seeded state before
+    each fit, which costs far less than seeding a new one; so one detector
+    must not detect in two threads at once.
+    """
 
     def __init__(self, params: FilterParams = FilterParams(),
                  sensor_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)):
         self.params = params
         self.sensor_origin = sensor_origin
+        self._rng = np.random.default_rng(params.ransac_seed)
+        self._seeded = self._rng.bit_generator.state
         importlib.import_module("scipy.spatial")  # at set-up, not in the first tick with a bright cloud
 
     def detect(self, frame: LidarFrame) -> SignDetection | None:
@@ -249,7 +259,8 @@ class SignDetector:
                                           neighbors if len(kept) == len(pts) else None)
         if len(pts) < p.min_sign_points:
             return None
-        return plane_segment(pts, p, self.sensor_origin)
+        self._rng.bit_generator.state = self._seeded
+        return plane_segment(pts, p, self.sensor_origin, self._rng)
 
 
 def sign_speed_command(

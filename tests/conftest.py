@@ -17,7 +17,7 @@ from shuttlesim.obstacles import (
 )
 from shuttlesim.plant import VehicleParams
 from shuttlesim.scenario import DEFAULT_ORIGIN
-from shuttlesim.signs import _COLLINEAR, SignDetection
+from shuttlesim.signs import _COLLINEAR, SignDetection, fov_filter, intensity_filter
 from shuttlesim.waypoints import EARTH_RADIUS, Route, from_local, save_waypoints
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel
 
@@ -274,6 +274,21 @@ def reference_scan_walked(world, state, params, config, rng=None, positions=None
     return LidarFrame(*reference_scan(world, state, params, config, rng))
 
 
+class ReferenceSignDetector:
+    """``SignDetector`` as the two filters, ``brute_ror``, ``brute_sor`` and
+    ``reference_plane_segment``, which seeds a new generator for each fit."""
+
+    def __init__(self, params, sensor_origin):
+        self.params, self.sensor_origin = params, sensor_origin
+
+    def detect(self, frame):
+        p = self.params
+        points = fov_filter(intensity_filter(frame, p.min_intensity), p.fov_side).points
+        points = brute_sor(brute_ror(points, p.ror_radius, p.ror_min_neighbors), p.sor_k, p.sor_stddev_mult)
+        found = reference_plane_segment(points, p, self.sensor_origin)
+        return None if found is None else found[0]
+
+
 # Each fast path that ``shuttlesim.harness`` calls, by its name there, and the
 # oracle that must give the closed loop the same bytes in its place.
 HARNESS_ORACLES = {
@@ -282,6 +297,7 @@ HARNESS_ORACLES = {
     "modify_speed": replace_modify_speed,
     "select": replace_select,
     "cross_track_error": brute_force_cte,
+    "SignDetector": ReferenceSignDetector,
 }
 
 

@@ -205,17 +205,25 @@ def test_pipeline_stage_order(straight_waypoints, monkeypatch):
         return wrapper
 
     for stage, name in (("waypoint", "follow_step"), ("obstacle", "modify_speed"),
-                        ("select", "select"), ("plant", "step_plant")):
+                        ("select", "select"), ("plant", "step_plant"), ("walk", "step_pedestrians")):
         monkeypatch.setattr(harness, name, recorded(stage, getattr(harness, name)))
     monkeypatch.setattr(SignStopLogic, "update", recorded("sign", SignStopLogic.update))
     monkeypatch.setattr(TwistController, "step", recorded("control", TwistController.step))
-    Simulation(straight_scenario(straight_waypoints, duration=0.5)).run()
+    # a box taller than the mount in the corridor ahead, a sign and a pedestrian: every stage has
+    # something to work on in every tick, the first included
+    world = WorldModel(obstacles=(BoxObstacle(center=(10.0, 0.0), size=(0.6, 0.6), height=2.5),),
+                       pedestrians=(Pedestrian(position=(30.0, 5.0), velocity=(0.0, -1.0)),),
+                       signs=(SignSpec(center=(14.0, -2.0, 2.0), normal=(-1, 0, 0)),))
+    _, rows = Simulation(straight_scenario(straight_waypoints, duration=0.5, world=world)).run()
+    assert {stage: calls.count(stage) for stage in set(calls)} == dict.fromkeys(
+        ("waypoint", "obstacle", "sign", "select", "control", "plant", "walk"), len(rows))
     stages = calls[: calls.index("plant") + 1]
     # the waypoint command is created before perception modifies it, and the
     # plant steps last
     assert stages.index("waypoint") < stages.index("obstacle") < stages.index("select")
     assert stages.index("sign") < stages.index("select") < stages.index("control")
     assert stages[-1] == "plant"
+    assert calls[len(stages)] == "walk"  # then the pedestrians, before the next tick's waypoint
 
 
 def test_run_builds_no_pedestrian_or_world_and_keeps_no_world(straight_waypoints, monkeypatch):
@@ -507,17 +515,44 @@ def test_figure8_trace_compiles_with_curvature_limits():
     assert route.speed.min() > 2.0  # r = 10 m allows sqrt(5) = 2.24 m/s
 
 
-def test_compiled_figure8_drive_writes_its_recorded_log(tmp_path):
-    # sha256 of the log of a 60 s drive of the figure-8 scenarios/figure8_record.yaml records, compiled at 3 m/s and
-    # passed through the files `shuttlesim record`, `compile-path` and `run` write; recorded with the versions CI
-    # pins. The shipped demo's route is straight; this one curves and crosses itself, where the CTE search is global.
+# sha256 of the log of a 60 s drive of the figure-8 scenarios/figure8_record.yaml records, compiled at 3 m/s and
+# passed through the files `shuttlesim record`, `compile-path` and `run` write; recorded with the versions CI
+# pins. The shipped demo's route is straight; this one curves and crosses itself, where the CTE search is global.
+FIG8_LOG_SHA256 = "d5a114c72e7b612fa5756fd538714ad24daa4803d366a293852a8903617ef9ff"
+
+
+def drive_compiled_figure8(tmp_path):
+    """Record, compile and drive the figure 8 in an empty world; its metrics and its log's sha256."""
     save_trace(record_trace(load_scenario(SCENARIO_DIR / "figure8_record.yaml")), tmp_path / "fig8.trace")
     save_waypoints(compile_path(load_trace(tmp_path / "fig8.trace"), 3.0), tmp_path / "fig8.waypoints")
     metrics, rows = Simulation(ScenarioConfig(duration=60.0, waypoint_file=tmp_path / "fig8.waypoints")).run()
     write_log(rows, tmp_path / "fig8.csv")
+    return metrics, hashlib.sha256((tmp_path / "fig8.csv").read_bytes()).hexdigest()
+
+
+def test_compiled_figure8_drive_writes_its_recorded_log(tmp_path):
+    metrics, digest = drive_compiled_figure8(tmp_path)
     assert (metrics.ticks, round(metrics.peak_cte, 2)) == (3000, 0.17)
-    assert hashlib.sha256((tmp_path / "fig8.csv").read_bytes()).hexdigest() == (
-        "d5a114c72e7b612fa5756fd538714ad24daa4803d366a293852a8903617ef9ff")
+    assert digest == FIG8_LOG_SHA256
+
+
+def test_an_empty_sign_free_world_runs_no_obstacle_sign_or_pedestrian_stage(tmp_path, monkeypatch):
+    import shuttlesim.harness as harness
+    from shuttlesim.signs import SignStopLogic
+
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
+
+    for owner, name in ((harness, "build_grid"), (harness, "corridor_from_steering"), (harness, "modify_speed"),
+                        (SignStopLogic, "update"), (harness, "step_pedestrians")):
+        counted(owner, name)
+    _, digest = drive_compiled_figure8(tmp_path)
+    # every sweep is perceived into a height map with no occupied cell, which caps nothing
+    assert set(calls) == {"build_grid"} and len(calls) == 3000 // ScenarioConfig().lidar_period_ticks
+    assert digest == FIG8_LOG_SHA256
 
 
 def test_modify_speed_still_runs_every_perceived_tick_of_a_crossing(straight_waypoints, monkeypatch):
@@ -541,7 +576,8 @@ def test_modify_speed_still_runs_every_perceived_tick_of_a_crossing(straight_way
                            lidar=LidarConfig(range_jitter=0.01))
     _, rows = Simulation(sc).run()
     assert any(r.source is Source.OBSTACLE for r in rows)  # the crossing slows the cart
-    # once a tick from the first perceived sweep on, while the grid's table answers the calls
-    # after the first of each sweep, since the cart drives straight
+    # once a tick from the first perceived sweep on, since every sweep's height map holds the
+    # pedestrian (a tick whose map has no occupied cell skips it), while the grid's table answers
+    # the calls after the first of each sweep, since the cart drives straight
     assert calls["modify_speed"] == len(rows) - sc.perception_latency_ticks
     assert 0 < calls["corridor_membership"] <= math.ceil(calls["modify_speed"] / sc.lidar_period_ticks)

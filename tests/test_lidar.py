@@ -150,6 +150,24 @@ def test_objects_beyond_max_range_change_neither_the_frame_nor_the_generator():
     assert far_rng.random() == empty_rng.random()
 
 
+@pytest.mark.parametrize("config", [LidarConfig(range_jitter=0.01),
+                                    LidarConfig(min_range=9.0, max_range=30.0, range_jitter=0.01)])
+def test_a_sweep_whose_casts_take_no_ray_matches_the_reference(config, monkeypatch):
+    # with no ray taken there is no list of other rays to sort, and the jitter goes to the block alone
+    taken = []
+    update_hits = lidar._update_hits
+
+    def counted(*args):
+        taken.append(len((result := update_hits(*args))[0]))
+        return result
+
+    monkeypatch.setattr(lidar, "_update_hits", counted)
+    beyond = WorldModel(signs=(SignSpec(center=(60.0, 0.0, 2.0), normal=(-1.0, 0.0, 0.0), height=2.0),))
+    for seed, world in enumerate((WorldModel(), beyond)):
+        assert_scan_matches_reference(world, VehicleState(x=1.0, heading=0.3), config, seed)
+    assert taken == [0]  # the sign's cast, beyond max_range
+
+
 def test_scan_respects_vehicle_pose():
     # vehicle rotated 90 deg left: a sign due north lands dead ahead in vehicle frame
     world = WorldModel(signs=(SignSpec(center=(0.0, 11.6, 2.0), normal=(0.0, -1.0, 0.0)),))

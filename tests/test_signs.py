@@ -483,6 +483,29 @@ def test_plane_segment_matches_candidate_by_candidate_reference():
     assert at_tol == 40  # every grid cloud
 
 
+def test_consecutive_detect_calls_draw_the_triples_of_a_freshly_seeded_generator(monkeypatch):
+    # the detector keeps one generator and puts it back to its seeded state before each fit
+    params = FilterParams(ransac_seed=7)
+    drawn = []  # (points left, triples) at each plane extraction of one call
+    real = signs._best_triple
+    monkeypatch.setattr(signs, "_best_triple",
+                        lambda points, triples, tol: drawn.append((len(points), triples)) or real(points, triples, tol))
+    detector = SignDetector(params, SENSOR)
+    rng = np.random.default_rng(3)
+    calls_with_two_draws = 0
+    for i in range(16):
+        frame = make_frame(points := random_cloud(rng, i % 2), np.full(len(points), 200.0))
+        drawn.clear()
+        got = detector.detect(frame)
+        seeded = np.random.default_rng(params.ransac_seed)
+        assert drawn and [triples.tolist() for _, triples in drawn] == [
+            _distinct_triples(seeded.integers(0, [m, m - 1, m - 2], size=(params.ransac_iters, 3))).tolist()
+            for m, _ in drawn], i
+        calls_with_two_draws += len(drawn) > 1
+        assert got == SignDetector(params, SENSOR).detect(frame), i
+    assert calls_with_two_draws > 0  # where a call's second draw continues its first
+
+
 @pytest.mark.parametrize("m", range(3, 8))
 def test_distinct_triples_maps_every_draw_to_its_own_triple(m):
     draws = np.array(list(itertools.product(range(m), range(m - 1), range(m - 2))))
