@@ -146,7 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ScenarioError and PathFormatError are ValueErrors
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         path = getattr(exc, "filename", None)  # an output file that cannot be written
         print(f"error: {path}: {exc.strerror}" if path else f"error: {exc}", file=sys.stderr)
         return 1

@@ -169,8 +169,6 @@ class ObstacleReport(NamedTuple):
 
 def closest_in_corridor(grid: OccupancyGrid, corridor: Corridor) -> ObstacleReport:
     """Closest occupied cell along the corridor, from the bumper; computed once per grid and corridor."""
-    if len(grid.centers) == 0:
-        return ObstacleReport(present=False)
     if (report := grid.reports.get(corridor)) is None:
         inside, s = corridor_membership(corridor, grid.centers)
         d = np.maximum(s[inside] - corridor.front_overhang, 0.0)
@@ -179,7 +177,7 @@ def closest_in_corridor(grid: OccupancyGrid, corridor: Corridor) -> ObstacleRepo
     return report
 
 
-def speed_limit_for_distance(d: float, check_range: float = 15.0) -> float | None:
+def speed_limit_for_distance(d: float, check_range: float = CorridorParams.length) -> float | None:
     """Speed cap for an obstacle ``d`` metres ahead; None beyond the range."""
     if d > check_range:
         return None
@@ -203,7 +201,7 @@ def modify_speed(
         return cmd, ObstacleReport(False, report.closest_distance)
     if report.closest_distance <= SLOWDOWN_STOP_DISTANCE:
         return TwistCommand(0.0, cmd.angular_w, cmd.accel_limit, max_decel), report
-    return TwistCommand(min(cmd.linear_v, max(0.0, limit)), cmd.angular_w, cmd.accel_limit, cmd.decel_limit), report
+    return TwistCommand(min(cmd.linear_v, limit), cmd.angular_w, cmd.accel_limit, cmd.decel_limit), report
 
 
 def required_side_clearance(

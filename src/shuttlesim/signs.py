@@ -58,13 +58,13 @@ class SignDetection:
     point_count: int
 
 
-def fov_filter(frame: LidarFrame, fov_side: float = 10.0) -> LidarFrame:
+def fov_filter(frame: LidarFrame, fov_side: float = FilterParams.fov_side) -> LidarFrame:
     """Stage 2: drop everything behind the vehicle or outside the side band."""
     mask = (frame.points[:, 0] > 0.0) & (np.abs(frame.points[:, 1]) <= fov_side)
     return LidarFrame(frame.points[mask], frame.intensity[mask])
 
 
-def intensity_filter(frame: LidarFrame, min_intensity: float = 85.0) -> LidarFrame:
+def intensity_filter(frame: LidarFrame, min_intensity: float = FilterParams.min_intensity) -> LidarFrame:
     """Stage 1: keep only returns bright enough to be retroreflective."""
     mask = frame.intensity >= min_intensity
     return LidarFrame(frame.points[mask], frame.intensity[mask])
@@ -80,7 +80,8 @@ def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radius_outlier_removal(
-    points: np.ndarray, radius: float = 0.5, min_neighbors: int = 3, neighbors: tuple | None = None
+    points: np.ndarray, radius: float = FilterParams.ror_radius, min_neighbors: int = FilterParams.ror_min_neighbors,
+    neighbors: tuple | None = None,
 ) -> np.ndarray:
     """Stage 3: keep points with at least ``min_neighbors`` others inside ``radius``.
 
@@ -100,7 +101,8 @@ def radius_outlier_removal(
 
 
 def statistical_outlier_removal(
-    points: np.ndarray, k: int = 8, stddev_mult: float = 1.0, neighbors: tuple | None = None
+    points: np.ndarray, k: int = FilterParams.sor_k, stddev_mult: float = FilterParams.sor_stddev_mult,
+    neighbors: tuple | None = None,
 ) -> np.ndarray:
     """Stage 4: drop points whose mean kNN distance exceeds mu + mult * sigma.
 
@@ -266,7 +268,7 @@ class SignDetector:
 def sign_speed_command(
     detection: SignDetection,
     v_at_detection: float,
-    accel_limit: float = 1.0,
+    accel_limit: float,
 ) -> TwistCommand:
     """Stop command decelerating at v^2 / (2 d) from the detection point."""
     if detection.distance <= 0.0:
@@ -297,7 +299,7 @@ class SignStopLogic:
 
     ARMED, BRAKING, DWELLING, RESUME = range(4)
 
-    def __init__(self, params: SignStopParams = SignStopParams(), accel_limit: float = 1.0):
+    def __init__(self, params: SignStopParams, accel_limit: float):
         self.params = params
         self.accel_limit = accel_limit
         self.phase = self.ARMED

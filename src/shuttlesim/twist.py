@@ -34,7 +34,7 @@ class TwistCommand(_TwistFields):
 
     __slots__ = ()
 
-    def __new__(cls, linear_v, angular_w=0.0, accel_limit=1.0, decel_limit=1.2):
+    def __new__(cls, linear_v, angular_w, accel_limit, decel_limit):
         if linear_v < 0:
             raise ValueError("linear_v must be non-negative")
         if accel_limit <= 0 or decel_limit <= 0:
@@ -143,7 +143,7 @@ def steer_from_twist(
     angular_w: float,
     v: float,
     params: VehicleParams = VehicleParams(),
-    v_floor: float = 0.5,
+    v_floor: float = ControllerGains.v_floor,
 ) -> float:
     """Front-wheel angle achieving ``angular_w`` at speed ``v`` (bicycle model)."""
     delta = math.atan(angular_w * params.wheelbase / max(v, v_floor))

@@ -25,10 +25,6 @@ MAX_SAMPLE_GAP = 100.0 * RECORD_SPACING  # m; a trace whose samples lie farther 
 OMEGA_STRAIGHT = 1e-3  # below this yaw rate the radius is treated as infinite
 
 
-class PathFormatError(ValueError):
-    """Raised on malformed waypoint or trace files."""
-
-
 class RowError(ValueError):
     """A route or trace value out of range; ``row`` is the index of its waypoint or sample."""
 
@@ -295,7 +291,7 @@ def save_waypoints(route: Route, path) -> None:
 def _read_rows(path, fields: str, skip: tuple[str, ...], finite: bool = False):
     """The line numbers and values of the lines of comma-separated ``fields``, skipping blank ones and any starting with ``skip``.
 
-    A bad field count or number, or with ``finite`` a non-finite one, raises a PathFormatError naming path:line.
+    A bad field count or number, or with ``finite`` a non-finite one, raises a ValueError naming path:line.
     """
     width = fields.count(",") + 1
     linenos, rows = [], []
@@ -305,27 +301,27 @@ def _read_rows(path, fields: str, skip: tuple[str, ...], finite: bool = False):
             continue
         parts = line.split(",")
         if len(parts) != width:
-            raise PathFormatError(f"{path}:{lineno}: expected {fields!r}, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected {fields!r}, got {line!r}")
         try:
             row = [float(p) for p in parts]
         except ValueError as exc:
-            raise PathFormatError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         for text, value in zip(parts, row):
             if finite and not math.isfinite(value):
-                raise PathFormatError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
         linenos.append(lineno)
         rows.append(row)
     return linenos, np.array(rows, dtype=float).reshape(-1, width)
 
 
 def _build_rows(path, linenos, build):
-    """``build()``; a RowError it raises becomes a PathFormatError naming path:line, any other ValueError one naming path."""
+    """``build()``; a RowError it raises becomes a ValueError naming path:line, any other ValueError one naming path."""
     try:
         return build()
     except RowError as exc:
-        raise PathFormatError(f"{path}:{linenos[exc.row]}: {exc}") from exc
+        raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from exc
     except ValueError as exc:
-        raise PathFormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:

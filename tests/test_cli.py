@@ -1,7 +1,11 @@
 import contextlib
 import hashlib
 import io
+import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 from shuttlesim import cli
 from shuttlesim.cli import main
 from shuttlesim.harness import Simulation
-from tests.conftest import SCENARIO_DIR
+from tests.conftest import REPO_ROOT, SCENARIO_DIR
 
 
 def write_scenario(tmp_path, straight_waypoints, extra=""):
@@ -455,18 +459,54 @@ def test_replay_accepts_the_extremes_the_harness_can_write(shipped_inputs, tmp_p
         assert main(["replay", str(log)]) == 0
 
 
-def test_shipped_demo_writes_its_recorded_bytes(tmp_path, capsys):
-    # sha256 of the three outputs, recorded with Python 3.11, numpy 2.4.6, scipy 1.17.1 and
-    # PyYAML 6.0.3 (the versions CI pins); numpy does not promise the same Generator draws across releases
-    outputs = {"log": tmp_path / "demo.log", "sign-log": tmp_path / "signs.csv", "grid-dump": tmp_path / "grid.csv"}
-    options = [arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))]
-    assert main(["run", str(SCENARIO_DIR / "demo.yaml"), *options]) == 0
-    digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in outputs.items()}
-    assert digests == {
+# sha256 of the shipped scenes' outputs, recorded with Python 3.11, numpy 2.4.6, scipy 1.17.1 and
+# PyYAML 6.0.3 (the versions CI pins); numpy does not promise the same Generator draws across releases
+SHIPPED_DIGESTS = {
+    "demo.yaml": {
         "log": "f9224b5c1de3b15e817ad6da8de95153c45e6533ecccc96a62ccb22fa2f2517e",
         "sign-log": "0a11f31fe839e689e89eb53ea1d978c1f33e32ba79096ba700fe953ba1879112",
         "grid-dump": "78b705902261449eeefd570e316f54f38e579da145df4d31ca0e3887b495f785",
-    }
+    },
+    # the sign log is not pinned: its plane components depend on the CPU's BLAS kernel
+    "signs.yaml": {
+        "log": "bcdb57ffe59746648e09a13efa6d02084f7c1ccf435f3a053ebd1a4a4c25be3a",
+        "grid-dump": "d231b7549aad81c7897f0a36eba8000140ec0ec377075b0eb83707605adc9803",
+    },
+}
+
+
+def shipped_run(name, folder, flags):
+    """The ``run`` arguments that write scene ``name``'s ``flags`` outputs into ``folder``, and their paths by flag."""
+    outputs = {flag: folder / f"{Path(name).stem}.{flag}.csv" for flag in flags}
+    options = [arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))]
+    return ["run", str(SCENARIO_DIR / name), *options], outputs
+
+
+def digests(outputs):
+    return {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in outputs.items()}
+
+
+@pytest.mark.parametrize("name", SHIPPED_DIGESTS, ids=["demo", "signs"])
+def test_shipped_demo_writes_its_recorded_bytes(tmp_path, capsys, name):
+    argv, outputs = shipped_run(name, tmp_path, SHIPPED_DIGESTS[name])
+    assert main(argv) == 0
+    assert digests(outputs) == SHIPPED_DIGESTS[name]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64 kernels")
+def test_shipped_scenes_write_their_pinned_log_and_grid_dump_on_the_oldest_blas_kernel(tmp_path):
+    # no BLAS call feeds the log or the grid dump, so they must not change with the kernel OpenBLAS
+    # picks for the CPU. Prescott is its oldest x86-64 kernel, so every x86-64 CPU can run it; never
+    # force a newer one, which can kill the process on an illegal instruction. Only the child's
+    # environment sets the variable.
+    runs = {name: shipped_run(name, tmp_path, ("log", "grid-dump")) for name in SHIPPED_DIGESTS}
+    code = f"from shuttlesim.cli import main\nfor argv in {[argv for argv, _ in runs.values()]!r}:\n    assert main(argv) == 0"
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Prescott"))
+    assert done.returncode == 0, done.stderr
+    for name, (_, outputs) in runs.items():
+        assert digests(outputs) == {flag: SHIPPED_DIGESTS[name][flag] for flag in outputs}, name
 
 
 @pytest.mark.parametrize("lidar, recorded", [
@@ -490,5 +530,4 @@ def test_demo_at_a_narrow_lidar_range_writes_its_recorded_bytes(tmp_path, capsys
     outputs = {"log": tmp_path / "demo.log", "grid-dump": tmp_path / "grid.csv"}
     options = [arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))]
     assert main(["run", str(tmp_path / "demo.yaml"), *options]) == 0
-    digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in outputs.items()}
-    assert digests == recorded
+    assert digests(outputs) == recorded

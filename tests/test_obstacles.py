@@ -129,7 +129,7 @@ def grid_with_cell_at(x, y):
 
 def test_modify_speed_applies_law():
     corridor = corridor_from_steering(0.0, PARAMS)
-    cmd = TwistCommand(3.0, 0.1)
+    cmd = TwistCommand(3.0, 0.1, 1.0, 1.2)
     # cell centre ~10.6 m ahead of the bumper
     x = PARAMS.front_overhang + 10.6
     out, report = modify_speed(cmd, grid_with_cell_at(x, 0.0), corridor)
@@ -140,7 +140,7 @@ def test_modify_speed_applies_law():
 
 def test_modify_speed_stop_inside_5m():
     corridor = corridor_from_steering(0.0, PARAMS)
-    cmd = TwistCommand(3.0)
+    cmd = TwistCommand(3.0, 0.0, 1.0, 1.2)
     out, report = modify_speed(cmd, grid_with_cell_at(PARAMS.front_overhang + 4.0, 0.0), corridor)
     assert report.present and report.closest_distance <= 5.0
     assert out.linear_v == 0.0
@@ -149,7 +149,7 @@ def test_modify_speed_stop_inside_5m():
 
 def test_modify_speed_no_obstacle_unchanged():
     corridor = corridor_from_steering(0.0, PARAMS)
-    cmd = TwistCommand(3.0, 0.2)
+    cmd = TwistCommand(3.0, 0.2, 1.0, 1.2)
     empty = build_grid(frame_from_points(np.empty((0, 3))), GRID)
     out, report = modify_speed(cmd, empty, corridor)
     assert out == cmd
@@ -158,7 +158,7 @@ def test_modify_speed_no_obstacle_unchanged():
 
 def test_modify_speed_outside_corridor_unchanged():
     corridor = corridor_from_steering(0.0, PARAMS)
-    cmd = TwistCommand(3.0)
+    cmd = TwistCommand(3.0, 0.0, 1.0, 1.2)
     out, report = modify_speed(cmd, grid_with_cell_at(8.0, 3.0), corridor)
     assert out == cmd
     assert not report.present
@@ -166,7 +166,7 @@ def test_modify_speed_outside_corridor_unchanged():
 
 def test_modify_never_increases_speed_and_monotone_in_distance():
     corridor = corridor_from_steering(0.0, PARAMS)
-    cmd = TwistCommand(3.0)
+    cmd = TwistCommand(3.0, 0.0, 1.0, 1.2)
     prev_v = -1.0
     for d in np.arange(5.5, 14.5, 0.5):
         out, _ = modify_speed(cmd, grid_with_cell_at(PARAMS.front_overhang + d, 0.0), corridor)
@@ -362,7 +362,7 @@ def test_modify_speed_still_rejects_a_command_the_twist_check_rejects(max_decel)
     corridor = corridor_from_steering(0.0, PARAMS)
     for modify in (modify_speed, replace_modify_speed):
         with pytest.raises(ValueError, match="acceleration limits must be positive"):
-            modify(TwistCommand(3.0), grid, corridor, max_decel)
+            modify(TwistCommand(3.0, 0.0, 1.0, 1.2), grid, corridor, max_decel)
 
 
 def test_corridor_membership_runs_once_per_grid_and_corridor(monkeypatch):
@@ -377,7 +377,7 @@ def test_corridor_membership_runs_once_per_grid_and_corridor(monkeypatch):
     straight, left, right = (corridor_from_steering(a, PARAMS) for a in (0.0, 0.2, -0.2))
     asked = (straight, left, straight, right, left, corridor_from_steering(0.0, PARAMS), Corridor(*right))
     for grid in (grid_with_cell_at(PARAMS.front_overhang + 8.0, 0.0) for _ in range(2)):
-        reports = [modify_speed(TwistCommand(3.0), grid, c)[1] for c in asked]
+        reports = [modify_speed(TwistCommand(3.0, 0.0, 1.0, 1.2), grid, c)[1] for c in asked]
         assert reports == [reference_report(grid, c) for c in asked]
         assert reports[0].present and not reports[1].present
         assert set(grid.reports) == {straight, left, right}

@@ -354,18 +354,18 @@ def test_pipeline_throughput_measured_not_asserted():
 def test_sign_speed_command_law():
     # distance is the nearest-inlier range, so pin it via a synthetic detection
     det = SignDetection(plane=(1, 0, 0, -10), distance=10.0, point_count=40)
-    cmd = sign_speed_command(det, 3.0)
+    cmd = sign_speed_command(det, 3.0, 1.0)
     assert cmd.linear_v == 0.0
     assert cmd.decel_limit == pytest.approx(0.45)
 
     det5 = SignDetection(plane=(1, 0, 0, -5), distance=5.0, point_count=40)
-    assert sign_speed_command(det5, 3.0).decel_limit == pytest.approx(0.9)
+    assert sign_speed_command(det5, 3.0, 1.0).decel_limit == pytest.approx(0.9)
     # zero approach speed asks for (effectively) no deceleration
-    assert sign_speed_command(det, 0.0).decel_limit <= 1e-9
+    assert sign_speed_command(det, 0.0, 1.0).decel_limit <= 1e-9
 
     bad = SignDetection(plane=(1, 0, 0, 0), distance=0.0, point_count=40)
     with pytest.raises(ValueError):
-        sign_speed_command(bad, 3.0)
+        sign_speed_command(bad, 3.0, 1.0)
 
 
 def detection_at(distance):
@@ -386,18 +386,18 @@ def test_sign_stop_latches_sign_speed_command():
     logic = SignStopLogic(STOP_PARAMS, accel_limit=0.8)
     cmd = logic.update(detection_at(10.0), 3.0, 0.0)
     assert cmd == sign_speed_command(detection_at(10.0), 3.0, 0.8)
-    assert cmd.decel_limit == sign_speed_command(detection_at(10.0), 3.0).decel_limit
+    assert cmd.decel_limit == sign_speed_command(detection_at(10.0), 3.0, 1.0).decel_limit
 
 
 def test_sign_stop_needs_trigger_speed():
-    logic = SignStopLogic(STOP_PARAMS)
+    logic = SignStopLogic(STOP_PARAMS, accel_limit=1.0)
     assert logic.update(detection_at(10.0), MIN_SIGN_TRIGGER_SPEED - 0.01, 0.0) is None
     assert logic.phase == SignStopLogic.ARMED
     assert logic.update(detection_at(10.0), MIN_SIGN_TRIGGER_SPEED, 0.02) is not None
 
 
 def test_sign_stop_holds_without_detection():
-    logic = SignStopLogic(STOP_PARAMS)
+    logic = SignStopLogic(STOP_PARAMS, accel_limit=1.0)
     latched = logic.update(detection_at(10.0), 3.0, 0.0)
     # the sign leaves the view, or reappears closer: the frozen stop stays
     assert logic.update(None, 2.0, 1.0) == latched

@@ -43,14 +43,14 @@ def test_lowpass_converges_within_5_tau():
 
 def test_zero_error_steady_state():
     state = ControllerState()
-    throttle, brake, state = speed_step(TwistCommand(3.0), v_meas=3.0, a_meas=0.0, state=state, dt=DT)
+    throttle, brake, state = speed_step(TwistCommand(3.0, 0.0, 1.0, 1.2), v_meas=3.0, a_meas=0.0, state=state, dt=DT)
     assert throttle == pytest.approx(0.0, abs=1e-6)
     assert brake == pytest.approx(0.0, abs=1e-6)
 
 
 def test_brake_pedal_for_unit_decel():
     # a_cmd = -1.0 -> pedal 0.90
-    cmd = TwistCommand(0.0, decel_limit=1.0)
+    cmd = TwistCommand(0.0, 0.0, 1.0, 1.0)
     # force a_cmd to the decel limit with a large speed error; filtered accel 0
     throttle, brake, _ = speed_step(cmd, v_meas=5.0, a_meas=0.0, state=ControllerState(), dt=DT)
     assert throttle == 0.0
@@ -58,7 +58,7 @@ def test_brake_pedal_for_unit_decel():
 
 
 def test_brake_clamped_to_zero_for_tiny_decel():
-    cmd = TwistCommand(0.0, decel_limit=0.02)
+    cmd = TwistCommand(0.0, 0.0, 1.0, 0.02)
     throttle, brake, _ = speed_step(cmd, v_meas=5.0, a_meas=0.0, state=ControllerState(), dt=DT)
     assert throttle == 0.0
     assert brake == 0.0  # 0.28*ln(0.02)+0.9 < 0
@@ -123,8 +123,8 @@ def test_no_way_of_building_an_actuator_command_skips_its_check(throttle, brake,
             assert type(act) is ActuatorCommand and repr(tuple(act)) == repr((throttle, brake, steer))
 
 
-PER_TICK_VALUES = (VehicleState(), TwistCommand(1.0), ActuatorCommand(0.5, 0.0, 0.1), ControllerState(),
-                   SpeedCommand(TwistCommand(1.0), Source.WAYPOINT), Corridor(None, 15.0, 1.15, 3.2),
+PER_TICK_VALUES = (VehicleState(), TwistCommand(1.0, 0.0, 1.0, 1.2), ActuatorCommand(0.5, 0.0, 0.1), ControllerState(),
+                   SpeedCommand(TwistCommand(1.0, 0.0, 1.0, 1.2), Source.WAYPOINT), Corridor(None, 15.0, 1.15, 3.2),
                    ObstacleReport(False))
 
 
@@ -163,7 +163,7 @@ def closed_loop_speed_profile(target, seconds, gains=ControllerGains()):
     state = VehicleState()
     trace = []
     for _ in range(int(seconds / DT)):
-        act = controller.step(TwistCommand(target), state.speed, state.accel, DT)
+        act = controller.step(TwistCommand(target, 0.0, 1.0, 1.2), state.speed, state.accel, DT)
         state = step_plant(state, PARAMS, act.throttle, act.brake, act.steer / PARAMS.steering_ratio, DT)
         trace.append(state.speed)
     return np.asarray(trace)
@@ -181,7 +181,7 @@ def test_braking_consistency_comfort_range():
     # Commanded decelerations in the pedal map's fitted range must be realised
     # within 5 % once the brake force has built up.
     for a in np.linspace(0.05, 1.35, 14):
-        cmd = TwistCommand(0.0, decel_limit=float(a))
+        cmd = TwistCommand(0.0, 0.0, 1.0, float(a))
         controller = TwistController(PARAMS)
         state = VehicleState(speed=4.5)
         # run long enough for the pedal force to settle, then measure

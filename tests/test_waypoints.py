@@ -15,7 +15,6 @@ from shuttlesim.waypoints import (
     CTE_CELL,
     EARTH_RADIUS,
     FollowerParams,
-    PathFormatError,
     RecordedTrace,
     Route,
     RowError,
@@ -608,7 +607,7 @@ def test_waypoint_file_round_trip(tmp_path):
 def test_waypoint_file_error_reports_line(tmp_path):
     bad = tmp_path / "bad.waypoints"
     bad.write_text("30.0,-96.0,3.0\nnot,a_number,3.0\n")
-    with pytest.raises(PathFormatError, match=r"bad\.waypoints:2"):
+    with pytest.raises(ValueError, match=r"bad\.waypoints:2"):
         load_waypoints(bad)
 
 
@@ -627,7 +626,7 @@ def test_waypoint_validation(tmp_path):
         assert (info.value.row, str(info.value)) == (1, message)
         # in a file, the error names the row's line
         bad.write_text("# lat,lon,speed\n0.0,0.0,1.0\n" + ",".join(map(repr, row)) + "\n0.0,0.0001,1.0\n")
-        with pytest.raises(PathFormatError) as info:
+        with pytest.raises(ValueError) as info:
             load_waypoints(bad)
         assert str(info.value) == f"{bad}:3: {message}"
 
@@ -643,7 +642,7 @@ def test_route_reports_first_bad_row_and_its_first_bad_value():
 def test_waypoint_file_rejects_non_finite_speed(tmp_path, speed):
     bad = tmp_path / "bad.waypoints"
     bad.write_text(f"30.0,-96.0,3.0\n30.0001,-96.0,{speed}\n")
-    with pytest.raises(PathFormatError, match=r"bad\.waypoints:2: waypoint speed must be finite"):
+    with pytest.raises(ValueError, match=r"bad\.waypoints:2: waypoint speed must be finite"):
         load_waypoints(bad)
 
 
@@ -653,5 +652,5 @@ def test_trace_file_rejects_non_finite_values(tmp_path, column, value):
     rows[1][column] = value
     bad = tmp_path / "bad.trace"
     bad.write_text("t,lat,lon,v,omega\n" + "\n".join(",".join(r) for r in rows) + "\n")
-    with pytest.raises(PathFormatError, match=rf"bad\.trace:3: non-finite value '{value}'"):
+    with pytest.raises(ValueError, match=rf"bad\.trace:3: non-finite value '{value}'"):
         load_trace(bad)
