@@ -14,11 +14,12 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from shuttlesim.arbiter import DisplayTracker, Message, Source, SpeedCommand, select
+from shuttlesim.bounds import Natural, NonNegative, Pedal, check_bounds
 from shuttlesim.lidar import LidarFrame, scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
@@ -43,24 +44,24 @@ GRID_DUMP_HEADER = "t,x,y,min_z,max_z"
 
 
 class LogRow(NamedTuple):
-    """One tick of the log; the CSV columns are these fields, in this order."""
+    """One tick of the log; the CSV columns are these fields, in this order, each in its annotated range."""
 
-    t: float
+    t: NonNegative
     x: float
     y: float
     heading: float
-    v: float
+    v: NonNegative
     omega: float
-    throttle: float
-    brake: float
+    throttle: Pedal
+    brake: Pedal
     steer: float
-    cte: float
-    obstacle_d: float | None
-    sign_d: float | None
-    sign_n: int
+    cte: NonNegative
+    obstacle_d: NonNegative | None
+    sign_d: NonNegative | None
+    sign_n: Natural
     display: str
     source: Source  # the arbitration winner, logged as its index in ``Source``
-    sign_stop_d: float | None  # detection distance the held sign stop latched on
+    sign_stop_d: NonNegative | None  # detection distance the held sign stop latched on
 
     def format(self) -> str:
         return ",".join(fmt(getattr(self, name)) for name, fmt, _ in _COLUMNS)
@@ -75,7 +76,6 @@ class LogRow(NamedTuple):
 
 _SOURCES = tuple(Source)
 _DISPLAYS = tuple(m.value for m in Message)
-_NON_NEGATIVE = ("t", "v", "cte", "sign_n", "obstacle_d", "sign_d", "sign_stop_d")
 _TRIGGER = {Source.OBSTACLE: "obstacle_d", Source.SIGN: "sign_stop_d"}  # the column a source's stop triggered at
 
 
@@ -92,16 +92,15 @@ def _parse_finite(text: str) -> float:
     raise ValueError(f"non-finite value {text!r}")
 
 
-# (format, parse) by the text of the field's annotation; every column but ``display`` is numeric
+# (format, parse) by the field's type, its range aside; every column but ``display`` is numeric
 _CODECS = {
-    "float": (lambda v: repr(float(v)), _parse_finite),
-    "float | None": (lambda v: "" if v is None else repr(float(v)),
-                     lambda s: _parse_finite(s) if s else None),
-    "int": (lambda v: str(int(v)), int),
-    "str": (str, str),
-    "Source": (lambda v: str(_SOURCES.index(v)), _parse_source),
+    float: (lambda v: repr(float(v)), _parse_finite),
+    float | None: (lambda v: "" if v is None else repr(float(v)), lambda s: _parse_finite(s) if s else None),
+    int: (lambda v: str(int(v)), int),
+    str: (str, str),
+    Source: (lambda v: str(_SOURCES.index(v)), _parse_source),
 }
-_COLUMNS = tuple((name, *_CODECS[ref.__forward_arg__]) for name, ref in LogRow.__annotations__.items())
+_COLUMNS = tuple((name, *_CODECS[tp]) for name, tp in get_type_hints(LogRow).items())
 LOG_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
@@ -176,12 +175,12 @@ class Simulation:
 
     def __init__(self, scenario: ScenarioConfig, sign_log: list[str] | None = None,
                  grid_dump: list[str] | None = None):
-        if scenario.waypoint_file is None:
+        if scenario.waypoints is None:
             raise ScenarioError("waypoints: run requires a waypoints file")
         self.scenario = scenario
         self.rng = np.random.default_rng(scenario.seed)
         try:
-            self.route = load_waypoints(scenario.waypoint_file, origin=scenario.origin)
+            self.route = load_waypoints(scenario.waypoints, origin=scenario.origin)
         except ValueError as exc:
             raise ScenarioError(f"waypoints: {exc}") from exc
         self.target_index, self.finished = 0, False  # the waypoint follower's state
@@ -302,10 +301,7 @@ def read_log(path) -> list[LogRow]:
             row = LogRow.parse(line)
             if row.display not in _DISPLAYS:
                 raise ValueError(f"display {row.display!r} is not one of {', '.join(_DISPLAYS)}")
-            if negative := [name for name in _NON_NEGATIVE if (getattr(row, name) or 0) < 0]:  # a blank is None
-                raise ValueError(f"{negative[0]} {getattr(row, negative[0])!r} is negative")
-            if outside := [name for name in ("throttle", "brake") if not 0.0 <= getattr(row, name) <= 1.0]:
-                raise ValueError(f"{outside[0]} {getattr(row, outside[0])!r} is outside [0, 1]")
+            check_bounds(row)
             if row.throttle > 0.0 and row.brake > 0.0:
                 raise ValueError(f"throttle {row.throttle!r} and brake {row.brake!r} are both on")
             if (row.sign_d is None) != (row.sign_n == 0):  # a detection has a distance and at least one point

@@ -199,7 +199,7 @@ def modify_speed(
     limit = speed_limit_for_distance(report.closest_distance, corridor.length)
     if limit is None:
         return cmd, ObstacleReport(False, report.closest_distance)
-    if report.closest_distance <= SLOWDOWN_STOP_DISTANCE:
+    if limit == 0.0:  # inside the stop distance: every distance past it gets a positive cap
         return TwistCommand(0.0, cmd.angular_w, cmd.accel_limit, max_decel), report
     return TwistCommand(min(cmd.linear_v, limit), cmd.angular_w, cmd.accel_limit, cmd.decel_limit), report
 

@@ -37,7 +37,7 @@ checked when its dataclass is built. Errors read ``file: key.path: message``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -94,7 +94,7 @@ class ScenarioConfig:
     seed: Natural = 0
     duration: Positive = 10.0
     tick_rate: Annotated[float, Bound(10.0, 200.0, "within [10, 200]")] = 50.0
-    waypoint_file: str | None = None
+    waypoints: str | None = None  # a path; in a file, relative to the file
     origin: tuple[Annotated[float, Bound(-MAX_LAT, MAX_LAT, f"within [-{MAX_LAT:g}, {MAX_LAT:g}]")],
                   Annotated[float, Bound(-MAX_LON, MAX_LON, f"within [-{MAX_LON:g}, {MAX_LON:g}]")]] = DEFAULT_ORIGIN
     start: StartPose = StartPose()
@@ -188,19 +188,13 @@ def _convert(tp, value, where: str):
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
-    if isinstance(data, dict):
-        # a file gives ``waypoint_file`` as ``waypoints``, a path relative to the file
-        if "waypoint_file" in data:
-            raise ScenarioError("unknown top-level keys ['waypoint_file'] (the key is waypoints)")
-        data = dict(data)
-        path = data.pop("waypoints", None)
-        if path is not None:
-            path = _convert(str, path, "waypoints")
-            try:
-                data["waypoint_file"] = path if base_dir is None else str((base_dir / path).resolve())
-            except ValueError as exc:  # a NUL byte in the path
-                raise _error("waypoints", exc) from exc
-    return _build(ScenarioConfig, data)
+    config = _build(ScenarioConfig, data)
+    if config.waypoints is None or base_dir is None:
+        return config
+    try:
+        return replace(config, waypoints=str((base_dir / config.waypoints).resolve()))
+    except ValueError as exc:  # a NUL byte in the path
+        raise _error("waypoints", exc) from exc
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -68,7 +68,7 @@ def figure8_waypoints(tmp_path):
 
 def test_criterion_02_figure8_tracking(tmp_path):
     waypoints = figure8_waypoints(tmp_path)
-    sc = ScenarioConfig(duration=72.0, waypoint_file=waypoints, origin=ORIGIN)
+    sc = ScenarioConfig(duration=72.0, waypoints=waypoints, origin=ORIGIN)
     t0 = time.perf_counter()
     metrics, _ = Simulation(sc).run()
     runtime = time.perf_counter() - t0
@@ -145,7 +145,7 @@ def test_criterion_04_obstacle_slowdown_law():
     report(4, ok, "slowdown law: v(10)=1.0, v(7.5)=0.5, v(5)=0, unchanged beyond 15 m (exact)")
 
 
-def pedestrian_crossing_scenario(seed, waypoint_file):
+def pedestrian_crossing_scenario(seed, waypoints):
     # a jaywalker cutting diagonally across the path at 1.4 m/s, timed so the
     # cart first sees them in its corridor roughly 7-8 m ahead of the bumper
     rng = np.random.default_rng(seed)
@@ -158,7 +158,7 @@ def pedestrian_crossing_scenario(seed, waypoint_file):
     x0 = PARAMS.front_overhang + 3.0 * t_entry + gap0 - v_fwd * t_entry
     ped = Pedestrian(position=(x0, y0), velocity=(v_fwd, v_lat))
     return ScenarioConfig(
-        seed=seed, duration=12.0, waypoint_file=waypoint_file, origin=ORIGIN,
+        seed=seed, duration=12.0, waypoints=waypoints, origin=ORIGIN,
         start=StartPose(speed=3.0), world=WorldModel(pedestrians=(ped,)),
         lidar=LidarConfig(range_jitter=0.01),
     ), ped
@@ -235,7 +235,7 @@ def test_criterion_08_sign_stop_profile(tmp_path):
     waypoints = tmp_path / "straight.waypoints"
     save_waypoints(straight_path(origin=ORIGIN), waypoints)
     sc = ScenarioConfig(
-        seed=3, duration=16.0, waypoint_file=str(waypoints), origin=ORIGIN,
+        seed=3, duration=16.0, waypoints=str(waypoints), origin=ORIGIN,
         start=StartPose(speed=3.0), world=sign_world(10.0),
         lidar=LidarConfig(range_jitter=0.01),
     )
@@ -285,7 +285,7 @@ def test_criterion_10_determinism(tmp_path):
         signs=(SignSpec(center=(40.0, -2.0, 2.0), normal=(-1.0, 0.0, 0.0)),),
     )
     sc = ScenarioConfig(
-        seed=99, duration=6.0, waypoint_file=str(waypoints), origin=ORIGIN,
+        seed=99, duration=6.0, waypoints=str(waypoints), origin=ORIGIN,
         start=StartPose(speed=3.0), world=world, lidar=LidarConfig(range_jitter=0.01),
     )
     _, rows_a = Simulation(sc).run()

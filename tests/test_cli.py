@@ -1,5 +1,7 @@
 import contextlib
+import ctypes
 import hashlib
+import inspect
 import io
 import os
 import platform
@@ -9,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -411,20 +414,20 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
 @pytest.mark.parametrize("column, value, message", [
     ("display", "BANANA", "display 'BANANA' is not one of MOVING, STOPPED"),
     ("display", "", "display '' is not one of MOVING, STOPPED"),
-    ("sign_n", "-5", "sign_n -5 is negative"),
-    ("v", "-0.5", "v -0.5 is negative"),
-    ("cte", "-3.0", "cte -3.0 is negative"),
-    ("t", "-7.0", "t -7.0 is negative"),
+    ("sign_n", "-5", "sign_n must be >= 0, got -5"),
+    ("v", "-0.5", "v must be >= 0, got -0.5"),
+    ("cte", "-3.0", "cte must be >= 0, got -3.0"),
+    ("t", "-7.0", "t must be >= 0, got -7.0"),
     ("t", "0.06", "t 0.06 does not rise past the previous row's 0.06"),  # the previous row's time
     # the harness clamps both pedals to [0, 1], never presses both, and logs only non-negative distances
-    ("throttle", "-1.0", "throttle -1.0 is outside [0, 1]"),
-    ("throttle", "1.5", "throttle 1.5 is outside [0, 1]"),
-    ("brake", "7.0", "brake 7.0 is outside [0, 1]"),
-    ("brake", "-0.25", "brake -0.25 is outside [0, 1]"),
+    ("throttle", "-1.0", "throttle must be within [0, 1], got -1.0"),
+    ("throttle", "1.5", "throttle must be within [0, 1], got 1.5"),
+    ("brake", "7.0", "brake must be within [0, 1], got 7.0"),
+    ("brake", "-0.25", "brake must be within [0, 1], got -0.25"),
     ("brake", "0.5", "throttle 0.12681941427917184 and brake 0.5 are both on"),  # the row's own throttle
-    ("obstacle_d", "-2.0", "obstacle_d -2.0 is negative"),
-    ("sign_d", "-1.5", "sign_d -1.5 is negative"),
-    ("sign_stop_d", "-0.5", "sign_stop_d -0.5 is negative"),
+    ("obstacle_d", "-2.0", "obstacle_d must be >= 0, got -2.0"),
+    ("sign_d", "-1.5", "sign_d must be >= 0, got -1.5"),
+    ("sign_stop_d", "-0.5", "sign_stop_d must be >= 0, got -0.5"),
     # a detection has both a distance and a point count; a stop's winner has the distance it triggered at
     ("sign_n", "5", "sign_n 5 with a blank sign_d"),
     ("sign_d", "21.27", "sign_n 0 with sign_d 21.27"),
@@ -493,20 +496,40 @@ def test_shipped_demo_writes_its_recorded_bytes(tmp_path, capsys, name):
     assert digests(outputs) == SHIPPED_DIGESTS[name]
 
 
+def openblas_core_name() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs in this process, or None where that cannot be read."""
+    try:
+        lib = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    except (StopIteration, OSError, AttributeError):  # no bundled OpenBLAS, or one that does not name its kernel
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64 kernels")
 def test_shipped_scenes_write_their_pinned_log_and_grid_dump_on_the_oldest_blas_kernel(tmp_path):
     # no BLAS call feeds the log or the grid dump, so they must not change with the kernel OpenBLAS
     # picks for the CPU. Prescott is its oldest x86-64 kernel, so every x86-64 CPU can run it; never
     # force a newer one, which can kill the process on an illegal instruction. Only the child's
-    # environment sets the variable.
+    # environment sets the variable; the last line the child prints names its kernel.
     runs = {name: shipped_run(name, tmp_path, ("log", "grid-dump")) for name in SHIPPED_DIGESTS}
-    code = f"from shuttlesim.cli import main\nfor argv in {[argv for argv, _ in runs.values()]!r}:\n    assert main(argv) == 0"
+    code = "\n".join(["import ctypes", "from pathlib import Path", "import numpy as np", "from shuttlesim.cli import main",
+                      inspect.getsource(openblas_core_name),
+                      f"for argv in {[argv for argv, _ in runs.values()]!r}:\n    assert main(argv) == 0",
+                      "print(openblas_core_name())"])
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Prescott"))
     assert done.returncode == 0, done.stderr
     for name, (_, outputs) in runs.items():
         assert digests(outputs) == {flag: SHIPPED_DIGESTS[name][flag] for flag in outputs}, name
+    # a numpy on another BLAS ignores the variable, and a parent run under it already has the kernel
+    child, parent = done.stdout.splitlines()[-1], openblas_core_name()
+    if parent is None or child == "None":
+        pytest.skip("numpy's bundled OpenBLAS does not name its kernel, so the child's kernel is unknown")
+    if child == parent:
+        pytest.skip(f"OPENBLAS_CORETYPE=Prescott left the child on this process's kernel, {parent}")
 
 
 @pytest.mark.parametrize("lidar, recorded", [

@@ -37,7 +37,7 @@ BOX_AND_SIGN = WorldModel(
 
 
 def straight_scenario(straight_waypoints, **kw):
-    defaults = dict(duration=6.0, waypoint_file=straight_waypoints, start=StartPose(speed=3.0))
+    defaults = dict(duration=6.0, waypoints=straight_waypoints, start=StartPose(speed=3.0))
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -532,7 +532,7 @@ def drive_compiled_figure8(tmp_path):
     """Record, compile and drive the figure 8 in an empty world; its metrics and its log's sha256."""
     save_trace(record_trace(load_scenario(SCENARIO_DIR / "figure8_record.yaml")), tmp_path / "fig8.trace")
     save_waypoints(compile_path(load_trace(tmp_path / "fig8.trace"), 3.0), tmp_path / "fig8.waypoints")
-    metrics, rows = Simulation(ScenarioConfig(duration=60.0, waypoint_file=tmp_path / "fig8.waypoints")).run()
+    metrics, rows = Simulation(ScenarioConfig(duration=60.0, waypoints=tmp_path / "fig8.waypoints")).run()
     write_log(rows, tmp_path / "fig8.csv")
     return metrics, hashlib.sha256((tmp_path / "fig8.csv").read_bytes()).hexdigest()
 

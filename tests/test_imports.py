@@ -1,4 +1,4 @@
-"""No module in src/ or tests/ imports a name it never uses (a stdlib stand-in for a linter)."""
+"""No module in src/, tests/ or bench/ imports a name it never uses (a stdlib stand-in for a linter)."""
 
 import ast
 
@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import REPO_ROOT
 
-SOURCES = sorted((REPO_ROOT / "src").rglob("*.py")) + sorted((REPO_ROOT / "tests").rglob("*.py"))
+SOURCES = [path for folder in ("src", "tests", "bench") for path in sorted((REPO_ROOT / folder).rglob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -345,6 +345,11 @@ def test_closest_in_corridor_matches_a_fresh_computation(points, pool, data):
          accel=1.0, decel=1.2, max_decel=5.0)  # a stop
 @example(points=[(13.2, 0.0, 0.0), (13.2, 0.0, 0.5)], corridor=corridor_from_steering(0.0, PARAMS), v=3.0, w=0.3,
          accel=1.0, decel=1.2, max_decel=5.0)  # a slowdown
+# the least distance past the stop distance: a cell centre 8.125 m ahead of the axle, the bumper placed
+# exactly nextafter(5, inf) behind it, so the cap is 5.000000000000001 / 5 - 1 > 0, a slowdown and not a stop
+@example(points=[(8.125, 0.0, 0.0), (8.125, 0.0, 0.5)],
+         corridor=Corridor(None, 15.0, 1.15, 8.125 - math.nextafter(5.0, math.inf)), v=3.0, w=0.0,
+         accel=1.0, decel=1.2, max_decel=5.0)
 def test_modify_speed_matches_the_replace_form(points, corridor, v, w, accel, decel, max_decel):
     grid = build_grid(frame_from_points(np.array(points).reshape(-1, 3)), GRID)
     cmd = TwistCommand(v, w, accel, decel)

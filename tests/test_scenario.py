@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shuttlesim.harness import LogRow
 from shuttlesim.scenario import DEFAULT_ORIGIN, ScenarioConfig, ScenarioError, load_scenario, scenario_from_dict
 from tests.conftest import SCENARIO_DIR
 
@@ -15,7 +16,7 @@ def test_load_shipped_demo():
     sc = load_scenario(SCENARIO_DIR / "demo.yaml")
     assert sc.name == "demo"
     assert sc.duration == 40.0
-    assert sc.waypoint_file.endswith("straight_3mps.waypoints")
+    assert sc.waypoints.endswith("straight_3mps.waypoints")
     assert len(sc.world.pedestrians) == 1
     assert len(sc.world.signs) == 1
     assert sc.lidar.range_jitter == 0.01
@@ -60,7 +61,7 @@ def test_waypoint_path_resolved_relative(tmp_path):
     (tmp_path / "p.waypoints").write_text("30.0,-96.0,1.0\n")
     (tmp_path / "s.yaml").write_text("duration: 1.0\nwaypoints: p.waypoints\n")
     sc = load_scenario(tmp_path / "s.yaml")
-    assert sc.waypoint_file == str((tmp_path / "p.waypoints").resolve())
+    assert sc.waypoints == str((tmp_path / "p.waypoints").resolve())
 
 
 def test_empty_file_rejected(tmp_path):
@@ -126,14 +127,8 @@ def shaped(tp):
     return st.floats(0.01, 100.0) | st.integers(0, 100) | SCALARS
 
 
-SCENARIO_DATA = shaped(ScenarioConfig).map(
-    lambda d: {("waypoints" if k == "waypoint_file" else k): v for k, v in d.items()}
-    if isinstance(d, dict) else d
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(data=SCENARIO_DATA, base_dir=st.sampled_from([None, Path(".")]))
+@given(data=shaped(ScenarioConfig), base_dir=st.sampled_from([None, Path(".")]))
 @example(data={"world": {"signs": [{"center": [1, 2, 2], "normal": [-1, 0, 0]}]},
                "manual_stops": [{"t": 1, "duration": 2}], "waypoints": "a\0b"}, base_dir=Path("."))
 @example(data={"tick_rate": 10**400}, base_dir=None)
@@ -166,7 +161,7 @@ ANY_FINITE = {"start.heading", "follower.heading_bias", "drive_script[0].yaw_rat
 
 
 def numbers(cls, where=""):
-    """{key path: (int or float, the bounds in its annotation)} of every number reachable from dataclass ``cls``."""
+    """{key path: (int or float, the bounds in its annotation)} of every number reachable from class ``cls``."""
     found = {}
     for name, tp in get_type_hints(cls, include_extras=True).items():
         path = f"{where}.{name}" if where else name
@@ -178,6 +173,8 @@ def numbers(cls, where=""):
         else:
             for key, element in ([(f"{path}[{i}]", a) for i, a in enumerate(args)] if get_origin(tp) is tuple
                                  else [(path, tp)]):
+                if type(None) in get_args(element):  # X | None: the bounds of X, checked when it holds a value
+                    element = next(a for a in get_args(element) if a is not type(None))
                 base, *bounds = get_args(element) if get_origin(element) is Annotated else (element,)
                 if base in (int, float):
                     found[key] = base, tuple(bounds)
@@ -190,6 +187,15 @@ NUMBERS = numbers(ScenarioConfig)
 def test_every_scenario_number_is_bounded_or_listed_as_any_finite():
     unbounded = {path for path, (_, bounds) in NUMBERS.items() if not bounds}
     assert unbounded == ANY_FINITE
+
+
+# log columns that take any finite value: the pose, the yaw rate and the steering command
+LOG_ANY_FINITE = {"x", "y", "heading", "omega", "steer"}
+
+
+def test_every_log_number_is_bounded_or_listed_as_any_finite():
+    unbounded = {name for name, (_, bounds) in numbers(LogRow).items() if not bounds}
+    assert unbounded == LOG_ANY_FINITE
 
 
 def just_outside():

@@ -355,7 +355,7 @@ def test_route_projected_once_per_simulation(monkeypatch, straight_waypoints):
         return to_local(*args)
 
     monkeypatch.setattr(waypoints, "to_local", counting_to_local)
-    sim = Simulation(ScenarioConfig(duration=2.0, tick_rate=50.0, waypoint_file=straight_waypoints))
+    sim = Simulation(ScenarioConfig(duration=2.0, tick_rate=50.0, waypoints=straight_waypoints))
     _, rows = sim.run()
     assert len(rows) == 100
     assert len(calls) == 1  # one array call projects the whole route
