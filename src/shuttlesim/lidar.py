@@ -16,7 +16,10 @@ a range, so the few other rays that return lie before or after it, among the
 rays the casts took. A ray is kept when its true range is within
 ``max_range``, and only kept rays draw range jitter. The points come out as
 ``mount + t * direction`` from slices of the block and a short list of the
-others, one contiguous row per axis.
+others, one contiguous row per axis. A sweep allocates the draw, which then
+holds the block's jittered ranges, and the points; only a world with something
+to cast copies the ranges, and only a sign that takes a ray fills an intensity
+row: an unlit frame's intensity is one read-only background value, zero-stride.
 """
 
 from __future__ import annotations
@@ -83,6 +86,13 @@ def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -
     for table in (columns, ground):
         table.flags.writeable = False
     return columns, ground, len(ground) // 2 - np.count_nonzero(np.isfinite(ground))
+
+
+@functools.lru_cache(maxsize=4)
+def _block_end(azimuth_step_deg: float, mount_height: float, min_range: float, max_range: float) -> int:
+    """``cut``: the block's rays ``[start, cut)`` are those whose (rising) ground range is within ``max_range``."""
+    _, ground, start = _ray_table(azimuth_step_deg, mount_height, min_range)
+    return start + int(np.searchsorted(ground[start:], max_range, side="right"))
 
 
 def _wedge(center, radius, n_az, step, rings=16) -> np.ndarray:
@@ -157,7 +167,8 @@ def scan(
     sorted once. One jitter draw is added to them in ray order, so the frame is
     the returns the sensor can reach, each with one noise sample. The pedestrians
     stand at ``positions``, (P, 2) in ``world.pedestrians`` order, or at their
-    starts when it is None. Nothing is kept between calls: each frame is new.
+    starts when it is None. Nothing is kept between calls; an unlit frame's
+    intensity is the background value, read-only, with a stride of 0.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
@@ -179,7 +190,7 @@ def scan(
         rows = _wedge(center, radius, len(ground) // 16, step, 8 if top < h else 16)
         return rows, *(column[rows] for column in columns)
 
-    t_best = ground.copy()
+    t_best = ground.copy() if world.obstacles or world.pedestrians or world.signs else ground
     taken = [np.empty(0, dtype=int)]  # the rays each box and pedestrian cast took
 
     for box in world.obstacles:
@@ -235,16 +246,17 @@ def scan(
     # the kept rays: the block up to ``cut`` (its ground ranges rise, and a cast
     # only lowers one) and the sorted list ``rest`` of the others within max_range,
     # which only a cast can bring that near, so are among the rays the casts took
-    cut = start + int(np.searchsorted(ground[start:], config.max_range, side="right"))
+    cut = _block_end(config.azimuth_step_deg, h, config.min_range, config.max_range)
     rest, head = np.concatenate(taken + [rows for rows, _ in lit]), 0
     if len(rest):  # when no cast took a ray, the kept rays are the block's run alone
         rest = np.sort(rest[((rest < start) | (rest >= cut)) & (t_best[rest] <= config.max_range)])
         rest = np.concatenate((rest[:1], rest[1:][rest[1:] != rest[:-1]]))  # a ray two casts took, once
         head = np.searchsorted(rest, start)
+    block = t_best[start:cut]  # the block's kept ranges
     if config.range_jitter > 0.0:  # one draw over the kept rays, added in ray order
         noise = rng.standard_normal(len(rest) + cut - start)
         noise *= config.range_jitter  # rng.normal(0.0, range_jitter) gives these bits, a zero's sign aside
-        t_best[start:cut] += noise[head:head + cut - start]
+        block = np.add(block, noise[head:head + cut - start], out=noise[head:head + cut - start])  # into the draw
         if len(rest):
             t_best[rest[:head]] += noise[:head]
             t_best[rest[head:]] += noise[head + cut - start:]
@@ -253,11 +265,13 @@ def scan(
         return np.searchsorted(rest, rows) + np.maximum(np.minimum(rows, cut) - start, 0)
     # mount + t * dir, one contiguous row per axis; the frame holds the (N, 3) transpose
     points = np.empty((3, len(rest) + cut - start))
-    np.multiply(columns[:, start:cut], t_best[start:cut], out=points[:, head:head + cut - start])
+    np.multiply(columns[:, start:cut], block, out=points[:, head:head + cut - start])
     if len(rest):
         points[:, place(rest)] = np.take(columns, rest, axis=1) * t_best[rest]
     points += np.array([[params.lidar_offset_x], [0.0], [h]])
-    intensity = np.full(points.shape[1], config.background_intensity)
-    for rows, value in lit:  # in cast order: a later sign overrides
-        intensity[place(rows)] = value
+    intensity = np.ndarray(points.shape[1:], float, np.float64(config.background_intensity), strides=(0,))  # no row
+    if any(len(rows) for rows, _ in lit):  # a sign took a ray: the frame gets a row of its own
+        intensity = intensity.copy()
+        for rows, value in lit:  # in cast order: a later sign overrides
+            intensity[place(rows)] = value
     return LidarFrame(points.T, intensity)

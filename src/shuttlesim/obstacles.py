@@ -4,11 +4,12 @@ Each sweep is binned into a vehicle-centred grid; a cell counts as occupied
 when the vertical spread of its points exceeds the height threshold. A cell's
 lowest point is no lower than the sweep's lowest point ``z_lo``, and rounded
 subtraction is monotone, so an occupied cell always holds a tall point, one
-more than the threshold above ``z_lo``. Only the tall points are binned at
-first; then only the points near the cells they fall in, and the cells holding
-a tall point are grouped with all of their points. A sweep of bare ground
-bins no point, and the grid is the one grouping every point gives, at any
-threshold. The vehicle's expected corridor is projected from the current
+more than the threshold above ``z_lo``: above one height, the highest within
+it, found once per sweep. Only the tall points are binned at first; then only
+the points near the cells they fall in, and the cells holding a tall point are
+grouped with all of their points. A sweep of bare ground bins no point, costs a
+min, a compare and a ``flatnonzero``, and the grid is the one grouping every
+point gives, at any threshold. The vehicle's expected corridor is projected from the current
 steering angle with a bicycle model, and the closest occupied cell along it
 caps the commanded speed at d/5 - 1 (full stop at maximum deceleration inside
 5 m). A grid changes once per sweep and the corridor only when the steering
@@ -71,6 +72,20 @@ def _cells(x: np.ndarray, y: np.ndarray, z: np.ndarray, which: np.ndarray,
     return (i * n + j)[binned].astype(int), z[binned]  # row-major: below n * n, so exact
 
 
+def _tall(z: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the heights whose rounded ``z - z_lo`` exceeds ``threshold``: those above ``top``, the
+    highest within it, a few ulp from ``z_lo + threshold``. When that sum is not finite, or far nearer 0
+    than the threshold, the differences are compared instead."""
+    z_lo = float(z.min(initial=np.inf))
+    top = z_lo + threshold
+    for _ in range(4 if math.isfinite(top) else 0):
+        up = math.nextafter(top, math.inf)
+        if top - z_lo <= threshold < up - z_lo:
+            return np.flatnonzero(z > top)
+        top = math.nextafter(top, -math.inf) if top - z_lo > threshold else up
+    return np.flatnonzero(z - z_lo > threshold)
+
+
 def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> OccupancyGrid:
     """Bin a sweep into min/max height cells and flag tall spreads.
 
@@ -82,7 +97,7 @@ def build_grid(frame: LidarFrame, params: GridParams = GridParams()) -> Occupanc
     """
     n = int(round(2 * params.extent / params.cell_size))
     x, y, z = frame.points.T
-    tall = np.flatnonzero(z - z.min(initial=np.inf) > params.height_threshold)
+    tall = _tall(z, params.height_threshold)
     tall_cell = _cells(x, y, z, tall, params, n)[0] if len(tall) else tall
     occupied = np.zeros(n * n, dtype=bool)
     if len(tall_cell) == 0:

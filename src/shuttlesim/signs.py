@@ -5,7 +5,8 @@ crop, radius outlier removal, statistical outlier removal, and RANSAC plane
 segmentation with a facing check on the plane normal. The threshold and the
 crop are per-point masks, so they commute; thresholding first leaves the crop
 the few bright returns of a sweep instead of all its ground. The two outlier
-filters share one KD-tree and one k-nearest query over the cropped cloud; SOR
+filters share one KD-tree, unbalanced as it builds faster on a sign's few
+hundred points, and one k-nearest query over the cropped cloud; SOR
 queries again only when ROR has dropped points. RANSAC scores its triples in
 draw order, a chunk at a time, and stops after the first chunk with a plane
 that takes every point, since no later triple can beat it. A detected sign
@@ -66,8 +67,8 @@ def fov_filter(frame: LidarFrame, fov_side: float = FilterParams.fov_side) -> Li
 
 def intensity_filter(frame: LidarFrame, min_intensity: float = FilterParams.min_intensity) -> LidarFrame:
     """Stage 1: keep only returns bright enough to be retroreflective."""
-    mask = frame.intensity >= min_intensity
-    return LidarFrame(frame.points[mask], frame.intensity[mask])
+    bright = np.flatnonzero(frame.intensity >= min_intensity)  # gathered by index: faster than a mask of the rows
+    return LidarFrame(frame.points[bright], frame.intensity[bright])
 
 
 def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +76,7 @@ def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     when there are fewer points), itself first, and those points' indices."""
     from scipy.spatial import cKDTree  # at the first tree: a world without a sign never builds one
 
-    dists, idx = cKDTree(points).query(points, k=min(k, len(points)))
+    dists, idx = cKDTree(points, balanced_tree=False, compact_nodes=False).query(points, k=min(k, len(points)))
     return dists.reshape(len(points), -1), idx.reshape(len(points), -1)
 
 

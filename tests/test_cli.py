@@ -544,13 +544,27 @@ def test_shipped_scenes_write_their_pinned_log_and_grid_dump_on_the_oldest_blas_
       "grid-dump": "487590dc20f5454b16cf7d3aebc71357906b30bfb59011a44c75943dca507370"}),
 ], ids=["narrow", "jitter-free"])
 def test_demo_at_a_narrow_lidar_range_writes_its_recorded_bytes(tmp_path, capsys, lidar, recorded):
-    # the sign log is not pinned: its plane components depend on the CPU's BLAS kernel
+    assert edited_demo_digests(tmp_path, [("^lidar: {range_jitter: 0.01}$", lidar)]) == recorded
+
+
+def test_the_demo_route_in_an_empty_world_writes_its_recorded_bytes(tmp_path, capsys):
+    # every sweep is jittered bare ground, and no grid cell is ever occupied
+    edits = [("^duration: 40.0$", "duration: 10.0"), (r"^world:\n(?:  .*\n)+", "world: {}\n")]
+    assert edited_demo_digests(tmp_path, edits) == {
+        "log": "746fcb9da5fa3919fc8cd78cba1c1ca3018bc98bd552e49758e25e173560d7c6",
+        "grid-dump": "ce9e32ca62d2b34068aa77b60b65d8eb1db822ded2ffe640886a01476d10b0c7"}
+
+
+def edited_demo_digests(tmp_path, edits):
+    """The log and grid dump digests of the demo with each ``(pattern, line)`` edit made once. The sign
+    log is not pinned: its plane components depend on the CPU's BLAS kernel."""
     text = (SCENARIO_DIR / "demo.yaml").read_text()
-    narrow = text.replace("lidar: {range_jitter: 0.01}", lidar)
-    assert narrow != text
-    (tmp_path / "demo.yaml").write_text(narrow)
+    for pattern, line in edits:
+        text, count = re.subn(pattern, line, text, flags=re.M)
+        assert count == 1, pattern
+    (tmp_path / "demo.yaml").write_text(text)
     (tmp_path / "straight_3mps.waypoints").write_bytes((SCENARIO_DIR / "straight_3mps.waypoints").read_bytes())
     outputs = {"log": tmp_path / "demo.log", "grid-dump": tmp_path / "grid.csv"}
     options = [arg for flag, path in outputs.items() for arg in (f"--{flag}", str(path))]
     assert main(["run", str(tmp_path / "demo.yaml"), *options]) == 0
-    assert digests(outputs) == recorded
+    return digests(outputs)

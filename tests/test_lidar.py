@@ -167,6 +167,20 @@ def test_a_sweep_whose_casts_take_no_ray_matches_the_reference(config, monkeypat
         assert_scan_matches_reference(world, VehicleState(x=1.0, heading=0.3), config, seed)
     assert taken == [0]  # the sign's cast, beyond max_range
 
+    # a world with nothing to cast reads the shared ray table without writing it, and its unlit
+    # frame's intensity is a read-only row of the background value
+    table = lidar._ray_table(config.azimuth_step_deg, PARAMS.lidar_mount_height, config.min_range)
+    before = [np.copy(part) for part in table[:2]]
+    for seed, jitter in enumerate((0.0, 0.01, 0.3)):
+        state, bare = VehicleState(x=-3.0, heading=-2.0), replace(config, range_jitter=jitter)
+        frame = assert_scan_matches_reference(WorldModel(), state, bare, seed)
+        points, intensity = reference_scan(WorldModel(), state, PARAMS, bare, rng=np.random.default_rng(seed))
+        assert np.ascontiguousarray(frame.points).tobytes() == points.tobytes()  # bit for bit, a zero's sign too
+        assert frame.intensity.tobytes() == intensity.tobytes()
+        assert not frame.intensity.flags.writeable
+    for part, copy in zip(table[:2], before):
+        assert not part.flags.writeable and part.tobytes() == copy.tobytes()
+
 
 def test_scan_respects_vehicle_pose():
     # vehicle rotated 90 deg left: a sign due north lands dead ahead in vehicle frame

@@ -65,6 +65,28 @@ def test_intensity_filter_empty_and_background():
     assert len(intensity_filter(ground)) == 0
 
 
+def mask_intensity_filter(frame, min_intensity):
+    """The threshold as a boolean mask of the frame's rows."""
+    mask = frame.intensity >= min_intensity
+    return LidarFrame(frame.points[mask], frame.intensity[mask])
+
+
+@pytest.mark.parametrize("bright", ["none", "some", "all", "scanned"])
+def test_intensity_filter_gathers_the_rows_a_mask_keeps(bright):
+    rng = np.random.default_rng(5)
+    if bright == "scanned":  # the (N, 3) transposed view scan returns, with a sign's returns among the ground's
+        frame = scan(full_pipeline_world(10.0), VehicleState(), PARAMS, LidarConfig())
+    else:
+        intensity = rng.uniform(*{"none": (0.0, 84.9), "some": (0.0, 255.0), "all": (85.0, 255.0)}[bright], 500)
+        if bright != "none":
+            intensity[::7] = 85.0  # exactly at the threshold, which keeps them
+        frame = LidarFrame(rng.uniform(-50.0, 50.0, (3, 500)).T, intensity)
+    got, expected = intensity_filter(frame, 85.0), mask_intensity_filter(frame, 85.0)
+    assert np.array_equal(got.points, expected.points) and np.array_equal(got.intensity, expected.intensity)
+    assert len(got) == {"none": 0, "all": len(frame)}.get(bright, len(got))
+    assert bright in ("none", "all") or 0 < len(got) < len(frame)
+
+
 def test_ror_isolated_point_removed():
     pts = np.array([[0, 0, 0.0], [10, 10, 10.0], [0.1, 0, 0], [0, 0.1, 0], [0.1, 0.1, 0]])
     out = radius_outlier_removal(pts)
@@ -186,6 +208,23 @@ def test_detect_outlier_filters_equal_two_trees_and_brute_force_bit_for_bit(clou
     got = detect_filtered(points, params)
     assert np.array_equal(got, two_tree_ror_sor(points, radius, min_neighbors, k, mult))
     assert np.array_equal(got, brute_sor(brute_ror(points, radius, min_neighbors), k, mult))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outlier_clouds(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_the_unbalanced_tree_gives_the_default_trees_distances_and_kept_points(cloud, mult):
+    from scipy.spatial import cKDTree
+
+    points, radius, min_neighbors, k = cloud
+    j = max(min_neighbors, k) + 1
+    ours = signs._neighbors(points, j)
+    dists, idx = cKDTree(points).query(points, k=min(j, len(points)))
+    default = dists.reshape(len(points), -1), idx.reshape(len(points), -1)
+    assert np.array_equal(ours[0], default[0])  # only the order of tied indices may differ
+    assert np.array_equal(radius_outlier_removal(points, radius, min_neighbors, ours),
+                          radius_outlier_removal(points, radius, min_neighbors, default))
+    assert np.array_equal(statistical_outlier_removal(points, k, mult, ours),
+                          statistical_outlier_removal(points, k, mult, default))
 
 
 @pytest.mark.parametrize("cloud", ["scanned", "grid"])
