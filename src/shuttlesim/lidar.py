@@ -7,19 +7,18 @@ return the retroreflective intensity; everything else returns the background
 value. The cone under the mount that no beam reaches is the sensor's blind
 spot, which emerges from the geometry rather than any special casing.
 
-A sweep is cast in the sensor frame, on ray directions and ground ranges
-computed once per azimuth step, mount height and minimum range: each sweep
-moves the few objects into that frame and casts each one only on the rays
-that can reach it, with elementwise arithmetic. The rays are stored ring by
-ring, so those that return the ground are one block, and a cast only lowers
-a range, so the few other rays that return lie before or after it, among the
-rays the casts took. A ray is kept when its true range is within
-``max_range``, and only kept rays draw range jitter. The points come out as
-``mount + t * direction`` from slices of the block and a short list of the
-others, one contiguous row per axis. A sweep allocates the draw, which then
+A sweep is cast in the sensor frame, on one table computed per sensor setting
+and mount height: each sweep moves the few objects into that frame and casts
+each one only on the rays that can reach it, with elementwise arithmetic. The
+rays are stored ring by ring, so those that return the ground are one block,
+and a cast only lowers a range, so the few other rays that return lie before
+or after it, among the rays the casts took. A ray is kept when its true range
+is within ``max_range``, and only kept rays draw range jitter. The points come
+out as ``mount + t * direction`` from slices of the block and a short list of
+the others, one contiguous row per axis. A sweep allocates the draw, which then
 holds the block's jittered ranges, and the points; only a world with something
-to cast copies the ranges, and only a sign that takes a ray fills an intensity
-row: an unlit frame's intensity is one read-only background value, zero-stride.
+to cast copies the ranges, and only a sign that takes a ray copies the table's
+background row: an unlit frame's intensity is a contiguous read-only view of it.
 """
 
 from __future__ import annotations
@@ -64,16 +63,15 @@ class LidarFrame:
 
 
 @functools.lru_cache(maxsize=4)
-def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The sweep's rays in sensor frame, ring by ring, each ring from azimuth
-    0 in steps of ``azimuth_step_deg``: their unit directions as a contiguous
-    (3, N) array of x, y and z rows, each ray's range to the ground (``inf``
-    for a ray that never reaches it, or only within ``min_range``), and the
-    ``start`` of ``[start, N // 2)``, the block of the rays that do reach it.
-
-    The arrays are read-only: every sweep with these settings shares them.
+def _ray_table(config: LidarConfig, mount_height: float) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
+    """What a sweep derives from the sensor's settings: its rays' unit directions,
+    ring by ring from azimuth 0, as a contiguous (3, N) array of x, y and z rows;
+    their ground ranges (``inf`` where a ray never reaches the ground, or only
+    within ``min_range``); the block ``[start, cut)`` of the rays whose ground
+    range is within ``max_range`` (they rise); and a row of N background
+    intensities. The arrays are read-only: every sweep with these settings shares them.
     """
-    azimuths = np.deg2rad(np.arange(0.0, 360.0, azimuth_step_deg))
+    azimuths = np.deg2rad(np.arange(0.0, 360.0, config.azimuth_step_deg))
     elevations = np.deg2rad(np.asarray(RING_ELEVATIONS_DEG, dtype=float))
     cos_e = np.cos(elevations)[:, None]
     sin_e = np.sin(elevations)[:, None]
@@ -82,17 +80,13 @@ def _ray_table(azimuth_step_deg: float, mount_height: float, min_range: float) -
     dz = columns[2]
     with np.errstate(divide="ignore"):
         ground = np.where(dz < 0.0, mount_height / -dz, np.inf)
-    ground[ground <= min_range] = np.inf
-    for table in (columns, ground):
+    ground[ground <= config.min_range] = np.inf
+    start = len(ground) // 2 - np.count_nonzero(np.isfinite(ground))
+    cut = start + int(np.searchsorted(ground[start:], config.max_range, side="right"))
+    background = np.full(len(ground), config.background_intensity)
+    for table in (columns, ground, background):
         table.flags.writeable = False
-    return columns, ground, len(ground) // 2 - np.count_nonzero(np.isfinite(ground))
-
-
-@functools.lru_cache(maxsize=4)
-def _block_end(azimuth_step_deg: float, mount_height: float, min_range: float, max_range: float) -> int:
-    """``cut``: the block's rays ``[start, cut)`` are those whose (rising) ground range is within ``max_range``."""
-    _, ground, start = _ray_table(azimuth_step_deg, mount_height, min_range)
-    return start + int(np.searchsorted(ground[start:], max_range, side="right"))
+    return columns, ground, start, cut, background
 
 
 def _wedge(center, radius, n_az, step, rings=16) -> np.ndarray:
@@ -167,13 +161,13 @@ def scan(
     sorted once. One jitter draw is added to them in ray order, so the frame is
     the returns the sensor can reach, each with one noise sample. The pedestrians
     stand at ``positions``, (P, 2) in ``world.pedestrians`` order, or at their
-    starts when it is None. Nothing is kept between calls; an unlit frame's
-    intensity is the background value, read-only, with a stride of 0.
+    starts when it is None. Only the sensor's table (``_ray_table``) outlives a
+    call; an unlit frame's intensity is a view of its read-only background row.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
     h = params.lidar_mount_height
-    columns, ground, start = _ray_table(config.azimuth_step_deg, h, config.min_range)
+    columns, ground, start, cut, background = _ray_table(config, h)
     step = math.radians(config.azimuth_step_deg)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     # the sensor's world position on the ground plane
@@ -246,7 +240,6 @@ def scan(
     # the kept rays: the block up to ``cut`` (its ground ranges rise, and a cast
     # only lowers one) and the sorted list ``rest`` of the others within max_range,
     # which only a cast can bring that near, so are among the rays the casts took
-    cut = _block_end(config.azimuth_step_deg, h, config.min_range, config.max_range)
     rest, head = np.concatenate(taken + [rows for rows, _ in lit]), 0
     if len(rest):  # when no cast took a ray, the kept rays are the block's run alone
         rest = np.sort(rest[((rest < start) | (rest >= cut)) & (t_best[rest] <= config.max_range)])
@@ -269,7 +262,7 @@ def scan(
     if len(rest):
         points[:, place(rest)] = np.take(columns, rest, axis=1) * t_best[rest]
     points += np.array([[params.lidar_offset_x], [0.0], [h]])
-    intensity = np.ndarray(points.shape[1:], float, np.float64(config.background_intensity), strides=(0,))  # no row
+    intensity = background[:points.shape[1]]  # a view of the shared read-only row
     if any(len(rows) for rows, _ in lit):  # a sign took a ray: the frame gets a row of its own
         intensity = intensity.copy()
         for rows, value in lit:  # in cast order: a later sign overrides

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from shuttlesim.bounds import NonNegative, Positive, check_bounds
+from shuttlesim.bounds import Natural, NonNegative, Positive, check_bounds
 from shuttlesim.lidar import LidarFrame
 from shuttlesim.plant import VehicleParams, simulate_full_stop
 from shuttlesim.twist import TwistCommand
@@ -42,7 +42,7 @@ class GridParams:
     extent: Positive = 20.0  # grid covers +-extent around the vehicle, m; at least the corridor's reach
     height_threshold: NonNegative = 0.07
     roof_height: Positive = 2.1  # points above this are overhead structure
-    min_cell_points: NonNegative = 2  # a spread needs at least one point pair
+    min_cell_points: Natural = 2  # a spread needs at least one point pair
 
     def __post_init__(self):
         check_bounds(self)

@@ -28,7 +28,7 @@ class VehicleParams:
     """Geometry and actuator calibration of the shuttle."""
 
     wheelbase: Length = 2.57
-    steering_ratio: Positive = 16.8
+    steering_ratio: Annotated[Positive, LIMIT] = 16.8
     max_steer: Annotated[float, Bound(TINY, math.nextafter(math.pi / 2, 0.0), "within (0, pi/2)")] = 0.55  # rad
     throttle_gain: Annotated[Positive, LIMIT] = 2.5  # m/s^2 at full throttle
     max_decel: Positive = 5.0  # mechanical limit reached at full pedal, m/s^2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class SignSpec:
     """Flat rectangular sign; the front face returns the retroreflective intensity."""
 
     center: tuple[Coordinate, Coordinate, Coordinate]
-    normal: tuple[float, float, float]
+    normal: tuple[Coordinate, Coordinate, Coordinate]  # scaled to unit length
     width: Length = 0.75
     height: Length = 0.75
     intensity: Intensity = 200.0
@@ -46,8 +47,8 @@ class SignSpec:
     def __post_init__(self):
         check_bounds(self)
         n = math.hypot(*self.normal)
-        if n == 0:
-            raise ValueError("sign normal must be non-zero")
+        if n < sys.float_info.min:  # a subnormal length is rounded too coarsely to scale the normal to unit length
+            raise ValueError(f"normal must be at least {sys.float_info.min!r} long, got {n!r}")
         object.__setattr__(self, "normal", tuple(c / n for c in self.normal))
         if abs(self.normal[2]) > 0.99:
             raise ValueError("sign must be close to vertical")

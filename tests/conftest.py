@@ -191,7 +191,7 @@ def dot(a, b):
 def reference_scan(world, state, params, config, rng=None):
     """Cast every object against every ray of the sweep in the sensor frame; return (points, intensity)."""
     h = params.lidar_mount_height
-    dirs = _ray_table(config.azimuth_step_deg, h, config.min_range)[0].T
+    dirs = _ray_table(config, h)[0].T
     n = len(dirs)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     sx = state.x + cos_h * params.lidar_offset_x
@@ -304,7 +304,7 @@ HARNESS_ORACLES = {
 def reference_scan_world(world, state, params, config):
     """Cast every object against every ray turned into the world frame, and
     turn the hits back; return (points, intensity). No range jitter."""
-    dirs_sensor = _ray_table(config.azimuth_step_deg, params.lidar_mount_height, config.min_range)[0].T
+    dirs_sensor = _ray_table(config, params.lidar_mount_height)[0].T
     n = len(dirs_sensor)
     cos_h, sin_h = math.cos(state.heading), math.sin(state.heading)
     rot = np.array([[cos_h, -sin_h, 0.0], [sin_h, cos_h, 0.0], [0.0, 0.0, 1.0]])

@@ -266,6 +266,14 @@ BAD_SCENARIOS = [
     ("world: {pedestrians: [{position: [30, 6], radius: 1e300}]}",
      "world.pedestrians[0]: radius must be within [-1e8, 1e8], got 1e+300"),
     ("lidar: {range_jitter: 1e300}", "lidar: range_jitter must be within [-1e8, 1e8], got 1e+300"),
+    ("vehicle: {max_steer: 1.5, steering_ratio: 1.7e308}",
+     "vehicle: steering_ratio must be within [-1e8, 1e8], got 1.7e+308"),
+    # a normal that normalises to (0, 0, 0) crashes the sweep; one with a subnormal length comes out longer than 1
+    ("world: {signs: [{center: [9, -2, 2], normal: [-1.7e308, -1.7e308, 0.0]}]}",
+     "world.signs[0]: normal[0] must be within [-1e8, 1e8], got -1.7e+308"),
+    ("world: {signs: [{center: [9, -2, 2], normal: [5e-324, 5e-324, 0.0]}]}",
+     "world.signs[0]: normal must be at least 2.2250738585072014e-308 long, got 5e-324"),
+    ("grid: {min_cell_points: 2.5}", "grid.min_cell_points: expected int, got 2.5"),
 ]
 
 

@@ -17,7 +17,7 @@ from tests.conftest import reference_scan, reference_scan_world
 
 PARAMS = VehicleParams()
 CONFIG = LidarConfig()
-DIRS = lidar._ray_table(CONFIG.azimuth_step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0].T
+DIRS = lidar._ray_table(CONFIG, PARAMS.lidar_mount_height)[0].T
 
 
 def test_pedestrians_advance_linearly():
@@ -167,19 +167,31 @@ def test_a_sweep_whose_casts_take_no_ray_matches_the_reference(config, monkeypat
         assert_scan_matches_reference(world, VehicleState(x=1.0, heading=0.3), config, seed)
     assert taken == [0]  # the sign's cast, beyond max_range
 
-    # a world with nothing to cast reads the shared ray table without writing it, and its unlit
-    # frame's intensity is a read-only row of the background value
-    table = lidar._ray_table(config.azimuth_step_deg, PARAMS.lidar_mount_height, config.min_range)
-    before = [np.copy(part) for part in table[:2]]
+    # a world with nothing to cast reads the sensor's shared table without writing it, and its unlit
+    # frame's intensity is a contiguous read-only view of the table's background row; a frame that a
+    # sign lights writes a copy of that row, so the table stays as it was built
+    lit_world = facing_sign_world(10.0)
     for seed, jitter in enumerate((0.0, 0.01, 0.3)):
         state, bare = VehicleState(x=-3.0, heading=-2.0), replace(config, range_jitter=jitter)
+        columns, ground, _, _, background = lidar._ray_table(bare, PARAMS.lidar_mount_height)
+        table = (columns, ground, background)
+        before = [np.copy(part) for part in table]
         frame = assert_scan_matches_reference(WorldModel(), state, bare, seed)
         points, intensity = reference_scan(WorldModel(), state, PARAMS, bare, rng=np.random.default_rng(seed))
         assert np.ascontiguousarray(frame.points).tobytes() == points.tobytes()  # bit for bit, a zero's sign too
         assert frame.intensity.tobytes() == intensity.tobytes()
-        assert not frame.intensity.flags.writeable
-    for part, copy in zip(table[:2], before):
-        assert not part.flags.writeable and part.tobytes() == copy.tobytes()
+        assert frame.intensity.flags.c_contiguous and not frame.intensity.flags.writeable
+        lit = assert_scan_matches_reference(lit_world, VehicleState(), bare, seed)
+        assert (lit.intensity == lit_world.signs[0].intensity).any() and lit.intensity.flags.writeable
+        for part, copy in zip(table, before):
+            assert not part.flags.writeable and part.tobytes() == copy.tobytes()
+
+    # the background row is the config's own: configs that differ in it alone each get theirs
+    for background in (config.background_intensity, 3.5):
+        own = replace(config, background_intensity=background)
+        for world in (WorldModel(), lit_world):
+            frame = assert_scan_matches_reference(world, VehicleState(), own, seed=1)
+            assert (frame.intensity == background).any()
 
 
 def test_scan_respects_vehicle_pose():
@@ -492,7 +504,7 @@ def sign_hits_on(rows, sign, center, normal, columns):
 def test_sign_cast_on_wedge_rows_equals_the_whole_sweeps_rows_bit_for_bit(step_deg):
     # scan casts a sign on its wedge rows alone, so every row's range, hit and
     # ray-normal product must come out as in a cast of the whole sweep
-    columns = lidar._ray_table(step_deg, PARAMS.lidar_mount_height, CONFIG.min_range)[0]
+    columns = lidar._ray_table(replace(CONFIG, azimuth_step_deg=step_deg), PARAMS.lidar_mount_height)[0]
     n_az, step = columns.shape[1] // 16, math.radians(step_deg)
     every = np.arange(columns.shape[1])
     rng = np.random.default_rng(int(step_deg * 10))
@@ -589,9 +601,10 @@ def recording_takes(monkeypatch):
 
 
 def straddling(taken, config):
-    """Whether the rays one cast took lie both before and after the sweep's ``cut``."""
-    _, ground, start = lidar._ray_table(config.azimuth_step_deg, PARAMS.lidar_mount_height, config.min_range)
-    cut = start + int(np.searchsorted(ground[start:], config.max_range, side="right"))
+    """Whether the rays one cast took lie both before and after the sweep's ``cut``, which
+    must end the table's block where the ground ranges rise past ``max_range``."""
+    _, ground, start, cut, _ = lidar._ray_table(config, PARAMS.lidar_mount_height)
+    assert cut == start + int(np.searchsorted(ground[start:], config.max_range, side="right"))
     return min(taken) < cut <= max(taken)
 
 
@@ -607,8 +620,7 @@ OFF_BLOCK = {
         lambda taken, config: straddling(taken[0], config)),
     "a sign below the ground on rings that min_range drops": (
         SCATTERED_RETURNS["a sign that dips below the ground"][0], NARROW,
-        lambda taken, config: min(taken[0]) < lidar._ray_table(config.azimuth_step_deg, MOUNT_H,
-                                                                config.min_range)[2]),
+        lambda taken, config: min(taken[0]) < lidar._ray_table(config, MOUNT_H)[2]),
 }
 
 

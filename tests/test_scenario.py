@@ -98,9 +98,10 @@ def test_run_of_exactly_one_simulated_day_loads():  # loaded only, never run
 
 def test_yaml_1_1_number_strings_convert():
     # YAML 1.1 reads 3e0 and 1e-1 as strings
-    sc = scenario_from_dict({"gains": {"kp_speed": "3e0"}, "grid": {"cell_size": "1e-1"}, "seed": 4.0})
-    assert sc.gains.kp_speed == 3.0 and sc.grid.cell_size == 0.1 and sc.seed == 4
-    assert type(sc.seed) is int
+    sc = scenario_from_dict({"gains": {"kp_speed": "3e0"}, "grid": {"cell_size": "1e-1", "min_cell_points": "3e0"},
+                             "seed": 4.0})
+    assert sc.gains.kp_speed == 3.0 and sc.grid.cell_size == 0.1 and sc.seed == 4 and sc.grid.min_cell_points == 3
+    assert type(sc.seed) is int and type(sc.grid.min_cell_points) is int
 
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -140,11 +141,27 @@ def test_scenario_from_dict_fuzz(data, base_dir):
     assert isinstance(config, ScenarioConfig)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e8, 1e-200])
 def test_sign_normal_normalised_without_overflow(scale):
     sign = {"center": [9.0, -2.0, 2.0], "normal": [-scale, 0.0, 0.0]}
     sc = scenario_from_dict({"world": {"signs": [sign]}})
     assert sc.world.signs[0].normal == (-1.0, 0.0, 0.0)
+
+
+NORMAL_COMPONENT = st.floats(allow_nan=False) | st.floats(-1e-300, 1e-300)  # subnormals too
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal=st.lists(NORMAL_COMPONENT, min_size=3, max_size=3))
+@example(normal=[1.6e-308, 1.6e-308, 0.0])  # subnormal components, a length just above the least normal float
+@example(normal=[-1e8, -1e8, 1e8])
+@example(normal=[5e-324, 5e-324, 0.0])  # a subnormal length: rejected, not scaled to sqrt(2)
+def test_every_sign_the_loader_accepts_has_a_unit_normal(normal):
+    try:
+        sc = scenario_from_dict({"world": {"signs": [{"center": [9.0, -2.0, 2.0], "normal": normal}]}})
+    except ScenarioError:
+        return
+    assert abs(math.hypot(*sc.world.signs[0].normal) - 1.0) <= 4 * math.ulp(1.0)
 
 
 # a valid entry of each list of dataclasses in a scenario
@@ -155,9 +172,8 @@ ENTRIES = {
     "manual_stops": {"t": 1, "duration": 1},
     "drive_script": {"duration": 1, "speed": 1},
 }
-# numbers that take any finite value; a sign's normal obeys SignSpec's own rules
-ANY_FINITE = {"start.heading", "follower.heading_bias", "drive_script[0].yaw_rate",
-              *(f"world.signs[0].normal[{i}]" for i in range(3))}
+# numbers that take any finite value
+ANY_FINITE = {"start.heading", "follower.heading_bias", "drive_script[0].yaw_rate"}
 
 
 def numbers(cls, where=""):
