@@ -11,20 +11,23 @@ A sweep is cast in the sensor frame, on one table computed per sensor setting
 and mount height: each sweep moves the few objects into that frame and casts
 each one only on the rays that can reach it, with elementwise arithmetic. The
 rays are stored ring by ring, so those that return the ground are one block,
-and a cast only lowers a range, so the few other rays that return lie before
-or after it, among the rays the casts took. A ray is kept when its true range
-is within ``max_range``, and only kept rays draw range jitter. The points come
-out as ``mount + t * direction`` from slices of the block and a short list of
-the others, one contiguous row per axis. A sweep allocates the draw, which then
-holds the block's jittered ranges, and the points; only a world with something
-to cast copies the ranges, and only a sign that takes a ray copies the table's
-background row: an unlit frame's intensity is a contiguous read-only view of it.
+and a cast only lowers a range, so the few other rays that return lie before or
+after it, among the rays the casts took. A ray is kept when its true range is
+within ``max_range``, and only kept rays draw range jitter, mapped from uniform
+draws through the normal's quantiles by arithmetic alike on every IEEE-754
+machine. The points come out as ``mount + t * direction`` from slices of the
+block and a short list of the others, one contiguous row per axis. A sweep
+allocates the draw, which then holds the block's jittered ranges, and the
+points, its scratch until placed; only a world with something to cast copies
+the ranges, and only a sign that takes a ray copies the table's background row:
+an unlit frame's intensity is a contiguous read-only view of it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -35,6 +38,9 @@ from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.world import SignSpec, WorldModel
 
 RING_ELEVATIONS_DEG = tuple(range(-15, 16, 2))  # 16 beams
+_LOWER = [statistics.NormalDist().inv_cdf((i + 0.5) / 4097) for i in range(2048)]
+_QUANTILES = np.concatenate((_LOWER, [0.0], np.negative(_LOWER[::-1])))  # range jitter's law: odd, so of mean 0
+_SLOPES = np.diff(_QUANTILES)
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class LidarConfig:
     max_range: Positive = 50.0
     min_range: NonNegative = 0.1
     background_intensity: Intensity = 20.0
-    range_jitter: Annotated[NonNegative, LIMIT] = 0.0  # Gaussian sigma on returned range, m
+    range_jitter: Annotated[NonNegative, LIMIT] = 0.0  # m, times a normal draw cut at 3.67 on each returned range
 
     def __post_init__(self):
         check_bounds(self)
@@ -158,11 +164,12 @@ def scan(
     bits do not depend on the rays cast with it. A ray is kept when its
     un-jittered range is within ``max_range``: the kept rays are the block's
     leading run, taken by slices, and the rays the casts took on either side,
-    sorted once. One jitter draw is added to them in ray order, so the frame is
-    the returns the sensor can reach, each with one noise sample. The pedestrians
-    stand at ``positions``, (P, 2) in ``world.pedestrians`` order, or at their
-    starts when it is None. Only the sensor's table (``_ray_table``) outlives a
-    call; an unlit frame's intensity is a view of its read-only background row.
+    sorted once. One jitter draw, mapped through the quantile table, is added to
+    them in ray order, so the frame is the returns the sensor can reach, each
+    with one noise sample. The pedestrians stand at ``positions``, (P, 2) in
+    ``world.pedestrians`` order, or at their starts when it is None. Only the
+    sensor's table (``_ray_table``) outlives a call; an unlit frame's intensity
+    is a view of its read-only background row.
     """
     if config.range_jitter > 0.0 and rng is None:
         raise ValueError("range_jitter requires an rng")
@@ -246,9 +253,17 @@ def scan(
         rest = np.concatenate((rest[:1], rest[1:][rest[1:] != rest[:-1]]))  # a ray two casts took, once
         head = np.searchsorted(rest, start)
     block = t_best[start:cut]  # the block's kept ranges
+    # mount + t * dir, one contiguous row per axis; the frame holds the (N, 3) transpose
+    points = np.empty((3, len(rest) + cut - start))
     if config.range_jitter > 0.0:  # one draw over the kept rays, added in ray order
-        noise = rng.standard_normal(len(rest) + cut - start)
-        noise *= config.range_jitter  # rng.normal(0.0, range_jitter) gives these bits, a zero's sign aside
+        noise = rng.random(len(rest) + cut - start)  # u, linear between quantiles floor(4096 u) and the next
+        noise *= len(_SLOPES)
+        index = points[1].view(np.int64)  # the points' rows are scratch until placed
+        np.copyto(index, np.floor(noise, out=points[0]), casting="unsafe")
+        noise -= points[0]
+        noise *= _SLOPES.take(index, out=points[0], mode="clip")
+        noise += _QUANTILES.take(index, out=points[0], mode="clip")
+        noise *= config.range_jitter
         block = np.add(block, noise[head:head + cut - start], out=noise[head:head + cut - start])  # into the draw
         if len(rest):
             t_best[rest[:head]] += noise[:head]
@@ -256,8 +271,6 @@ def scan(
 
     def place(rows):  # the frame columns of the kept rays ``rows``
         return np.searchsorted(rest, rows) + np.maximum(np.minimum(rows, cut) - start, 0)
-    # mount + t * dir, one contiguous row per axis; the frame holds the (N, 3) transpose
-    points = np.empty((3, len(rest) + cut - start))
     np.multiply(columns[:, start:cut], block, out=points[:, head:head + cut - start])
     if len(rest):
         points[:, place(rest)] = np.take(columns, rest, axis=1) * t_best[rest]

@@ -117,6 +117,8 @@ class ScenarioConfig:
         for name, seconds in (("duration", self.duration), ("drive_script", sum(d.duration for d in self.drive_script))):
             if seconds * self.tick_rate > MAX_TICKS:
                 raise ScenarioError(f"{name}: {seconds:g} s at {self.tick_rate:g} Hz is more than {MAX_TICKS} ticks")
+        if round(self.duration * self.tick_rate) == 0:  # a run takes round(duration * tick_rate) ticks
+            raise ScenarioError(f"duration: {self.duration:g} s at {self.tick_rate:g} Hz is less than one tick")
         if self.lidar.background_intensity >= self.sign_filter.min_intensity:
             raise ScenarioError(f"lidar: background_intensity must be below sign_filter.min_intensity "
                                 f"({self.sign_filter.min_intensity!r}), got {self.lidar.background_intensity!r}")

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ def dot(a, b):
     return a[..., 0] * b[0] + a[..., 1] * b[1] + a[..., 2] * b[2]
 
 
+def normal_quantiles():
+    """The law of ``scan``'s range jitter, from its own construction: the standard normal's
+    quantiles at (i + 0.5) / 4097 for i = 0..4096, the upper half the negated lower half."""
+    lower = [NormalDist().inv_cdf((i + 0.5) / 4097) for i in range(2048)]
+    return np.array(lower + [0.0] + [-q for q in reversed(lower)])
+
+
+NORMAL_QUANTILES = normal_quantiles()
+
+
 def reference_scan(world, state, params, config, rng=None):
     """Cast every object against every ray of the sweep in the sensor frame; return (points, intensity)."""
     h = params.lidar_mount_height
@@ -259,8 +270,9 @@ def reference_scan(world, state, params, config, rng=None):
                np.where(denom < 0.0, sign.intensity, config.background_intensity))
 
     keep = t_best <= config.max_range  # by the true range; then only the kept rays draw jitter
-    if config.range_jitter > 0.0:
-        t_best[keep] += rng.normal(0.0, config.range_jitter, np.count_nonzero(keep))
+    if config.range_jitter > 0.0:  # one uniform draw per kept ray, interpolated in the quantile table
+        u = rng.random(np.count_nonzero(keep))
+        t_best[keep] += np.interp(u * 4096, np.arange(4097), NORMAL_QUANTILES) * config.range_jitter
     mount = np.array([params.lidar_offset_x, 0.0, h])
     return mount + t_best[keep, None] * dirs[keep], intensity[keep]
 

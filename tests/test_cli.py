@@ -236,6 +236,8 @@ BAD_SCENARIOS = [
     ("waypoints: nothere.waypoints", "nothere.waypoints: No such file or directory"),
     ("duration: 1e300", "duration: 1e+300 s at 50 Hz is more than 4320000 ticks"),
     ("drive_script: [{duration: 9e4, speed: 1}]", "drive_script: 90000 s at 50 Hz is more than"),
+    # rounds to no tick, so the run would write no log row
+    ("duration: 0.01", "duration: 0.01 s at 50 Hz is less than one tick"),
     ("origin: [95.0, -96.34]", "origin[0] must be within [-90, 90], got 95.0"),
     ("origin: [30.615, -181]", "origin[1] must be within [-180, 180], got -181.0"),
     ("start: {speed: -1}", "start: speed must be >= 0, got -1.0"),
@@ -474,14 +476,14 @@ def test_replay_accepts_the_extremes_the_harness_can_write(shipped_inputs, tmp_p
 # PyYAML 6.0.3 (the versions CI pins); numpy does not promise the same Generator draws across releases
 SHIPPED_DIGESTS = {
     "demo.yaml": {
-        "log": "f9224b5c1de3b15e817ad6da8de95153c45e6533ecccc96a62ccb22fa2f2517e",
-        "sign-log": "0a11f31fe839e689e89eb53ea1d978c1f33e32ba79096ba700fe953ba1879112",
-        "grid-dump": "78b705902261449eeefd570e316f54f38e579da145df4d31ca0e3887b495f785",
+        "log": "84b5bad695abf6564e4196cd1555e14ad7f0ab374a4b921f7b09080524d54538",
+        "sign-log": "be7956d3a50d4b46f9009f443cc64d7bcd3f3339ce8d63fa826b004a4b3efd05",
+        "grid-dump": "e62baee4bc7ad4d387e8b1ed5a5b7649683d233cab09810c045fb7b67143145a",
     },
     # the sign log is not pinned: its plane components depend on the CPU's BLAS kernel
     "signs.yaml": {
-        "log": "bcdb57ffe59746648e09a13efa6d02084f7c1ccf435f3a053ebd1a4a4c25be3a",
-        "grid-dump": "d231b7549aad81c7897f0a36eba8000140ec0ec377075b0eb83707605adc9803",
+        "log": "b62f0f75598abb5c4b5f4e73b1d5400f6e6bbdc0fce6d7d4756b95fc9b3f5c1c",
+        "grid-dump": "98f39311713d7840ce6720f88c02fd44711beb355f4f5b1e3289feb30312ee69",
     },
 }
 
@@ -544,8 +546,8 @@ def test_shipped_scenes_write_their_pinned_log_and_grid_dump_on_the_oldest_blas_
     # rings -15 and -13 reach the ground inside min_range and -3 and -1 beyond max_range, so the
     # sweep's returns are not one run of rays
     ("lidar: {range_jitter: 0.01, min_range: 9.0, max_range: 30.0}",
-     {"log": "711e97b14879c02de723d559bdae96b3dc420ed88ffe2f4da878c6bd32206d46",
-      "grid-dump": "810c81717f9cafeec24c64dba483d504de9b5a5532f787c890a4488c2accbd09"}),
+     {"log": "9c3c3e3b166d02fadd2f1dc7ca4838c22f1a4d35d9b06b515e575d3c767914c6",
+      "grid-dump": "4eddffdb8addf33025b15a4a0948dac69ad164200841391a554891cbd7913e42"}),
     # without jitter nothing is drawn, so cutting at max_range before the draw changes no byte
     ("lidar: {range_jitter: 0.0}",
      {"log": "7990f488842fe58520dcee9df5cf955580f353a3dc4ee62c5a48e2e594e87459",
@@ -556,7 +558,8 @@ def test_demo_at_a_narrow_lidar_range_writes_its_recorded_bytes(tmp_path, capsys
 
 
 def test_the_demo_route_in_an_empty_world_writes_its_recorded_bytes(tmp_path, capsys):
-    # every sweep is jittered bare ground, and no grid cell is ever occupied
+    # every sweep is bare ground, so no grid cell is ever occupied and neither output depends on the
+    # jitter draw; test_lidar.py's test_jittered_frames_write_their_recorded_bytes pins the draw
     edits = [("^duration: 40.0$", "duration: 10.0"), (r"^world:\n(?:  .*\n)+", "world: {}\n")]
     assert edited_demo_digests(tmp_path, edits) == {
         "log": "746fcb9da5fa3919fc8cd78cba1c1ca3018bc98bd552e49758e25e173560d7c6",

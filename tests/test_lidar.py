@@ -1,6 +1,11 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -12,8 +17,9 @@ from hypothesis import strategies as st
 from shuttlesim import lidar
 from shuttlesim.lidar import LidarConfig, scan
 from shuttlesim.plant import VehicleParams, VehicleState
+from shuttlesim.scenario import load_scenario
 from shuttlesim.world import BoxObstacle, Pedestrian, SignSpec, WorldModel, step_pedestrians
-from tests.conftest import reference_scan, reference_scan_world
+from tests.conftest import NORMAL_QUANTILES, REPO_ROOT, SCENARIO_DIR, reference_scan, reference_scan_world
 
 PARAMS = VehicleParams()
 CONFIG = LidarConfig()
@@ -793,3 +799,95 @@ def test_upward_rays_the_cull_drops_never_enter_the_solid_when_marched(kind):
         frame = scan(replace(WorldModel(), **{kind: (obj,)}), VehicleState(), PARAMS, CONFIG)
         assert (frame.points[:, 2] <= BELOW).all() and (frame.points[:, 2] > 0.5).any()
     assert marched > 100
+
+
+# sha256 of the quantile table that range jitter interpolates in; its upper half is the lower negated
+QUANTILES_SHA256 = "bda49a7d2cc00a9f4c38657f9c1a4958e8bc3f97bacc5a829bcd3c57257fc2d6"
+# glibc's tunables that turn off its FMA and AVX2 libm variants, which a CPU without FMA would run
+NO_FMA_LIBM = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX2_Usable,-FMA_Usable,-AVX512F,-AVX512F_Usable"
+
+
+def test_the_jitter_table_is_the_normals_odd_rising_quantile_table():
+    table = lidar._QUANTILES
+    assert hashlib.sha256(table.tobytes()).hexdigest() == QUANTILES_SHA256
+    assert len(table) == 4097 and np.array_equal(table[::-1], -table) and table[2048] == 0.0
+    assert (np.diff(table) > 0.0).all() and table[-1] == 3.668391709746632
+    assert lidar._SLOPES.tobytes() == np.diff(table).tobytes()
+    assert NORMAL_QUANTILES.tobytes() == table.tobytes()  # the oracle's own construction
+
+
+def test_jitter_draws_have_the_tables_mean_and_standard_deviation():
+    # the law: a uniform u, linear between quantiles i and i + 1 at u * 4096 = i + f; its variance
+    # is the mean over the 4096 pieces of the integral of (q_i + f * s_i) ** 2 over f in [0, 1)
+    q, s = lidar._QUANTILES[:-1], lidar._SLOPES
+    law_std = math.sqrt(np.mean(q * q + q * s + s * s / 3.0))
+    assert round(law_std, 5) == 0.99831
+    config = LidarConfig(range_jitter=1.0)  # the nearest ground return is 7.7 m, beyond the 3.67 m cut
+    _, ground, start, cut, _ = lidar._ray_table(config, PARAMS.lidar_mount_height)
+    mount = np.array([PARAMS.lidar_offset_x, 0.0, PARAMS.lidar_mount_height])
+    rng = np.random.default_rng(11)
+    draws = []
+    while sum(map(len, draws)) < 10**6:  # bare ground: the kept rays are the block, in ray order
+        frame = scan(WorldModel(), VehicleState(), PARAMS, config, rng)
+        draws.append(np.linalg.norm(frame.points - mount, axis=1) - ground[start:cut])
+    draws = np.concatenate(draws)
+    assert abs(draws.mean()) < 0.005 and abs(draws.std() - law_std) < 0.005
+    assert np.abs(draws).max() <= lidar._QUANTILES[-1] + 1e-9
+
+
+def test_a_jittered_sweep_allocates_the_draw_and_the_points_only():
+    config = LidarConfig(range_jitter=0.01)
+    rng = np.random.default_rng(2)
+    n = len(scan(WorldModel(), VehicleState(), PARAMS, config, rng))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        frame = scan(WorldModel(), VehicleState(), PARAMS, config, rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(frame) == n
+    # the draw and the three rows of points, each n floats wide: the table indices live in the points
+    assert 4 * 8 * n <= peak < 4 * 8 * n + 8192
+
+
+def jittered_frames():
+    """Three jittered sweeps of the demo's sensor at its start pose: on bare ground, in the demo
+    world, and in the demo world at min_range 9 m and max_range 30 m."""
+    demo = load_scenario(SCENARIO_DIR / "demo.yaml")
+    state = VehicleState(x=demo.start.x, y=demo.start.y, heading=demo.start.heading)
+    narrow = replace(demo.lidar, min_range=9.0, max_range=30.0)
+    return {name: scan(world, state, demo.vehicle, config, np.random.default_rng(seed))
+            for name, world, config, seed in (("bare", WorldModel(), demo.lidar, 1),
+                                              ("demo", demo.world, demo.lidar, 2),
+                                              ("narrow", demo.world, narrow, 3))}
+
+
+def test_jittered_frames_write_their_recorded_bytes():
+    # the raw points see every bit of the draw, which the empty world's log and grid dump cannot:
+    # on bare ground no cell is ever occupied. Like the shipped pins, these bytes also depend on
+    # the libm that computes the ray table's sines and cosines
+    assert {name: hashlib.sha256(frame.points.tobytes()).hexdigest()
+            for name, frame in jittered_frames().items()} == {
+        "bare": "f7aaf0f1fd8b6d0442941fe5d9ce2b70b1e7a6d49c0f69efc84b2a15711faee3",
+        "demo": "7446217cea444a28cf6efbf0bad4630b9519602d46efc75687313100fe5c62d9",
+        "narrow": "873c94b87ccdde01555f0ff0080a7d6de382f121d7166d7c747456e04712b738"}
+
+
+def test_the_jitter_table_does_not_change_with_the_libm_variant(tmp_path):
+    # statistics.NormalDist builds the table's tails with math.log and math.sqrt; glibc picks FMA and
+    # AVX2 variants of some libm functions by the CPU, and the tunables turn them off in the child only
+    azimuths = np.deg2rad(np.arange(0.0, 360.0, CONFIG.azimuth_step_deg))
+    code = "\n".join(["import hashlib, json", "import numpy as np", "from shuttlesim import lidar",
+                      f"azimuths = np.deg2rad(np.arange(0.0, 360.0, {CONFIG.azimuth_step_deg!r}))",
+                      "print(json.dumps([hashlib.sha256(lidar._QUANTILES.tobytes()).hexdigest(),",
+                      "                  hashlib.sha256(np.sin(azimuths).tobytes()).hexdigest()]))"])
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path, GLIBC_TUNABLES=NO_FMA_LIBM))
+    assert done.returncode == 0, done.stderr
+    table, sines = json.loads(done.stdout.splitlines()[-1])
+    assert table == QUANTILES_SHA256
+    if sines == hashlib.sha256(np.sin(azimuths).tobytes()).hexdigest():
+        pytest.skip(f"GLIBC_TUNABLES={NO_FMA_LIBM} left np.sin on this process's libm variant")
+

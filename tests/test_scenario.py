@@ -90,6 +90,23 @@ def test_run_length_capped_at_one_simulated_day(tmp_path, text, message):
 
 
 
+@pytest.mark.parametrize("text, message", [
+    ("duration: 0.01", "duration: 0.01 s at 50 Hz is less than one tick"),
+    ("duration: 0.0025\ntick_rate: 200", "duration: 0.0025 s at 200 Hz is less than one tick"),
+    ("duration: 1e-300", "duration: 1e-300 s at 50 Hz is less than one tick"),
+])
+def test_a_run_shorter_than_one_tick_is_rejected(tmp_path, text, message):
+    f = tmp_path / "short.yaml"
+    f.write_text(text + "\n")
+    with pytest.raises(ScenarioError, match=f"^{f}: {message}$"):
+        load_scenario(f)
+
+
+def test_a_run_that_rounds_to_one_tick_loads():  # a run takes round(duration * tick_rate) ticks
+    assert scenario_from_dict({"duration": 0.015}).duration == 0.015
+    assert scenario_from_dict({"duration": 0.02}).duration == 0.02
+
+
 def test_run_of_exactly_one_simulated_day_loads():  # loaded only, never run
     assert scenario_from_dict({"duration": 86400}).duration == 86400.0
     assert scenario_from_dict({"duration": 21600, "tick_rate": 200}).duration == 21600.0
