@@ -292,10 +292,10 @@ def write_log(rows: list[LogRow], path) -> None:
 
 
 def read_log(path) -> list[LogRow]:
-    """The log's rows; a row the harness never writes is an error that names its line."""
+    """The log's rows; any line but a ``#`` line, the header or a row spelled as the harness writes it is an error at its line."""
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line or line.startswith("t,") or line.startswith("#"):
+        if line == LOG_HEADER or line.startswith("#"):
             continue
         try:
             row = LogRow.parse(line)
@@ -311,6 +311,10 @@ def read_log(path) -> list[LogRow]:
                 raise ValueError(f"source {row.source.value} with a blank {_TRIGGER[row.source]}")
             if rows and row.t <= rows[-1].t:
                 raise ValueError(f"t {row.t!r} does not rise past the previous row's {rows[-1].t!r}")
+            if (written := row.format()) != line:  # a value the harness spells otherwise, such as 0.020 or +0
+                cells = zip(LOG_HEADER.split(","), line.split(","), written.split(","))
+                name, text, want = next(c for c in cells if c[1] != c[2])
+                raise ValueError(f"{name} {text!r} is not how the harness writes {want!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         rows.append(row)

@@ -443,11 +443,20 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
     ("sign_d", "21.27", "sign_n 0 with sign_d 21.27"),
     ("source", "1", "source obstacle with a blank obstacle_d"),
     ("source", "2", "source sign with a blank sign_stop_d"),
+    # each reads as the value the harness wrote, in a spelling it never writes
+    ("t", "0.080", "t '0.080' is not how the harness writes '0.08'"),
+    ("sign_n", "+0", "sign_n '+0' is not how the harness writes '0'"),
+    ("source", "0_0", "source '0_0' is not how the harness writes '0'"),
+    # a whole line that starts as the header does but is not the header
+    (None, "t,not,a,row", "log row has 4 fields, expected 16"),
 ])
 def test_replay_rejects_a_row_the_harness_never_writes(shipped_inputs, tmp_path, capsys, column, value, message):
     lines = shipped_inputs["demo.log"].decode().splitlines()
     fields = lines[5].split(",")  # line 6, the fifth row, at t = 0.08
-    fields[lines[0].split(",").index(column)] = value
+    if column is None:
+        fields = [value]
+    else:
+        fields[lines[0].split(",").index(column)] = value
     lines[5] = ",".join(fields)
     log, metrics = tmp_path / "demo.log", tmp_path / "metrics.yaml"
     log.write_text("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_deterministic_logs_same_seed(straight_waypoints):
     # 30 s still holds the pedestrian crossing and the sign stop
     ("demo.yaml", 30.0),
     # every RANSAC fit on the demo takes its whole cloud, whatever triples are drawn; here the
-    # draws decide the fits, so a generator not put back to its seeded state changes the log
+    # draws decide the fits, so a fit that did not seed its own generator would change the log
     # and the sign log from 15.6 s on
     ("signs.yaml", 19.0),
 ], ids=["demo", "signs"])
@@ -175,6 +176,44 @@ def test_log_parses_as_numbers_when_every_source_wins(tmp_path, straight_waypoin
     columns = parse_log(log.read_text())
     assert sorted(set(columns["source"])) == [0.0, 1.0, 2.0, 3.0]
     assert read_log(log) == rows
+
+
+@pytest.fixture(scope="module")
+def box_and_sign_log(straight_waypoints, tmp_path_factory):
+    """The path and lines of a log the harness wrote, with every optional column filled on some row."""
+    sc = straight_scenario(straight_waypoints, duration=2.5, world=BOX_AND_SIGN, perception_latency_ticks=5,
+                           manual_stops=(ManualStop(t=2.0, duration=0.5),))
+    log = tmp_path_factory.mktemp("respelled") / "run.log"
+    write_log(Simulation(sc).run()[1], log)
+    return log, log.read_text().splitlines()
+
+
+def respellings(text):
+    """Spellings of a logged number that read as the same value: a ``+`` sign, a
+    trailing ``0`` after the decimals, or a ``_`` between two digits."""
+    out = [] if text.startswith("-") or not text else ["+" + text]
+    if "." in text and "e" not in text:
+        out.append(text + "0")
+    out += [text[:i] + "_" + text[i:] for i in range(1, len(text)) if text[i - 1:i + 1].isdigit()]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_log_rejects_a_number_respelled_at_the_same_value(box_and_sign_log, data):
+    log, lines = box_and_sign_log
+    header = lines[0].split(",")
+    lineno = data.draw(st.integers(2, len(lines)), label="line")
+    fields = lines[lineno - 1].split(",")
+    column = data.draw(st.sampled_from([k for k, name in enumerate(header) if name != "display" and fields[k]]),
+                       label="column")
+    fields[column] = data.draw(st.sampled_from(respellings(fields[column])), label="spelling")
+    respelled = ",".join(fields)
+    assert LogRow.parse(respelled) == LogRow.parse(lines[lineno - 1])
+    path = log.with_name("respelled.log")
+    path.write_text("\n".join(lines[:lineno - 1] + [respelled] + lines[lineno:]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: {header[column]} "):
+        read_log(path)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -523,7 +524,7 @@ def test_plane_segment_matches_candidate_by_candidate_reference():
 
 
 def test_consecutive_detect_calls_draw_the_triples_of_a_freshly_seeded_generator(monkeypatch):
-    # the detector keeps one generator and puts it back to its seeded state before each fit
+    # each fit seeds its own generator, so every call draws as a fresh one does
     params = FilterParams(ransac_seed=7)
     drawn = []  # (points left, triples) at each plane extraction of one call
     real = signs._best_triple
@@ -543,6 +544,17 @@ def test_consecutive_detect_calls_draw_the_triples_of_a_freshly_seeded_generator
         calls_with_two_draws += len(drawn) > 1
         assert got == SignDetector(params, SENSOR).detect(frame), i
     assert calls_with_two_draws > 0  # where a call's second draw continues its first
+
+
+def test_one_detector_gives_its_single_threaded_detections_from_two_threads():
+    # the detector keeps no state between sweeps, so a detection is a function of its frame
+    rng = np.random.default_rng(3)
+    frames = [make_frame(points := random_cloud(rng, i % 2), np.full(len(points), 200.0)) for i in range(16)]
+    detector = SignDetector(FilterParams(ransac_seed=7), SENSOR)
+    alone = [detector.detect(frame) for frame in frames]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(detector.detect, frames)) == alone
+    assert all(alone)
 
 
 @pytest.mark.parametrize("m", range(3, 8))
