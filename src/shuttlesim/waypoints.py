@@ -288,16 +288,18 @@ def save_waypoints(route: Route, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_rows(path, fields: str, skip: tuple[str, ...], finite: bool = False):
-    """The line numbers and values of the lines of comma-separated ``fields``, skipping blank ones and any starting with ``skip``.
+def _read_rows(path, fields: str, header: bool = False, finite: bool = False):
+    """The line numbers and values of the lines of comma-separated ``fields``, skipping blank and ``#`` lines
+    and, with ``header``, a line that is ``fields`` itself.
 
-    A bad field count or number, or with ``finite`` a non-finite one, raises a ValueError naming path:line.
+    A bad field count or number, one spelled with ``_`` or non-ASCII digits, or with ``finite`` a non-finite
+    one, raises a ValueError naming path:line.
     """
     width = fields.count(",") + 1
     linenos, rows = [], []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith(skip):
+        if not line or line.startswith("#") or header and line == fields:
             continue
         parts = line.split(",")
         if len(parts) != width:
@@ -307,6 +309,8 @@ def _read_rows(path, fields: str, skip: tuple[str, ...], finite: bool = False):
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         for text, value in zip(parts, row):
+            if not text.isascii() or "_" in text:  # digits float() also reads: 3_0 for 30, or an Arabic-Indic 3
+                raise ValueError(f"{path}:{lineno}: {text.strip()!a} is not a plain ASCII number")
             if finite and not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
         linenos.append(lineno)
@@ -325,7 +329,7 @@ def _build_rows(path, linenos, build):
 
 
 def load_waypoints(path, origin: tuple[float, float] | None = None) -> Route:
-    linenos, rows = _read_rows(path, "lat,lon,speed", ("#",))
+    linenos, rows = _read_rows(path, "lat,lon,speed")
     lat, lon, speed = rows.T
     if origin is None and linenos:
         origin = (float(lat[0]), float(lon[0]))
@@ -340,6 +344,6 @@ def save_trace(trace: RecordedTrace, path) -> None:
 
 
 def load_trace(path) -> RecordedTrace:
-    linenos, rows = _read_rows(path, "t,lat,lon,v,omega", ("#", "t,"), finite=True)
+    linenos, rows = _read_rows(path, "t,lat,lon,v,omega", header=True, finite=True)
     t, lat, lon, v, omega = rows.T
     return _build_rows(path, linenos, lambda: RecordedTrace(lat=lat, lon=lon, v=v, omega=omega, t=t))

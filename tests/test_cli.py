@@ -303,6 +303,23 @@ def test_missing_input_file_one_line_error_names_it(tmp_path, capsys, args):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", ["run", "compile-path"])
+def test_a_respelled_waypoint_or_stray_trace_row_is_a_one_line_error_at_its_line(tmp_path, capsys, command):
+    (tmp_path / "s.yaml").write_text("duration: 1.0\nwaypoints: p.waypoints\n")
+    (tmp_path / "p.waypoints").write_text("30.615,-96.34,3.0\n30.6_15,-96.34,3.0\n30.6151,-96.34,3.0\n")
+    (tmp_path / "t.trace").write_text("t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\nt,1,2,3,4\n"
+                                      "1.0,30.0001,-96.0,1.0,0.0\n")
+    args = ["run", str(tmp_path / "s.yaml")] if command == "run" else ["compile-path", str(tmp_path / "t.trace"),
+                                                                        "--speed", "3"]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    named = (f"{tmp_path / 's.yaml'}: waypoints: {(tmp_path / 'p.waypoints').resolve()}:2: '30.6_15' is not"
+             " a plain ASCII number" if command == "run" else
+             f"{tmp_path / 't.trace'}:3: could not convert string to float: 't'")
+    assert (out, err) == ("", f"error: {named}\n")
+    assert not list(tmp_path.glob("*mps.waypoints"))
+
+
 @pytest.mark.parametrize("command, bad_file", [
     ("run", "s.yaml"), ("run", "p.waypoints"), ("compile-path", "t.trace"), ("replay", "r.log"),
 ])

@@ -291,34 +291,23 @@ THRESHOLD = (st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 0.07]) | st.floats(0.
              | st.floats(0.0, 10.0) | st.floats(0.0, 2e8))
 
 
-class Subtracted(np.ndarray):
-    """Heights that count the subtractions made from them."""
-    calls = 0
-
-    def __sub__(self, other):
-        Subtracted.calls += 1
-        return super().__sub__(other)
-
-
 @settings(max_examples=300, deadline=None)
 @given(z_lo=LOWEST, threshold=THRESHOLD, above=st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 2e8), max_size=8))
-@example(z_lo=-0.07, threshold=0.07, above=[])  # the sum is 0: the differences are compared
+@example(z_lo=-0.07, threshold=0.07, above=[])  # the sum z_lo + threshold is 0
 def test_tall_points_are_those_more_than_the_threshold_above_the_lowest(z_lo, threshold, above):
-    # heights a few ulp around z_lo + threshold, and others above z_lo
+    # heights a few ulp around z_lo + threshold, and others above z_lo, each in a cell of its own
+    # beside a point at z_lo, so a cell is occupied exactly when its height is more than the threshold above z_lo
     near = [z_lo + threshold]
     for _ in range(3):
         near = [math.nextafter(near[0], -math.inf), *near, math.nextafter(near[-1], math.inf)]
-    z = np.array([z_lo, *near, *(z_lo + a for a in above)])
+    z = np.array([*near, *(z_lo + a for a in above)])
     z = z[z >= z_lo]
-    Subtracted.calls = 0
-    tall = obstacles._tall(z.view(Subtracted), threshold)
-    assert np.array_equal(tall, np.flatnonzero(z - z_lo > threshold))
-    if abs(z_lo + threshold) >= threshold / 2:  # a sum not far below the threshold is a few ulp from the cut
-        assert Subtracted.calls == 0
-    assert len(obstacles._tall(np.empty(0), threshold)) == 0
-    frame = frame_from_points(np.column_stack([np.zeros((len(z), 2)), z]))
-    grid = build_grid(frame, GridParams(height_threshold=threshold, roof_height=math.inf, min_cell_points=1))
-    assert grid.occupied.any() == (len(tall) > 0)  # one cell holds every point
+    pairs = np.column_stack([np.full(len(z), z_lo), z]).ravel()
+    x = np.repeat(np.arange(len(z)) * GRID.cell_size + 0.1, 2)
+    frame = frame_from_points(np.column_stack([x, np.zeros(len(pairs)), pairs]))
+    params = GridParams(height_threshold=threshold, roof_height=math.inf)
+    assert_grid_matches_reference(frame, params)
+    assert build_grid(frame, params).occupied.sum() == np.count_nonzero(z - z_lo > threshold)
 
 
 def test_build_grid_bins_no_bare_ground_and_only_points_near_tall_ones(monkeypatch):

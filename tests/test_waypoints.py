@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -644,6 +645,31 @@ def test_waypoint_file_rejects_non_finite_speed(tmp_path, speed):
     bad.write_text(f"30.0,-96.0,3.0\n30.0001,-96.0,{speed}\n")
     with pytest.raises(ValueError, match=r"bad\.waypoints:2: waypoint speed must be finite"):
         load_waypoints(bad)
+
+
+@pytest.mark.parametrize("kind", ["waypoints", "trace"])
+@pytest.mark.parametrize("spelled", ["30.6_15", "\u0663\u0660.\u0666\u0661\u0665"])  # 30.615 in Arabic-Indic digits
+def test_row_files_reject_a_number_with_underscores_or_non_ascii_digits(tmp_path, kind, spelled):
+    assert float(spelled) == 30.615  # float() reads both
+    first, second, load = {"waypoints": ("30.6149,-96.34,3.0", "{},-96.34,3.0", load_waypoints),
+                           "trace": ("0.0,30.6149,-96.34,1.0,0.0", "1.0,{},-96.34,1.0,0.0", load_trace)}[kind]
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(f"# two rows\n{first}\n{second.format(spelled)}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load(bad)
+    assert str(info.value) == f"{bad}:3: {spelled!a} is not a plain ASCII number"
+
+
+@pytest.mark.parametrize("stray", ["t,1,2,3,4", "t,lat,lon,v", "t,lat,lon,v,omega,x", "T,lat,lon,v,omega"])
+def test_trace_file_skips_only_comments_and_the_header_it_is_saved_with(tmp_path, stray):
+    rows = ["0.0,30.0,-96.0,1.0,0.0", "1.0,30.00001,-96.0,1.0,0.0", "2.0,30.00002,-96.0,1.0,0.0"]
+    good = tmp_path / "good.trace"
+    good.write_text("\n".join(["# recorded", "t,lat,lon,v,omega", *rows]) + "\n")
+    assert len(load_trace(good)) == 3
+    bad = tmp_path / "bad.trace"
+    bad.write_text("\n".join(["t,lat,lon,v,omega", rows[0], stray, *rows[1:]]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:3: "):
+        load_trace(bad)
 
 
 @pytest.mark.parametrize("column, value", [(0, "inf"), (1, "nan"), (2, "inf"), (3, "-inf"), (4, "nan")])
