@@ -1,4 +1,4 @@
-"""The range of every scenario and log number, stated once in its field's annotation; a plain ``float`` is any finite number."""
+"""The one law that reads every input number (``number``), and each number's range, stated in its field's annotation."""
 
 import functools
 import math
@@ -16,6 +16,19 @@ Intensity = Annotated[float, Bound(0.0, 255.0, "within [0, 255]")]
 Pedal = Annotated[float, Bound(0.0, 1.0, "within [0, 1]")]  # a throttle or brake fraction
 Count = Annotated[int, Bound(1, math.inf, ">= 1")]
 Natural = Annotated[int, Bound(0, math.inf, ">= 0")]
+
+
+def number(text: str, tp: type = float):
+    """The ``tp`` (``float`` or ``int``) that input ``text`` spells: ASCII with no ``_``, read by ``float``, finite and,
+    for an int, whole. Decimal integer text is read exactly by ``int``; any other spelling raises a ValueError."""
+    if not text.isascii() or "_" in text:  # digits float() also reads: 3_0 for 30, or an Arabic-Indic 3
+        raise ValueError(f"{text.strip()!a} is not a plain ASCII number")
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite value {text.strip()!r}")
+    if tp is int and not value.is_integer():
+        raise ValueError(f"expected int, got {text.strip()!r}")
+    # decimal integer text is read by int, so a 20-digit seed keeps every digit; 3e0 is int(3.0)
+    return tp(value) if tp is float or not text.strip().lstrip("+-").isdigit() else int(text)
 
 
 @functools.cache

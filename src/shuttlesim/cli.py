@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import yaml
 
+from shuttlesim.bounds import number
 from shuttlesim.harness import (
     GRID_DUMP_HEADER,
     SIGN_LOG_HEADER,
@@ -49,7 +49,7 @@ def _open_outputs(*paths):
 
 @contextmanager
 def _naming(path):
-    """Prefix the file, or the flag, to errors of an input that loaded but cannot be used."""
+    """Prefix the file or the flag to the errors of reading or using its input."""
     try:
         yield
     except ValueError as exc:
@@ -60,7 +60,7 @@ def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         with _naming("--seed"):
-            scenario = replace(scenario, seed=args.seed)
+            scenario = replace(scenario, seed=number(args.seed, int))
     sign_log = [] if args.sign_log else None
     grid_dump = [] if args.grid_dump else None
     with _naming(args.scenario):
@@ -89,13 +89,14 @@ def cmd_record(args) -> int:
 
 
 def cmd_compile_path(args) -> int:
-    if not (math.isfinite(args.speed) and args.speed > 0):
-        raise ValueError(f"--speed: must be a positive finite number, got {args.speed}")
+    with _naming("--speed"):
+        if not (speed := number(args.speed)) > 0:
+            raise ValueError(f"must be a positive finite number, got {speed}")
     trace = load_trace(args.trace)
-    out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, args.speed)
+    out = args.out or Path(args.trace).parent / waypoint_filename(Path(args.trace).stem, speed)
     _open_outputs(out)
     with _naming(args.trace):
-        route = compile_path(trace, args.speed)
+        route = compile_path(trace, speed)
     save_waypoints(route, out)
     print(f"compiled {len(route.speed)} waypoints -> {out}")
     return 0
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario closed loop")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", default=None, help="override the scenario seed")
     p_run.add_argument("--log", default=None, help="write the per-tick log here")
     p_run.add_argument("--metrics", default=None, help="write run metrics here (YAML)")
     p_run.add_argument("--sign-log", default=None, help="write per-tick sign detections here")
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compile-path", help="turn a recorded trace into a waypoint file")
     p_cmp.add_argument("trace")
-    p_cmp.add_argument("--speed", type=float, required=True, help="target speed, m/s")
+    p_cmp.add_argument("--speed", required=True, help="target speed, m/s")
     p_cmp.add_argument("--out", default=None, help="waypoint output path")
     p_cmp.set_defaults(func=cmd_compile_path)
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from shuttlesim.arbiter import DisplayTracker, Message, Source, SpeedCommand, select
-from shuttlesim.bounds import Natural, NonNegative, Pedal, check_bounds
+from shuttlesim.bounds import Natural, NonNegative, Pedal, check_bounds, number
 from shuttlesim.lidar import LidarFrame, scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
@@ -80,23 +80,16 @@ _TRIGGER = {Source.OBSTACLE: "obstacle_d", Source.SIGN: "sign_stop_d"}  # the co
 
 
 def _parse_source(text: str) -> Source:
-    code = int(text)
-    if not 0 <= code < len(_SOURCES):
+    if not 0 <= (code := number(text, int)) < len(_SOURCES):
         raise ValueError(f"source code {code} is not in 0..{len(_SOURCES) - 1}")
     return _SOURCES[code]
 
 
-def _parse_finite(text: str) -> float:
-    if math.isfinite(value := float(text)):
-        return value
-    raise ValueError(f"non-finite value {text!r}")
-
-
 # (format, parse) by the field's type, its range aside; every column but ``display`` is numeric
 _CODECS = {
-    float: (lambda v: repr(float(v)), _parse_finite),
-    float | None: (lambda v: "" if v is None else repr(float(v)), lambda s: _parse_finite(s) if s else None),
-    int: (lambda v: str(int(v)), int),
+    float: (lambda v: repr(float(v)), number),
+    float | None: (lambda v: "" if v is None else repr(float(v)), lambda s: number(s) if s else None),
+    int: (lambda v: str(int(v)), lambda s: number(s, int)),
     str: (str, str),
     Source: (lambda v: str(_SOURCES.index(v)), _parse_source),
 }

@@ -28,22 +28,23 @@ Schema (all sections optional unless noted):
     drive_script:             # for `record`
       - {duration: 25.1, speed: 2.5, yaw_rate: 0.25, blend: 0.0}
 
-Values are converted to the annotated field types: numbers may be strings
-(YAML 1.1 reads ``3e0`` as one), floats must be finite, ints integral; an empty
-value keeps the default. A field's range is its annotation (``shuttlesim.bounds``),
-checked when its dataclass is built. Errors read ``file: key.path: message``.
+YAML types no value but null here: an empty value keeps the default, and every other
+scalar is text that ``shuttlesim.bounds.number`` reads by the one law of every input
+number: ASCII with no ``_``, read by ``float``, finite, and whole for an int. So ``017``
+is 17 (YAML 1.1 read 15), ``1:30``, ``0x1F``, ``1_0`` and ``.inf`` are errors, and
+``yes``, ``on`` and dates are text. A key given twice is an error. A field's range is
+its annotation, checked when its dataclass is built. Errors read ``file: key.path: message``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
 import yaml
 
-from shuttlesim.bounds import LIMIT, Bound, Coordinate, Count, Natural, NonNegative, Positive, check_bounds
+from shuttlesim.bounds import LIMIT, Bound, Coordinate, Count, Natural, NonNegative, Positive, check_bounds, number
 from shuttlesim.lidar import LidarConfig
 from shuttlesim.obstacles import CorridorParams, GridParams
 from shuttlesim.plant import VehicleParams
@@ -143,11 +144,8 @@ def _build(cls, data, where: str = ""):
     if unknown:
         raise _error(where, f"unknown {'keys' if where else 'top-level keys'} {sorted(map(str, unknown))}")
     hints = get_type_hints(cls)
-    kwargs = {
-        name: _convert(hints[name], value, f"{where}.{name}" if where else name)
-        for name, value in data.items()
-        if value is not None
-    }
+    kwargs = {name: _convert(hints[name], value, f"{where}.{name}" if where else name)
+              for name, value in data.items() if value is not None}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -170,23 +168,10 @@ def _convert(tp, value, where: str):
         (tp,) = set(args) - {type(None)}
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise _error(where, f"expected {tp.__name__}, got {value!r}")
-    if tp is str:
-        return str(value)
-    if tp is int and isinstance(value, int):
-        return value
     try:
-        number = float(value)  # YAML 1.1 reads 3e0 and 1e-3 as strings
-    except ValueError:
-        raise _error(where, f"expected {tp.__name__}, got {value!r}") from None
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise _error(where, f"expected a finite number, got {value!r}")
-    if tp is int:
-        if not number.is_integer():
-            raise _error(where, f"expected int, got {value!r}")
-        return int(number)
-    return number
+        return str(value) if tp is str else number(str(value), tp)
+    except ValueError as exc:
+        raise _error(where, exc) from None
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
@@ -199,6 +184,23 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
         raise _error("waypoints", exc) from exc
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML that types no scalar but null, leaving the rest as text for ``_convert``; a key given twice is an error."""
+
+    yaml_implicit_resolvers = {c: [r for r in resolvers if r[0].endswith((":null", ":merge"))]
+                               for c, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+    yaml_constructors = {tag: c for tag, c in yaml.SafeLoader.yaml_constructors.items()  # None rejects any other tag
+                         if tag is None or tag.endswith((":null", ":str", ":seq", ":map"))}
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        first = {}
+        for key in (k for k, _ in node.value if isinstance(k, yaml.ScalarNode)):
+            if first.setdefault(key.value, key) is not key:
+                raise yaml.composer.ComposerError(None, None, f"duplicate key {key.value!r}", key.start_mark)
+        return node
+
+
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
@@ -206,10 +208,9 @@ def load_scenario(path) -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, _Loader)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = f" (line {mark.line + 1})" if mark is not None else ""
+        line = f" (line {exc.problem_mark.line + 1})" if getattr(exc, "problem_mark", None) else ""
         problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
         raise ScenarioError(f"{path}: invalid YAML{line}: {problem}") from exc
     if data is None:

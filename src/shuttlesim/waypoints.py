@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from shuttlesim.bounds import Positive, check_bounds
+from shuttlesim.bounds import Positive, check_bounds, number
 from shuttlesim.plant import VehicleState, normalize_angle
 from shuttlesim.twist import TwistCommand
 
@@ -288,12 +288,11 @@ def save_waypoints(route: Route, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_rows(path, fields: str, header: bool = False, finite: bool = False):
+def _read_rows(path, fields: str, header: bool = False):
     """The line numbers and values of the lines of comma-separated ``fields``, skipping blank and ``#`` lines
     and, with ``header``, a line that is ``fields`` itself.
 
-    A bad field count or number, one spelled with ``_`` or non-ASCII digits, or with ``finite`` a non-finite
-    one, raises a ValueError naming path:line.
+    A bad field count, or a field that ``bounds.number`` does not read, raises a ValueError naming path:line.
     """
     width = fields.count(",") + 1
     linenos, rows = [], []
@@ -301,20 +300,13 @@ def _read_rows(path, fields: str, header: bool = False, finite: bool = False):
         line = line.strip()
         if not line or line.startswith("#") or header and line == fields:
             continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path}:{lineno}: expected {fields!r}, got {line!r}")
         try:
-            row = [float(p) for p in parts]
+            if len(parts := line.split(",")) != width:
+                raise ValueError(f"expected {fields!r}, got {line!r}")
+            rows.append([number(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        for text, value in zip(parts, row):
-            if not text.isascii() or "_" in text:  # digits float() also reads: 3_0 for 30, or an Arabic-Indic 3
-                raise ValueError(f"{path}:{lineno}: {text.strip()!a} is not a plain ASCII number")
-            if finite and not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
         linenos.append(lineno)
-        rows.append(row)
     return linenos, np.array(rows, dtype=float).reshape(-1, width)
 
 
@@ -344,6 +336,6 @@ def save_trace(trace: RecordedTrace, path) -> None:
 
 
 def load_trace(path) -> RecordedTrace:
-    linenos, rows = _read_rows(path, "t,lat,lon,v,omega", header=True, finite=True)
+    linenos, rows = _read_rows(path, "t,lat,lon,v,omega", header=True)
     t, lat, lon, v, omega = rows.T
     return _build_rows(path, linenos, lambda: RecordedTrace(lat=lat, lon=lon, v=v, omega=omega, t=t))

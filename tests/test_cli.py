@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from shuttlesim import cli
 from shuttlesim.cli import main
 from shuttlesim.harness import Simulation
+from shuttlesim.scenario import load_scenario
+from shuttlesim.waypoints import compile_path, load_trace, load_waypoints
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
 
 
@@ -193,8 +195,8 @@ def test_compile_path_rejects_bad_speed_naming_the_flag(tmp_path, capsys, speed)
     trace = tmp_path / "ok.trace"
     trace.write_text("t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.0001,-96.0,1.0,0.0\n")
     assert main(["compile-path", str(trace), "--speed", speed]) == 1
-    assert capsys.readouterr().err == (
-        f"error: --speed: must be a positive finite number, got {float(speed)}\n")
+    assert capsys.readouterr().err == (f"error: --speed: non-finite value '{speed}'\n" if speed in ("nan", "inf") else
+                                       f"error: --speed: must be a positive finite number, got {float(speed)}\n")
     assert not list(tmp_path.glob("*.waypoints"))
 
 
@@ -211,9 +213,9 @@ BAD_SCENARIOS = [
     ("duration: [broken", "invalid YAML (line 2)"),
     ("name: \x01", "invalid YAML: unacceptable character"),
     ("world: {obstacles: [5]}", "world.obstacles[0]: expected a mapping"),
-    ("duration: .inf", "duration: expected a finite number"),
+    ("duration: .inf", "duration: could not convert string to float: '.inf'"),  # YAML 1.1's infinity
     ("grid: {cell_size: 1e-3}", "grid: cell_size 0.001 must be in"),
-    ("seed: abc", "seed: expected int"),
+    ("seed: abc", "seed: could not convert string to float: 'abc'"),
     ("seed: -1", "seed must be >= 0"),
     ("manual_stops: {t: 1}", "manual_stops: expected a list"),
     ("lidar_period_ticks: 1.5", "lidar_period_ticks: expected int"),
@@ -229,7 +231,7 @@ BAD_SCENARIOS = [
     ("vehicle: {max_steer: 3.0}", "vehicle: max_steer must be within (0, pi/2), got 3.0"),
     ("lidar: {range_jitter: -0.01}", "lidar: range_jitter must be >= 0"),
     ("world: {signs: [{center: [9, -2, 2], normal: [-1, 0, 0], width: .nan}]}",
-     "world.signs[0].width: expected a finite number"),
+     "world.signs[0].width: could not convert string to float: '.nan'"),
     ("waypoints: [a.waypoints]", "waypoints: expected str"),
     ("duration: 1.0", "waypoints: run requires a waypoints file"),
     ("waypoints: one.waypoints", "one.waypoints: a route needs at least two waypoints, got 1"),
@@ -275,7 +277,13 @@ BAD_SCENARIOS = [
      "world.signs[0]: normal[0] must be within [-1e8, 1e8], got -1.7e+308"),
     ("world: {signs: [{center: [9, -2, 2], normal: [5e-324, 5e-324, 0.0]}]}",
      "world.signs[0]: normal must be at least 2.2250738585072014e-308 long, got 5e-324"),
-    ("grid: {min_cell_points: 2.5}", "grid.min_cell_points: expected int, got 2.5"),
+    ("grid: {min_cell_points: 2.5}", "grid.min_cell_points: expected int, got '2.5'"),
+    # an explicit tag would read 0x1F as 31 past bounds.number
+    ("seed: !!int 0x1F", "invalid YAML (line 1): could not determine a constructor for the tag 'tag:yaml.org,2002:int'"),
+    # PyYAML keeps the last of two equal keys; a sign given width twice loaded the second
+    ("waypoints: nothere.waypoints\nwaypoints: one.waypoints", "invalid YAML (line 2): duplicate key 'waypoints'"),
+    ("world: {signs: [{center: [9, -2, 2], normal: [-1, 0, 0], width: 0.75, width: 5}]}",
+     "invalid YAML (line 1): duplicate key 'width'"),
 ]
 
 
@@ -320,6 +328,62 @@ def test_a_respelled_waypoint_or_stray_trace_row_is_a_one_line_error_at_its_line
     assert not list(tmp_path.glob("*mps.waypoints"))
 
 
+# (a number's spelling, the value it reads as, or None where every reader must reject it)
+SPELLINGS = [
+    ("1_0", None), ("\u0663", None), ("1e400", None), ("nan", None), (".inf", None), ("0x1F", None), ("1:30", None),
+    (" 3 ", 3), ("3e0", 3), ("017", 17), ("12345678901234567890", 12345678901234567890),
+]
+
+
+@pytest.mark.parametrize("spelling, value", SPELLINGS)
+def test_every_reader_gives_a_number_spelling_the_same_verdict(tmp_path, capsys, monkeypatch, spelling, value):
+    """Scenario keys, a waypoint row, a trace row and the flags each read the spelling as ``value``, or each reject
+    it in one error that names the file and the line or key, or the flag."""
+    files = {
+        "seed.yaml": "seed: {}\n",
+        "heading.yaml": "start: {{heading: {}}}\n",
+        "p.waypoints": "30.615,-96.34,3.0\n30.6151,-96.34,{}\n",
+        "t.trace": "t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.0001,-96.0,1.0,{}\n",
+    }
+    for name, text in files.items():  # YAML strips a plain scalar's blanks, so quote a spelling that has them
+        quoted = name.endswith(".yaml") and spelling != spelling.strip()
+        (tmp_path / name).write_text(text.format(repr(spelling) if quoted else spelling), encoding="utf-8")
+    (tmp_path / "ok.trace").write_text(files["t.trace"].format("0.0"))
+    (tmp_path / "ok.yaml").write_text(f"duration: 0.1\nwaypoints: {(tmp_path / 'ok.waypoints').resolve()}\n")
+    (tmp_path / "ok.waypoints").write_text("30.615,-96.34,3.0\n30.6151,-96.34,3.0\n")
+    given = []  # the seed each run and the speed each compile-path was given
+    monkeypatch.setattr(cli, "Simulation", lambda sc, *sinks: given.append(sc.seed) or Simulation(sc, *sinks))
+    monkeypatch.setattr(cli, "compile_path", lambda trace, speed: given.append(speed) or compile_path(trace, speed))
+
+    def read(load, name, named):
+        """``load(path)`` of file ``name``, or None where it raises a ValueError whose message starts ``named``."""
+        try:
+            return load(tmp_path / name)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{tmp_path / name}{named}"), exc
+            return None
+
+    def flag(name, *args):
+        given.clear()
+        rc = main([*args, name, spelling])
+        err = capsys.readouterr().err
+        assert rc == 0 and err == "" or rc == 1 and err.count("\n") == 1 and err.startswith(f"error: {name}: "), err
+        return given[0] if rc == 0 else None
+
+    ints = {
+        "seed": read(lambda path: load_scenario(path).seed, "seed.yaml", ": seed: "),
+        "--seed": flag("--seed", "run", str(tmp_path / "ok.yaml")),
+    }
+    floats = {
+        "start.heading": read(lambda path: load_scenario(path).start.heading, "heading.yaml", ": start.heading: "),
+        "waypoint row": read(lambda path: load_waypoints(path).speed[1], "p.waypoints", ":2: "),
+        "trace row": read(lambda path: load_trace(path).omega[1], "t.trace", ":3: "),
+        "--speed": flag("--speed", "compile-path", str(tmp_path / "ok.trace"), "--out", str(tmp_path / "o.waypoints")),
+    }
+    assert ints == dict.fromkeys(ints, value) and all(type(v) is int for v in ints.values() if v is not None)
+    assert floats == dict.fromkeys(floats, None if value is None else float(value))
+
+
 @pytest.mark.parametrize("command, bad_file", [
     ("run", "s.yaml"), ("run", "p.waypoints"), ("compile-path", "t.trace"), ("replay", "r.log"),
 ])
@@ -345,7 +409,7 @@ def test_non_utf8_input_one_line_error_names_file(tmp_path, capsys, command, bad
 
 
 def test_yaml_exponent_strings_load_as_numbers(tmp_path, straight_waypoints):
-    # YAML 1.1 reads 3e0 as a string
+    # YAML 1.1 would read 3e0 as a string; the loader leaves every scalar one, for bounds.number to read
     scenario = write_scenario(tmp_path, straight_waypoints, extra="gains: {kp_speed: 3e0}\n")
     assert main(["run", str(scenario)]) == 0
 
@@ -463,7 +527,9 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
     # each reads as the value the harness wrote, in a spelling it never writes
     ("t", "0.080", "t '0.080' is not how the harness writes '0.08'"),
     ("sign_n", "+0", "sign_n '+0' is not how the harness writes '0'"),
-    ("source", "0_0", "source '0_0' is not how the harness writes '0'"),
+    ("source", "0e0", "source '0e0' is not how the harness writes '0'"),
+    # no input reads a number spelled with "_"
+    ("source", "0_0", "'0_0' is not a plain ASCII number"),
     # a whole line that starts as the header does but is not the header
     (None, "t,not,a,row", "log row has 4 fields, expected 16"),
 ])

@@ -113,6 +113,22 @@ def test_run_of_exactly_one_simulated_day_loads():  # loaded only, never run
     assert len(scenario_from_dict({"drive_script": [{"duration": 43200, "speed": 1}] * 2}).drive_script) == 2
 
 
+@pytest.mark.parametrize("text", ["yes", "on", "2020-01-01", "0x1F", "1_0", "12:30"])
+def test_a_plain_scalar_loads_as_its_text(tmp_path, text):
+    # YAML 1.1 read these as True, True, datetime.date(2020, 1, 1), 31, 10 and 750
+    f = tmp_path / "s.yaml"
+    f.write_text(f"name: {text}\n")
+    assert load_scenario(f).name == text
+
+
+def test_a_merge_key_fills_a_mapping_and_its_own_keys_override_it(tmp_path):
+    f = tmp_path / "s.yaml"
+    f.write_text("world:\n  signs:\n    - &sign {center: [9, -2, 2], normal: [-1, 0, 0], width: 0.5}\n"
+                 "    - {<<: *sign, center: [20, -2, 2]}\n")
+    first, second = load_scenario(f).world.signs
+    assert (second.center, second.normal, second.width) == ((20.0, -2.0, 2.0), first.normal, 0.5)
+
+
 def test_yaml_1_1_number_strings_convert():
     # YAML 1.1 reads 3e0 and 1e-1 as strings
     sc = scenario_from_dict({"gains": {"kp_speed": "3e0"}, "grid": {"cell_size": "1e-1", "min_cell_points": "3e0"},

@@ -625,11 +625,12 @@ def test_waypoint_validation(tmp_path):
         with pytest.raises(RowError) as info:
             Route.build(lat, lon, speed, (0.0, 0.0))
         assert (info.value.row, str(info.value)) == (1, message)
-        # in a file, the error names the row's line
+        # in a file, the error names the row's line; no row file reads a non-finite number
         bad.write_text("# lat,lon,speed\n0.0,0.0,1.0\n" + ",".join(map(repr, row)) + "\n0.0,0.0001,1.0\n")
         with pytest.raises(ValueError) as info:
             load_waypoints(bad)
-        assert str(info.value) == f"{bad}:3: {message}"
+        read = message if math.isfinite(row[2]) else f"non-finite value '{row[2]!r}'"
+        assert str(info.value) == f"{bad}:3: {read}"
 
 
 def test_route_reports_first_bad_row_and_its_first_bad_value():
@@ -643,7 +644,7 @@ def test_route_reports_first_bad_row_and_its_first_bad_value():
 def test_waypoint_file_rejects_non_finite_speed(tmp_path, speed):
     bad = tmp_path / "bad.waypoints"
     bad.write_text(f"30.0,-96.0,3.0\n30.0001,-96.0,{speed}\n")
-    with pytest.raises(ValueError, match=r"bad\.waypoints:2: waypoint speed must be finite"):
+    with pytest.raises(ValueError, match=rf"bad\.waypoints:2: non-finite value '{speed}'$"):
         load_waypoints(bad)
 
 
