@@ -31,6 +31,14 @@ def number(text: str, tp: type = float):
     return tp(value) if tp is float or not text.strip().lstrip("+-").isdigit() else int(text)
 
 
+def named(name: str, read, text: str):
+    """``read(text)``, where ``text`` fills the field ``name``: a ValueError it raises names the field first."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 @functools.cache
 def _bounds(cls) -> tuple[tuple[str, int | None, Bound], ...]:
     """(field, element index or None, bound) for each bound on a field of ``cls``, a tuple field's element or an X | None."""

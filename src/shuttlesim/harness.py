@@ -19,7 +19,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from shuttlesim.arbiter import DisplayTracker, Message, Source, SpeedCommand, select
-from shuttlesim.bounds import Natural, NonNegative, Pedal, check_bounds, number
+from shuttlesim.bounds import Natural, NonNegative, Pedal, check_bounds, named, number
 from shuttlesim.lidar import LidarFrame, scan
 from shuttlesim.obstacles import build_grid, corridor_from_steering, modify_speed
 from shuttlesim.plant import VehicleState, step_plant
@@ -71,7 +71,7 @@ class LogRow(NamedTuple):
         parts = line.split(",")
         if len(parts) != len(_COLUMNS):
             raise ValueError(f"log row has {len(parts)} fields, expected {len(_COLUMNS)}")
-        return cls(*(parse(part) for (_, _, parse), part in zip(_COLUMNS, parts)))
+        return cls(*(named(name, parse, part) for (name, _, parse), part in zip(_COLUMNS, parts)))
 
 
 _SOURCES = tuple(Source)
@@ -81,7 +81,7 @@ _TRIGGER = {Source.OBSTACLE: "obstacle_d", Source.SIGN: "sign_stop_d"}  # the co
 
 def _parse_source(text: str) -> Source:
     if not 0 <= (code := number(text, int)) < len(_SOURCES):
-        raise ValueError(f"source code {code} is not in 0..{len(_SOURCES) - 1}")
+        raise ValueError(f"code {code} is not in 0..{len(_SOURCES) - 1}")
     return _SOURCES[code]
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -38,7 +37,25 @@ from shuttlesim.plant import VehicleParams, VehicleState
 from shuttlesim.world import SignSpec, WorldModel
 
 RING_ELEVATIONS_DEG = tuple(range(-15, 16, 2))  # 16 beams
-_LOWER = [statistics.NormalDist().inv_cdf((i + 0.5) / 4097) for i in range(2048)]
+# AS241 (Wichura 1988), highest power first: numerator, denominator for |p - 0.5| <= 0.425, then for sqrt(-log p) <= 5
+_AS241 = ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4, 4.5921953931549871457e+4,
+           1.3731693765509461125e+4, 1.9715909503065514427e+3, 1.3314166789178437745e+2, 3.3871328727963666080e+0),
+          (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4, 2.1213794301586595867e+4,
+           5.3941960214247511077e+3, 6.8718700749205790830e+2, 4.2313330701600911252e+1, 1.0),
+          (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1, 1.27045825245236838258e+0,
+           3.64784832476320460504e+0, 5.76949722146069140550e+0, 4.63033784615654529590e+0, 1.42343711074968357734e+0),
+          (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2, 1.48103976427480074590e-1,
+           6.89767334985100004550e-1, 1.67638483018380384940e+0, 2.05319162663775882187e+0, 1.0))
+
+
+def _lower_quantiles(p: np.ndarray) -> np.ndarray:
+    """The standard normal's quantiles at ``p`` in [1e-11, 0.5), by inv_cdf's steps: polyval's Horner sum, libm's log."""
+    r, tail = 0.180625 - (q := p - 0.5) * q, np.sqrt(-np.array([math.log(x) for x in p])) - 1.6
+    return np.where(q >= -0.425, np.polyval(_AS241[0], r) * q / np.polyval(_AS241[1], r),
+                    -(np.polyval(_AS241[2], tail) / np.polyval(_AS241[3], tail)))
+
+
+_LOWER = _lower_quantiles((np.arange(2048) + 0.5) / 4097)
 _QUANTILES = np.concatenate((_LOWER, [0.0], np.negative(_LOWER[::-1])))  # range jitter's law: odd, so of mean 0
 _SLOPES = np.diff(_QUANTILES)
 

@@ -5,19 +5,19 @@ crop, radius outlier removal, statistical outlier removal, and RANSAC plane
 segmentation with a facing check on the plane normal. The threshold and the
 crop are per-point masks, so they commute; thresholding first leaves the crop
 the few bright returns of a sweep instead of all its ground. The two outlier
-filters share one KD-tree, unbalanced as it builds faster on a sign's few
-hundred points, and one k-nearest query over the cropped cloud; SOR
-queries again only when ROR has dropped points. RANSAC scores its triples in
-draw order, a chunk at a time, and stops after the first chunk with a plane
-that takes every point, since no later triple can beat it. A detected sign
-yields a stop command whose deceleration limit is v^2 / (2 d) for the speed
-and distance at detection; ``SignStopLogic`` latches that command and holds it
-until the cart has stopped and dwelt.
+filters share one table of each point's k smallest squared distances, which
+looks along a return's LiDAR ring and the two beside it and proves each row by
+a bound on the rest; SOR builds it again only when ROR has dropped points.
+RANSAC scores its triples in draw order, a chunk at a time, and stops after
+the first chunk with a plane that takes every point, since no later triple can
+beat it. A detected sign yields a stop command whose deceleration limit is
+v^2 / (2 d) for the speed and distance at detection; ``SignStopLogic``
+latches that command and holds it until the cart has stopped and dwelt.
 """
 
 from __future__ import annotations
 
-import importlib
+import math
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -33,6 +33,11 @@ MIN_SIGN_TRIGGER_SPEED = 0.5  # don't latch a sign stop while at crawl speed
 # trim threshold, where 1 << 16 had each call hand its pages back and fault them in again
 _RANSAC_BLOCK = 1 << 14
 _COLLINEAR = 1e-12  # a triple whose cross product is shorter spans no plane
+_RING_GAP = 1e-6  # rad: a larger step between sorted elevations starts a new ring
+_SLACK = 1e-9  # rad taken off every elevation gap, far above atan2's rounding
+_HALF = 6  # a window's half-width in each ring, for k up to 9: k // 2 + 2 for a larger k
+_ALL_PAIRS = 64  # a cloud of at most this many points, or 12 a ring, takes every pair
+_FEW_OPEN = 16  # at most this many rows left unproved take every pair, for less than the adjacent rings' windows
 
 
 @dataclass(frozen=True)
@@ -71,39 +76,100 @@ def intensity_filter(frame: LidarFrame, min_intensity: float = FilterParams.min_
     return LidarFrame(frame.points[bright], frame.intensity[bright])
 
 
-def _neighbors(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row by row, the distances to each point's ``k`` nearest points (fewer
-    when there are fewer points), itself first, and those points' indices."""
-    from scipy.spatial import cKDTree  # at the first tree: a world without a sign never builds one
+def _pair_table(X: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` smallest squared distances, ascending, from the points ``X[:, rows]`` to all of ``X``, (3, n)."""
+    dsq = np.zeros((len(rows), X.shape[1]))
+    for c in X:  # x, y and z in turn, so that the temporaries are (rows, n)
+        dsq += np.square(np.subtract.outer(c[rows], c))
+    dsq.sort(axis=1)
+    return dsq[:, :k]
 
-    dists, idx = cKDTree(points, balanced_tree=False, compact_nodes=False).query(points, k=min(k, len(points)))
-    return dists.reshape(len(points), -1), idx.reshape(len(points), -1)
+
+def _neighbors(points: np.ndarray, k: int, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Row by row, the squared distances from each point to its ``k`` nearest points (fewer when there are fewer),
+    itself first, ascending; each summed ``(dx*dx + dy*dy) + dz*dz``, as cKDTree sums them. A LiDAR at ``origin``
+    casts on rings, cones about it that range jitter moves no return off; the sorted elevations jump between them. A
+    point's candidates are those nearest its place along its ring, ordered on the cloud's main horizontal axis
+    ``u``, and its row is proved when the ``k``-th is no farther than a bound on the rest: their gap along ``u``,
+    and ``r * sin(de - _SLACK)`` to a ring ``de`` away. More than ``_FEW_OPEN`` unproved rows add the adjacent
+    rings' nearest points; rows still unproved take every point."""
+    n, k = len(points), min(k, len(points))
+    if n <= _ALL_PAIRS:
+        return _pair_table(points.T, np.arange(n), k)
+    v = np.subtract(points.T, np.reshape(origin, (3, 1)), out=np.empty((3, n)))
+    elev = np.arctan2(v[2], rho := np.hypot(v[0], v[1]))
+    es = np.sort(elev)
+    cut = np.flatnonzero(np.diff(es) > _RING_GAP) + 1  # where each ring after the first starts in ``es``
+    if n <= 12 * (rings := len(cut) + 1):
+        return _pair_table(points.T, np.arange(n), k)
+    (mx, my), ((xx, xy), (_, yy)) = (v[:2].sum(axis=1) / n).tolist(), np.einsum("in,jn->ij", v[:2], v[:2]).tolist()
+    axis = 0.5 * math.atan2(2.0 * (xy - n * mx * my), (xx - n * mx * mx) - (yy - n * my * my))
+    along = np.dot((math.cos(axis), math.sin(axis)), v[:2])
+    ring = np.searchsorted(es[cut], elev, side="right")
+    order = np.lexsort((along, ring))
+    ring, u, r, X = ring[order], along[order], np.hypot(rho, v[2])[order], points[order].T.copy()
+    pad = 2 * (half := max(_HALF, k // 2 + 2)) + 2
+    offsets, ext = pad * np.arange(1, rings + 3), np.concatenate(([0, 0], cut, [n, n]))
+    start, end, at = offsets + ext[:-1], offsets + ext[1:], np.arange(n) + pad * (ring + 2)  # ring j: [start, end)[j + 1]
+    padded = np.full((4, n + pad * (rings + 2) + 1), np.inf)  # x, y, z and u, ``pad`` infinities before each ring
+    padded[:3, at], padded[3, at] = X, u
+    sines = np.ones(rings + 1)  # at j, the sine of the elevation gap less _SLACK from ring j - 1 to j; 1 past the ends
+    sines[1:rings] = np.sin(np.minimum(es[cut] - es[cut - 1] - _SLACK, math.pi / 2))
+    slack = _SLACK * r.max()  # far above the rounding of ``along`` and of the points less ``origin``
+
+    def window(rows, place, which, width):
+        """(m, B * width) squared distances to the ``width`` points about (B, m) places in rings, and (B, m) gaps on u."""
+        first = np.minimum(np.maximum(place - width // 2, start[which]), end[which] - width)
+        d = np.take(padded[:3], first + np.arange(width)[:, None, None], axis=1)
+        d -= X[:, None, None, rows]
+        d *= d
+        dsq = (d[0] + d[1]) + d[2]
+        gap = np.minimum(padded[3, first + width] - u[rows], np.abs(u[rows] - padded[3, first - 1]))
+        return dsq.reshape(-1, place.shape[1]).T, gap
+
+    dsq, (own_gap,) = window(slice(None), at[None], ring[None] + 1, 2 * half + 1)
+    dsq = np.sort(dsq, axis=1)[:, :k]
+    bound = np.maximum(np.minimum(r * np.minimum(sines[:-1], sines[1:])[ring], own_gap) - slack, 0.0)
+    open_rows = np.flatnonzero(dsq[:, k - 1] > bound * bound)
+    if len(open_rows) > _FEW_OPEN:  # add the adjacent rings' windows; bound their rest and the rings two away
+        rows, j, rr = open_rows, ring[open_rows], r[open_rows]
+        step = 2.0 * (np.abs(u).max() + 1.0)  # ``key`` rises ring by ring, along u in each
+        places = np.searchsorted(key := ring * step + u, key[rows] + [[step], [-step]]) + pad * (j + [[3], [1]])
+        adjacent, gap = window(rows, places, j + [[2], [0]], 2 * half)
+        dsq[rows] = np.sort(np.concatenate((dsq[rows], adjacent), axis=1), axis=1)[:, :k]
+        two = np.ones(rings + 2)  # sines of the gaps from ring j - 2 to j, at j
+        two[2:rings] = np.sin(np.minimum(es[cut[1:]] - es[cut[:-1] - 1] - _SLACK, math.pi / 2))
+        bound = np.minimum(np.minimum(own_gap[rows], rr * np.minimum(two[j], two[j + 2])),
+                           np.minimum(np.maximum(gap[0], rr * sines[j + 1]), np.maximum(gap[1], rr * sines[j])))
+        open_rows = rows[dsq[rows, k - 1] > np.maximum(bound - slack, 0.0) ** 2]
+    for i in range(0, len(open_rows), 128):  # in blocks, so that no temporary grows as the cloud squared
+        dsq[open_rows[i:i + 128]] = _pair_table(X, open_rows[i:i + 128], k)
+    return dsq[np.argsort(order)]
 
 
 def radius_outlier_removal(
     points: np.ndarray, radius: float = FilterParams.ror_radius, min_neighbors: int = FilterParams.ror_min_neighbors,
-    neighbors: tuple | None = None,
+    neighbors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stage 3: keep points with at least ``min_neighbors`` others inside ``radius``.
 
     ``neighbors`` is ``_neighbors(points, k)`` for some ``k > min_neighbors``,
-    when the caller has it. A point is kept when its ``min_neighbors``-th
-    other neighbour is inside ``radius``: their squared distance, summed as
-    ``(dx*dx + dy*dy) + dz*dz`` like the tree's own, is at most ``radius**2``.
+    when the caller has it. A point is kept when the squared distance to its
+    ``min_neighbors``-th other neighbour, summed ``(dx*dx + dy*dy) + dz*dz``
+    as a KD-tree's ball count sums it, is at most ``radius**2``.
     """
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         return points
-    _, idx = _neighbors(points, min_neighbors + 1) if neighbors is None else neighbors
-    if idx.shape[1] <= min_neighbors:  # fewer other points than it needs
+    dsq = _neighbors(points, min_neighbors + 1) if neighbors is None else neighbors
+    if dsq.shape[1] <= min_neighbors:  # fewer other points than it needs
         return points[:0]
-    d = points - points.take(idx[:, min_neighbors], axis=0)  # column 0 is the point itself
-    return points[(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2] <= radius * radius]
+    return points[dsq[:, min_neighbors] <= radius * radius]  # column 0 is the point itself
 
 
 def statistical_outlier_removal(
     points: np.ndarray, k: int = FilterParams.sor_k, stddev_mult: float = FilterParams.sor_stddev_mult,
-    neighbors: tuple | None = None,
+    neighbors: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stage 4: drop points whose mean kNN distance exceeds mu + mult * sigma.
 
@@ -113,8 +179,8 @@ def statistical_outlier_removal(
     points = np.asarray(points, dtype=float)
     if len(points) <= k:
         return points
-    dists, _ = _neighbors(points, k + 1) if neighbors is None else neighbors
-    mean_dist = dists[:, 1:k + 1].mean(axis=1)  # first neighbour is the point itself
+    dsq = _neighbors(points, k + 1) if neighbors is None else neighbors
+    mean_dist = np.sqrt(dsq[:, 1:k + 1]).mean(axis=1)  # first neighbour is the point itself
     threshold = mean_dist.mean() + stddev_mult * mean_dist.std()
     return points[mean_dist <= threshold]
 
@@ -240,19 +306,18 @@ class SignDetector:
                  sensor_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)):
         self.params = params
         self.sensor_origin = sensor_origin
-        importlib.import_module("scipy.spatial")  # at set-up, not in the first tick with a bright cloud
 
     def detect(self, frame: LidarFrame) -> SignDetection | None:
         p = self.params
         stage = intensity_filter(frame, p.min_intensity)
         stage = fov_filter(stage, p.fov_side)
         pts = stage.points
-        # one tree and one k-nearest table for both filters
-        neighbors = _neighbors(pts, max(p.ror_min_neighbors, p.sor_k) + 1) if len(pts) else None
+        # one k-nearest table for both filters, built again for the survivors when ROR drops a point
+        k = max(p.ror_min_neighbors, p.sor_k) + 1
+        neighbors = _neighbors(pts, k, self.sensor_origin) if len(pts) else None
         kept = radius_outlier_removal(pts, p.ror_radius, p.ror_min_neighbors, neighbors)
-        # the table is the survivors' own only when ROR dropped nothing
-        pts = statistical_outlier_removal(kept, p.sor_k, p.sor_stddev_mult,
-                                          neighbors if len(kept) == len(pts) else None)
+        neighbors = neighbors if len(kept) == len(pts) else _neighbors(kept, k, self.sensor_origin)
+        pts = statistical_outlier_removal(kept, p.sor_k, p.sor_stddev_mult, neighbors)
         if len(pts) < p.min_sign_points:
             return None
         return plane_segment(pts, p, self.sensor_origin)

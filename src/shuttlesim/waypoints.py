@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from shuttlesim.bounds import Positive, check_bounds, number
+from shuttlesim.bounds import Positive, check_bounds, named, number
 from shuttlesim.plant import VehicleState, normalize_angle
 from shuttlesim.twist import TwistCommand
 
@@ -292,22 +292,22 @@ def _read_rows(path, fields: str, header: bool = False):
     """The line numbers and values of the lines of comma-separated ``fields``, skipping blank and ``#`` lines
     and, with ``header``, a line that is ``fields`` itself.
 
-    A bad field count, or a field that ``bounds.number`` does not read, raises a ValueError naming path:line.
+    A bad field count, or a field that ``bounds.number`` does not read, raises a ValueError naming path:line (and field).
     """
-    width = fields.count(",") + 1
+    names = fields.split(",")
     linenos, rows = [], []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or header and line == fields:
             continue
         try:
-            if len(parts := line.split(",")) != width:
+            if len(parts := line.split(",")) != len(names):
                 raise ValueError(f"expected {fields!r}, got {line!r}")
-            rows.append([number(p) for p in parts])
+            rows.append([named(name, number, p) for name, p in zip(names, parts)])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         linenos.append(lineno)
-    return linenos, np.array(rows, dtype=float).reshape(-1, width)
+    return linenos, np.array(rows, dtype=float).reshape(-1, len(names))
 
 
 def _build_rows(path, linenos, build):

@@ -76,6 +76,23 @@ def brute_ror(points, radius=0.5, min_neighbors=3):
     return points[np.count_nonzero(near, axis=1) >= min_neighbors]
 
 
+def brute_neighbors(points, k):
+    """Each point's ``k`` smallest squared distances, ascending, sorted out of the whole (n, n) table of
+    ``(dx*dx + dy*dy) + dz*dz``: the k-nearest table that ``signs._neighbors`` proves row by row."""
+    dx, dy, dz = np.moveaxis(points[:, None, :] - points[None, :, :], -1, 0)
+    return np.sort((dx * dx + dy * dy) + dz * dz, axis=1)[:, :k]
+
+
+def tree_distances(points, k):
+    """cKDTree's distances from each point to its ``k`` nearest, or None where scipy, a test-only
+    dependency, is not installed."""
+    try:
+        from scipy.spatial import cKDTree
+    except ImportError:
+        return None
+    return cKDTree(points).query(points, k=min(k, len(points)))[0].reshape(len(points), -1)
+
+
 def brute_sor(points, k=8, stddev_mult=1.0):
     if len(points) <= k:
         return points

@@ -154,7 +154,7 @@ def test_compile_path_rejects_non_finite_trace(tmp_path, capsys):
     trace.write_text("t,lat,lon,v,omega\n0.0,30.0,-96.0,1.0,0.0\n1.0,30.00001,-96.0,nan,0.0\n")
     assert main(["compile-path", str(trace), "--speed", "3"]) == 1
     out, err = capsys.readouterr()
-    assert err == f"error: {trace}:3: non-finite value 'nan'\n"
+    assert err == f"error: {trace}:3: v: non-finite value 'nan'\n"
     assert not list(tmp_path.glob("*.waypoints"))
 
 
@@ -321,9 +321,9 @@ def test_a_respelled_waypoint_or_stray_trace_row_is_a_one_line_error_at_its_line
                                                                         "--speed", "3"]
     assert main(args) == 1
     out, err = capsys.readouterr()
-    named = (f"{tmp_path / 's.yaml'}: waypoints: {(tmp_path / 'p.waypoints').resolve()}:2: '30.6_15' is not"
+    named = (f"{tmp_path / 's.yaml'}: waypoints: {(tmp_path / 'p.waypoints').resolve()}:2: lat: '30.6_15' is not"
              " a plain ASCII number" if command == "run" else
-             f"{tmp_path / 't.trace'}:3: could not convert string to float: 't'")
+             f"{tmp_path / 't.trace'}:3: t: could not convert string to float: 't'")
     assert (out, err) == ("", f"error: {named}\n")
     assert not list(tmp_path.glob("*mps.waypoints"))
 
@@ -529,7 +529,8 @@ def test_cli_on_a_mutated_input_exits_cleanly_or_names_the_file(shipped_inputs, 
     ("sign_n", "+0", "sign_n '+0' is not how the harness writes '0'"),
     ("source", "0e0", "source '0e0' is not how the harness writes '0'"),
     # no input reads a number spelled with "_"
-    ("source", "0_0", "'0_0' is not a plain ASCII number"),
+    ("source", "0_0", "source: '0_0' is not a plain ASCII number"),
+    ("x", "", "x: could not convert string to float: ''"),
     # a whole line that starts as the header does but is not the header
     (None, "t,not,a,row", "log row has 4 fields, expected 16"),
 ])

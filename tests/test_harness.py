@@ -135,7 +135,7 @@ def test_log_row_format_roundtrip(row):
 
 def test_log_row_rejects_unknown_source_code():
     line = "0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,,,0,MOVING,4,"
-    with pytest.raises(ValueError, match="source code 4"):
+    with pytest.raises(ValueError, match=r"^source: code 4 is not in 0\.\.3$"):
         LogRow.parse(line)
 
 
@@ -151,7 +151,7 @@ def test_non_finite_log_value_rejected(tmp_path, straight_waypoints, capsys, col
     fields[lines[0].split(",").index(column)] = value
     lines[2] = ",".join(fields)
     log.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"run\.log:3: non-finite value '{value}'"):
+    with pytest.raises(ValueError, match=rf"run\.log:3: {column}: non-finite value '{value}'$"):
         read_log(log)
     assert main(["replay", str(log)]) == 1
     assert capsys.readouterr().err.count("\n") == 1
@@ -212,7 +212,7 @@ def test_read_log_rejects_a_number_respelled_at_the_same_value(box_and_sign_log,
     path = log.with_name("respelled.log")
     path.write_text("\n".join(lines[:lineno - 1] + [respelled] + lines[lineno:]) + "\n")
     if "_" in fields[column]:  # bounds.number reads no "_"
-        message = re.escape(f"{fields[column]!r} is not a plain ASCII number")
+        message = re.escape(f"{header[column]}: {fields[column]!r} is not a plain ASCII number")
         with pytest.raises(ValueError, match=f"^{message}$"):
             LogRow.parse(respelled)
     else:

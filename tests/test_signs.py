@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -28,11 +29,13 @@ from shuttlesim.signs import (
 )
 from shuttlesim.world import SignSpec, WorldModel
 from tests.conftest import (
+    brute_neighbors,
     brute_ror,
     brute_sor,
     reference_plane_distances,
     reference_plane_inliers,
     reference_plane_segment,
+    tree_distances,
     two_tree_ror_sor,
 )
 
@@ -212,26 +215,81 @@ def test_detect_outlier_filters_equal_two_trees_and_brute_force_bit_for_bit(clou
 
 
 @settings(max_examples=200, deadline=None)
-@given(outlier_clouds(), st.sampled_from([0.5, 1.0, 2.0]))
-def test_the_unbalanced_tree_gives_the_default_trees_distances_and_kept_points(cloud, mult):
-    from scipy.spatial import cKDTree
-
+@given(outlier_clouds(), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([(0.0, 0.0, 0.0), SENSOR]))
+def test_the_neighbor_table_equals_brute_force_and_the_trees_distances_bit_for_bit(cloud, mult, origin):
     points, radius, min_neighbors, k = cloud
     j = max(min_neighbors, k) + 1
-    ours = signs._neighbors(points, j)
-    dists, idx = cKDTree(points).query(points, k=min(j, len(points)))
-    default = dists.reshape(len(points), -1), idx.reshape(len(points), -1)
-    assert np.array_equal(ours[0], default[0])  # only the order of tied indices may differ
-    assert np.array_equal(radius_outlier_removal(points, radius, min_neighbors, ours),
-                          radius_outlier_removal(points, radius, min_neighbors, default))
-    assert np.array_equal(statistical_outlier_removal(points, k, mult, ours),
-                          statistical_outlier_removal(points, k, mult, default))
+    table = signs._neighbors(points, j, origin)
+    assert table.tobytes() == brute_neighbors(points, j).tobytes()
+    tree = tree_distances(points, j)
+    assert tree is None or np.array_equal(np.sqrt(table), tree)
+    assert np.array_equal(radius_outlier_removal(points, radius, min_neighbors, table),
+                          brute_ror(points, radius, min_neighbors))
+    assert np.array_equal(statistical_outlier_removal(points, k, mult, table), brute_sor(points, k, mult))
 
+
+def scanned_sign(x, y, normal=(-1.0, 0.0, 0.0), **size):
+    """The bright returns of one jittered sweep of a sign centred at (x, y) ahead of the sensor, at its height."""
+    sign = SignSpec(center=(PARAMS.lidar_offset_x + x, y, PARAMS.lidar_mount_height), normal=normal, **size)
+    frame = scan(WorldModel(signs=(sign,)), VehicleState(), PARAMS, LidarConfig(range_jitter=0.01),
+                 np.random.default_rng(7))
+    return intensity_filter(frame).points
+
+
+SCANNED_SIGNS = {  # the demo's sign 2 m off the route at 3, 10 and 21 m, the farthest any ring reaches it
+    "3 m": lambda: scanned_sign(math.sqrt(3.0**2 - 4.0), -2.0),
+    "10 m": lambda: scanned_sign(math.sqrt(10.0**2 - 4.0), -2.0),
+    "21 m": lambda: scanned_sign(math.sqrt(21.0**2 - 4.0), -2.0),
+    "oblique, close": lambda: scanned_sign(0.6, -2.0),  # seen 73 degrees off its normal, 2 m away
+    "across azimuth 0": lambda: scanned_sign(3.0, 0.0, width=1.5, height=1.0),
+    "across the seam at 180 degrees": lambda: scanned_sign(-3.0, 0.0, (1.0, 0.0, 0.0), width=1.5, height=1.0),
+    # returns straight above and below the sensor have no azimuth; beside the 3 m sign's rings
+    "on the sensor's axis": lambda: np.concatenate([scanned_sign(math.sqrt(3.0**2 - 4.0), -2.0), np.add(
+        SENSOR, np.outer(np.r_[-1.9:-0.1:20j, 0.1:1.9:20j], [0.0, 0.0, 1.0]))]),
+}
+
+
+@pytest.mark.parametrize("name", SCANNED_SIGNS)
+def test_the_neighbor_table_of_a_scanned_cloud_equals_brute_force_bit_for_bit(name, monkeypatch):
+    points = SCANNED_SIGNS[name]()
+    every_pair = {}  # by k, the rows that took every point
+    real = signs._pair_table
+    for k in (2, 4, 9, 13, 30, len(points), len(points) + 5):
+        monkeypatch.setattr(signs, "_pair_table", lambda X, rows, j: every_pair.setdefault(k, []).append(len(rows))
+                            or real(X, rows, j))
+        table = signs._neighbors(points, k, SENSOR)
+        assert table.tobytes() == brute_neighbors(points, k).tobytes()
+        tree = tree_distances(points, k)
+        assert tree is None or np.array_equal(np.sqrt(table), tree)
+    # where the cloud is one sign of a few hundred points, its rings prove nearly every row for SignDetector's k
+    if name != "on the sensor's axis" and len(points) >= 200:
+        assert sum(every_pair.get(9, [])) <= 0.05 * len(points)
+
+
+
+@functools.cache
+def scanned_once(name):
+    return SCANNED_SIGNS[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["3 m", "oblique, close"]), st.integers(1, 20))
+def test_the_neighbor_table_of_a_thinned_and_cluttered_scan_equals_brute_force_bit_for_bit(seed, name, k):
+    """A scan with returns dropped, repeated, moved along their rays (so kept on their ring) and strays added."""
+    rng = np.random.default_rng(seed)
+    scanned = scanned_once(name)
+    kept = scanned[rng.random(len(scanned)) < rng.uniform(0.2, 1.0)]
+    picks = [kept[rng.integers(0, len(kept), rng.integers(0, 12))] for _ in range(2)]
+    along_ray = np.add(SENSOR, (picks[1] - SENSOR) * rng.uniform(0.8, 1.2, (len(picks[1]), 1)))
+    strays = rng.uniform(kept.min(axis=0), kept.max(axis=0), (rng.integers(0, 6), 3))
+    cloud = rng.permutation(np.concatenate([kept, picks[0], along_ray, strays]))
+    table = signs._neighbors(cloud, k, SENSOR)
+    assert table.tobytes() == brute_neighbors(cloud, k).tobytes()
+    tree = tree_distances(cloud, k)
+    assert tree is None or np.array_equal(np.sqrt(table), tree)
 
 @pytest.mark.parametrize("cloud", ["scanned", "grid"])
-def test_detect_builds_one_tree_and_makes_no_ball_query(cloud, monkeypatch):
-    import scipy.spatial
-
+def test_detect_builds_one_neighbor_table_for_both_filters(cloud, monkeypatch):
     if cloud == "scanned":
         frame = scan(full_pipeline_world(10.0), VehicleState(), PARAMS, LidarConfig())
         points = intensity_filter(frame).points
@@ -245,31 +303,27 @@ def test_detect_builds_one_tree_and_makes_no_ball_query(cloud, monkeypatch):
     reach = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)[:, params.ror_min_neighbors]
     at_radius = np.count_nonzero(np.abs(reach - params.ror_radius) <= 1e-9 * params.ror_radius)
     assert at_radius == (0 if cloud == "scanned" else len(points))
-    work = {"trees": 0, "ball_points": 0}
-
-    class CountingTree(scipy.spatial.cKDTree):
-        def __init__(self, *args, **kwargs):
-            work["trees"] += 1
-            super().__init__(*args, **kwargs)
-
-        def query_ball_point(self, x, *args, **kwargs):
-            work["ball_points"] += len(x)
-            return super().query_ball_point(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    tables = []
+    real = signs._neighbors
+    monkeypatch.setattr(signs, "_neighbors", lambda pts, k, origin: tables.append((len(pts), k, origin))
+                        or real(pts, k, origin))
     assert SignDetector(params, SENSOR).detect(frame) is not None
-    assert work == {"trees": 1, "ball_points": 0}
+    assert tables == [(len(points), max(params.ror_min_neighbors, params.sor_k) + 1, SENSOR)]
 
 
 def test_ror_decides_by_the_squared_sum_where_the_square_root_rounds_to_the_radius():
-    from scipy.spatial import cKDTree
-
     # their squared distance is 0.25000000000000006, whose square root rounds to 0.5
     points = np.array([[6.0, 0.0, 2.0], [5.875188792770302, -0.47679741847250307, 1.9158193354277697]])
     d = points[0] - points[1]
     assert (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2] > 0.5 * 0.5
-    assert np.all(signs._neighbors(points, 2)[0][:, 1] <= 0.5)
-    assert cKDTree(points).query_ball_point(points, r=0.5, return_length=True).tolist() == [1, 1]
+    table = signs._neighbors(points, 2)
+    assert np.all(table[:, 1] > 0.5 * 0.5) and np.all(np.sqrt(table[:, 1]) <= 0.5)
+    try:  # a KD-tree's ball count decides by the squared sum too
+        from scipy.spatial import cKDTree
+    except ImportError:
+        pass
+    else:
+        assert cKDTree(points).query_ball_point(points, r=0.5, return_length=True).tolist() == [1, 1]
     assert len(brute_ror(points, 0.5, 1)) == 0
     assert len(radius_outlier_removal(points, 0.5, 1)) == 0
     assert len(detect_filtered(points, FilterParams(ror_radius=0.5, ror_min_neighbors=1, min_sign_points=1))) == 0

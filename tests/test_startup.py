@@ -1,4 +1,4 @@
-"""What a fresh interpreter imports: scipy.spatial only where a KD-tree can be built."""
+"""What a fresh interpreter imports: never scipy, which only the tests use."""
 
 import json
 import os
@@ -49,17 +49,30 @@ def test_commands_and_a_sign_free_simulation_never_import_scipy_spatial(tmp_path
     assert (tmp_path / "fig8.waypoints").stat().st_size > 0
 
 
-def test_a_simulation_of_a_world_with_a_sign_imports_scipy_spatial_when_built(tmp_path):
+def test_no_command_and_no_simulation_of_a_world_with_signs_imports_scipy(tmp_path):
     seen = fresh(f"""
-        import json, sys
+        import contextlib, io, json, sys
+        from shuttlesim.cli import main
         from shuttlesim.harness import Simulation
         from shuttlesim.scenario import load_scenario
-        scenario = load_scenario({str(SCENARIO_DIR / "demo.yaml")!r})
-        before = "scipy.spatial" in sys.modules
-        Simulation(scenario)
-        print(json.dumps([before, "scipy.spatial" in sys.modules]))
+        loaded = {{}}
+        steps = {{
+            "run demo": ["run", {str(SCENARIO_DIR / "demo.yaml")!r}, "--log", "demo.log", "--sign-log", "signs.csv"],
+            "replay demo": ["replay", "demo.log"],
+        }}
+        for name, argv in steps.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, name
+            loaded[name] = "scipy" in sys.modules
+        sim = Simulation(load_scenario({str(SCENARIO_DIR / "signs.yaml")!r}))
+        loaded["build signs.yaml"] = "scipy" in sys.modules
+        sim.run()
+        loaded["run signs.yaml"] = "scipy" in sys.modules
+        print(json.dumps(loaded))
         """, tmp_path)
-    assert seen == [False, True]
+    assert seen == dict.fromkeys(["run demo", "replay demo", "build signs.yaml", "run signs.yaml"], False)
+    rows = [line.split(",") for line in (tmp_path / "signs.csv").read_text().splitlines()[1:]]
+    assert any(d for _, d, *_ in rows)  # the run detected its sign, so it built k-nearest tables
 
 
 def test_outlier_removal_called_first_in_a_fresh_interpreter_matches_brute_force(tmp_path):
@@ -70,12 +83,12 @@ def test_outlier_removal_called_first_in_a_fresh_interpreter_matches_brute_force
         import numpy as np
         from shuttlesim.signs import radius_outlier_removal, statistical_outlier_removal
         clouds = [np.array(c, dtype=float).reshape(-1, 3) for c in {[c.tolist() for c in clouds]!r}]
-        before = "scipy.spatial" in sys.modules
+        before = "scipy" in sys.modules
         out = {{"ror": [radius_outlier_removal(c, 0.5, 3).tolist() for c in clouds],
                "sor": [statistical_outlier_removal(c, 8, 1.0).tolist() for c in clouds]}}
-        print(json.dumps({{"before": before, "after": "scipy.spatial" in sys.modules, **out}}))
+        print(json.dumps({{"before": before, "after": "scipy" in sys.modules, **out}}))
         """, tmp_path)
-    assert (seen["before"], seen["after"]) == (False, True)
+    assert (seen["before"], seen["after"]) == (False, False)
     for cloud, ror, sor in zip(clouds, seen["ror"], seen["sor"]):
         assert np.array_equal(np.reshape(ror, (-1, 3)), brute_ror(cloud, 0.5, 3))
         assert np.array_equal(np.reshape(sor, (-1, 3)), brute_sor(cloud, 8, 1.0))

@@ -629,7 +629,7 @@ def test_waypoint_validation(tmp_path):
         bad.write_text("# lat,lon,speed\n0.0,0.0,1.0\n" + ",".join(map(repr, row)) + "\n0.0,0.0001,1.0\n")
         with pytest.raises(ValueError) as info:
             load_waypoints(bad)
-        read = message if math.isfinite(row[2]) else f"non-finite value '{row[2]!r}'"
+        read = message if math.isfinite(row[2]) else f"speed: non-finite value '{row[2]!r}'"
         assert str(info.value) == f"{bad}:3: {read}"
 
 
@@ -644,7 +644,7 @@ def test_route_reports_first_bad_row_and_its_first_bad_value():
 def test_waypoint_file_rejects_non_finite_speed(tmp_path, speed):
     bad = tmp_path / "bad.waypoints"
     bad.write_text(f"30.0,-96.0,3.0\n30.0001,-96.0,{speed}\n")
-    with pytest.raises(ValueError, match=rf"bad\.waypoints:2: non-finite value '{speed}'$"):
+    with pytest.raises(ValueError, match=rf"bad\.waypoints:2: speed: non-finite value '{speed}'$"):
         load_waypoints(bad)
 
 
@@ -658,7 +658,7 @@ def test_row_files_reject_a_number_with_underscores_or_non_ascii_digits(tmp_path
     bad.write_text(f"# two rows\n{first}\n{second.format(spelled)}\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load(bad)
-    assert str(info.value) == f"{bad}:3: {spelled!a} is not a plain ASCII number"
+    assert str(info.value) == f"{bad}:3: lat: {spelled!a} is not a plain ASCII number"
 
 
 @pytest.mark.parametrize("stray", ["t,1,2,3,4", "t,lat,lon,v", "t,lat,lon,v,omega,x", "T,lat,lon,v,omega"])
@@ -679,5 +679,6 @@ def test_trace_file_rejects_non_finite_values(tmp_path, column, value):
     rows[1][column] = value
     bad = tmp_path / "bad.trace"
     bad.write_text("t,lat,lon,v,omega\n" + "\n".join(",".join(r) for r in rows) + "\n")
-    with pytest.raises(ValueError, match=rf"bad\.trace:3: non-finite value '{value}'"):
+    name = "t,lat,lon,v,omega".split(",")[column]
+    with pytest.raises(ValueError, match=rf"bad\.trace:3: {name}: non-finite value '{value}'$"):
         load_trace(bad)
